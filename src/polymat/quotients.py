@@ -3,9 +3,35 @@
 A generator sequence is declared by a monomial order kind (lex or revlex)
 plus a variable permutation; the sequence lists the minimal generators in
 strictly decreasing order, so prefixes are exactly the sets of strictly
-greater generators.  The quantified checks sweep all n! permutations with
-early exit, reporting the first failing permutation in lexicographic
-permutation order.
+greater generators.  linear_quotients_failure tests one such sequence.
+
+The quantified check lq_all_orders_failure covers all n! permutations and
+reports the first failing one in lexicographic permutation order.  It tests
+the identity order first, where most failing ideals already fail, and only
+then searches the other orders:
+
+- Tables.  The generators are numbered and each is one bit.  For generator
+  g and variable t, one bitset holds the generators with a larger exponent
+  at t than g, and one the generators u with u : g = x_t.  The linear
+  quotients test of g against a bitset P of predecessors ORs the first
+  bitsets of the variables whose second bitset meets P; it fails when a
+  predecessor is left uncovered.  That is O(n) integer operations.
+- Lex search.  Choosing variables from the greatest down refines an
+  ordered partition of the generators: each choice splits every block by
+  exponent, larger first.  A generator that becomes a singleton block has
+  the union of the earlier blocks as predecessors in every order below
+  that prefix, so it is tested once for the whole subtree, and the first
+  failing prefix followed by the remaining variables in ascending order is
+  the answer.
+- Revlex mirror.  The revlex sequence under an order is the lex sequence
+  under the reversed order read backwards, so revlex refines from the
+  least variable up, smaller exponents first.  Subtrees then share a
+  suffix and are not met in permutation order: the search keeps the least
+  failing order found so far and prunes every subtree whose least order
+  is not below it.
+
+The order found is replayed through linear_quotients_failure, so the
+reported position and blocker are those of the single-sequence check.
 """
 
 from __future__ import annotations
@@ -19,14 +45,13 @@ from .core import (
     Monomial,
     MonomialIdeal,
     VariableOrder,
-    all_variable_orders,
     canonical_key,
     colon_monomial,
     lex_key,
     make_ideal,
     revlex_key,
 )
-from .errors import BoundExceededError
+from .errors import AmbientMismatchError, BoundExceededError
 from .polymatroid import ExchangeWitness, exchange_failure, require_equigenerated
 
 ORDER_KINDS = ("lex", "revlex")
@@ -77,25 +102,24 @@ class LQFailure:
 def sort_generators(I: MonomialIdeal, kind: str, order: VariableOrder) -> GeneratorSequence:
     """Generators in strictly decreasing induced order (greatest first)."""
     require_equigenerated(I)
+    if order.n != I.n:
+        raise AmbientMismatchError(
+            f"variable order {order} has {order.n} variables, the ideal {I.n}"
+        )
     key = induced_key(kind, order)
     seq = tuple(sorted(I.gens, key=key, reverse=True))
     return GeneratorSequence(I, kind, order, seq)
 
 
-def linear_quotients_failure(
-    seq: GeneratorSequence, *, cross_check: bool = False
-) -> LQFailure | None:
+def linear_quotients_failure(seq: GeneratorSequence) -> LQFailure | None:
     """First position where a prefix colon ideal is not variable-generated.
 
     The prefix colon (u_1..u_{j-1}) : u_j is generated by the monomial
     colons u_i : u_j; it is variable-generated exactly when every such
-    colon is divisible by one of the degree-1 colons.  With cross_check
-    the materialized colon ideal is minimalized and compared against that
-    pairwise test.
+    colon is divisible by one of the degree-1 colons.
     """
     mons = seq.seq
     exps = [m.exponents for m in mons]
-    n = seq.ideal.n
     for j in range(1, len(mons)):
         uj = exps[j]
         colons = []
@@ -106,10 +130,6 @@ def linear_quotients_failure(
             if sum(c) == 1:
                 deg1_vars.add(c.index(1))
         uncovered = [i for i, c in enumerate(colons) if not any(c[t] for t in deg1_vars)]
-        if cross_check:
-            prefix_colon = make_ideal(n, [Monomial(c) for c in colons])
-            variables_only = all(g.degree == 1 for g in prefix_colon.gens)
-            assert variables_only == (not uncovered)
         if uncovered:
             blocker = max((mons[i] for i in uncovered), key=canonical_key)
             return LQFailure(j + 1, blocker)
@@ -126,10 +146,122 @@ def _max_perm_vars(limit: int | None) -> int:
     return int(os.environ.get(MAX_PERM_ENV, DEFAULT_MAX_PERM_VARS))
 
 
+class _ColonTables:
+    """Bitset tables of one equigenerated ideal for the all-orders search.
+
+    Generator i is bit i.  tests[g] lists, for each variable t with a
+    generator u such that u : g = x_t, the pair (those u, the generators
+    with a larger exponent at t than g).  levels[t] lists the generators
+    grouped by their exponent at t, in the order the induced sequences
+    put them: descending for lex, ascending for revlex.
+    """
+
+    def __init__(self, I: MonomialIdeal, kind: str) -> None:
+        exps = [g.exponents for g in I.gens]
+        n = I.n
+        index = {e: i for i, e in enumerate(exps)}
+        self.levels: list[list[int]] = []
+        above: list[dict[int, int]] = []  # above[t][a]: exponent at t larger than a
+        for t in range(n):
+            by_exp: dict[int, int] = {}
+            for i, e in enumerate(exps):
+                by_exp[e[t]] = by_exp.get(e[t], 0) | 1 << i
+            values = sorted(by_exp, reverse=kind == "lex")
+            self.levels.append([by_exp[a] for a in values])
+            greater, mask = {}, 0
+            for a in sorted(by_exp, reverse=True):
+                greater[a] = mask
+                mask |= by_exp[a]
+            above.append(greater)
+        self.tests: list[list[tuple[int, int]]] = []
+        for e in exps:
+            pairs = []
+            for t in range(n):
+                # for u of the same degree, u : g = x_t means u = g * x_t / x_s
+                deg1 = 0
+                for s in range(n):
+                    if s != t and e[s]:
+                        u = list(e)
+                        u[t] += 1
+                        u[s] -= 1
+                        i = index.get(tuple(u))
+                        if i is not None:
+                            deg1 |= 1 << i
+                if deg1:
+                    pairs.append((deg1, above[t][e[t]]))
+            self.tests.append(pairs)
+
+    def fails(self, g: int, preds: int) -> bool:
+        """Whether (preds) : g is not generated by variables."""
+        covered = 0
+        for deg1, cov in self.tests[g]:
+            if deg1 & preds:
+                covered |= cov
+        return bool(preds & ~covered)
+
+    def refine(self, partition: list[tuple[int, int]], t: int) -> list[tuple[int, int]] | None:
+        """Split every block by exponent at variable t; None if a generator
+        that becomes a singleton fails its test.
+
+        A partition lists its blocks of two or more generators in sequence
+        order, each with the union of all blocks before it; singletons are
+        dropped once tested, as no later split changes their predecessors.
+        """
+        refined = []
+        for block, before in partition:
+            for level in self.levels[t]:
+                part = block & level
+                if not part:
+                    continue
+                if part & (part - 1):
+                    refined.append((part, before))
+                elif self.fails(part.bit_length() - 1, before):
+                    return None
+                before |= part
+        return refined
+
+
+def _first_failing_perm(I: MonomialIdeal, kind: str) -> tuple[int, ...] | None:
+    """Least 0-based permutation, in lexicographic order, whose induced
+    sequence fails linear quotients.
+
+    Lex chooses variables from the greatest position on, so subtrees come
+    in permutation order; revlex chooses from the least position back.
+    In both, a subtree's least permutation is compared against the best
+    failure so far, and siblings are visited in increasing order of it.
+    """
+    tables = _ColonTables(I, kind)
+    lex = kind == "lex"
+    best: tuple[int, ...] | None = None
+
+    def visit(partition, chosen: tuple[int, ...], remaining: tuple[int, ...]) -> None:
+        nonlocal best
+        for t in remaining if lex else reversed(remaining):
+            rest = tuple(u for u in remaining if u != t)
+            least = chosen + (t,) + rest if lex else rest + (t,) + chosen
+            if best is not None and least >= best:
+                return
+            refined = tables.refine(partition, t)
+            if refined is None:
+                best = least
+                return
+            if refined:
+                visit(refined, chosen + (t,) if lex else (t,) + chosen, rest)
+
+    visit([((1 << len(I.gens)) - 1, 0)], (), tuple(range(I.n)))
+    return best
+
+
 def lq_all_orders_failure(
     I: MonomialIdeal, kind: str, *, max_vars: int | None = None
 ) -> tuple[VariableOrder, LQFailure] | None:
-    """Sweep all n! variable orders; the first failing one, or None.
+    """The first of the n! variable orders, in lexicographic permutation
+    order, whose induced sequence fails linear quotients; or None.
+
+    The identity order is tested directly.  Past it, the search of the
+    module docstring finds the first failing order from the bitset
+    tables, and linear_quotients_failure on that order gives the reported
+    position and blocker.
 
     Refuses outright when n exceeds the permutation guard (default 8,
     overridable via the POLYMAT_MAX_PERMS environment variable or the
@@ -141,11 +273,18 @@ def lq_all_orders_failure(
         raise BoundExceededError(
             f"enumerating {I.n}! variable orders exceeds the guard of {bound} variables"
         )
-    for order in all_variable_orders(I.n):
-        failure = linear_quotients_failure(sort_generators(I, kind, order))
-        if failure is not None:
-            return order, failure
-    return None
+    identity = VariableOrder.identity(I.n)
+    failure = linear_quotients_failure(sort_generators(I, kind, identity))
+    if failure is not None:
+        return identity, failure
+    perm = _first_failing_perm(I, kind)
+    if perm is None:
+        return None
+    order = VariableOrder(tuple(p + 1 for p in perm))
+    failure = linear_quotients_failure(sort_generators(I, kind, order))
+    if failure is None:
+        raise RuntimeError(f"all-orders search reported order {order}, which passes")
+    return order, failure
 
 
 def has_lq_all_orders(I: MonomialIdeal, kind: str, *, max_vars: int | None = None) -> bool:
@@ -216,7 +355,6 @@ def has_quotients_with_linear_resolution(seq: GeneratorSequence) -> bool:
     mons = seq.seq
     for j in range(1, len(mons)):
         prefix_colon = make_ideal(I.n, [colon_monomial(mons[i], mons[j]) for i in range(j)])
-        assert not prefix_colon.is_unit
         if not has_linear_resolution(prefix_colon):
             return False
     return True

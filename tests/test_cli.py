@@ -100,6 +100,21 @@ def test_bounds_error_exits_2(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "lq", "x1*x3 + x2*x3 + x1*x2", "--kind", "lex", "--order", "2,1"],
+        ["check", "qwlr", "x1*x3 + x2*x3 + x1*x2", "--kind", "lex", "--order", "2,1"],
+        ["check", "lq", "x1", "--kind", "lex", "--order", "1,2"],
+    ],
+)
+def test_order_length_mismatch_exits_2(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
 def test_missing_ideal_exits_2(capsys):
     assert main(["check", "poly"]) == 2
 

@@ -1,9 +1,21 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings
 
 import polymat as pm
-from conftest import I, M, veronese
+from conftest import I, M, small_ideals, veronese
 
 O = pm.VariableOrder
+
+
+def first_failing_order_brute(ideal, kind):
+    """Reference sweep: test every order's sequence, in permutation order."""
+    for order in pm.all_variable_orders(ideal.n):
+        failure = pm.linear_quotients_failure(pm.sort_generators(ideal, kind, order))
+        if failure is not None:
+            return order, failure
+    return None
 
 
 class TestSortGenerators:
@@ -27,6 +39,10 @@ class TestSortGenerators:
     def test_free_form_sequence_must_be_permutation(self, remark_ideal):
         with pytest.raises(ValueError):
             pm.GeneratorSequence(remark_ideal, "lex", O.identity(3), remark_ideal.gens[:2])
+
+    def test_order_must_match_ambient(self):
+        with pytest.raises(pm.AmbientMismatchError):
+            pm.sort_generators(I("x1*x3 + x2*x3 + x1*x2"), "lex", O((2, 1)))
 
 
 class TestHasLinearQuotients:
@@ -54,13 +70,22 @@ class TestHasLinearQuotients:
         assert pm.has_linear_quotients(seq)
 
     def test_cross_check_agrees_on_corpus(self):
+        # the pairwise colon test against the materialized, minimalized
+        # prefix colon ideals
         identity = O.identity(3)
         for item in pm.enumerate_corpus(pm.CorpusSpec(n=3, d=2)):
             for kind in ("lex", "revlex"):
                 seq = pm.sort_generators(item.ideal, kind, identity)
-                plain = pm.linear_quotients_failure(seq)
-                checked = pm.linear_quotients_failure(seq, cross_check=True)
-                assert plain == checked
+                mons = seq.seq
+                first_bad = None
+                for j in range(1, len(mons)):
+                    colons = [pm.colon_monomial(mons[i], mons[j]) for i in range(j)]
+                    prefix_colon = pm.make_ideal(item.ideal.n, colons)
+                    if any(g.degree != 1 for g in prefix_colon.gens):
+                        first_bad = j + 1
+                        break
+                failure = pm.linear_quotients_failure(seq)
+                assert (failure and failure.position) == first_bad, (item.ideal, kind)
 
 
 class TestAllOrders:
@@ -80,6 +105,35 @@ class TestAllOrders:
         order, failure = pm.lq_all_orders_failure(I("x1*x2 + x3*x4"), "lex")
         assert order == O((1, 2, 3, 4))
         assert failure.position == 2
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_ideals(max_n=5, max_d=3, max_gens=12))
+    def test_agrees_with_brute_force_sweep(self, ideal):
+        for kind in ("lex", "revlex"):
+            assert pm.lq_all_orders_failure(ideal, kind) == first_failing_order_brute(
+                ideal, kind
+            )
+
+    @pytest.mark.parametrize("n,d,max_removed", [(3, 2, 3), (4, 2, 3), (3, 3, 3), (4, 3, 2)])
+    def test_agrees_with_brute_force_on_punctured_veronese(self, n, d, max_removed):
+        gens = veronese(n, d).gens
+        identity = O.identity(n)
+        past_identity = set()
+        for r in range(1, max_removed + 1):
+            for removed in itertools.combinations(gens, r):
+                ideal = pm.make_ideal(n, [g for g in gens if g not in removed])
+                for kind in ("lex", "revlex"):
+                    expected = first_failing_order_brute(ideal, kind)
+                    assert pm.lq_all_orders_failure(ideal, kind) == expected, (ideal, kind)
+                    if expected is not None and expected[0] != identity:
+                        past_identity.add(kind)
+        # the corpus must exercise the search, not only the identity check
+        assert past_identity == {"lex", "revlex"}
+
+    def test_veronese_eight_variables_under_default_guard(self, monkeypatch):
+        monkeypatch.delenv("POLYMAT_MAX_PERMS", raising=False)
+        for kind in ("lex", "revlex"):
+            assert pm.lq_all_orders_failure(veronese(8, 2), kind) is None
 
     def test_permutation_guard(self):
         wide = pm.make_ideal(9, pm.monomials_of_degree(9, 1).elems)
