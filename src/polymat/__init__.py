@@ -23,9 +23,6 @@ from .core import (
     VariableOrder,
     all_variable_orders,
     colon_monomial,
-    ideal_power,
-    ideal_product,
-    ideal_sum,
     lex_compare,
     lex_key,
     make_ideal,
@@ -42,6 +39,7 @@ from .errors import (
     AmbientMismatchError,
     BoundExceededError,
     EmptyIdealError,
+    InvalidArgumentError,
     InvalidComplexError,
     NotEquigeneratedError,
     OracleUnavailableError,
@@ -51,7 +49,6 @@ from .errors import (
 )
 from .ioformats import (
     format_ideal,
-    format_monomial,
     ideal_from_json_dict,
     ideal_to_json_dict,
     load_ideal_text,

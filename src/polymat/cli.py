@@ -16,7 +16,7 @@ from pathlib import Path
 from .betti import graded_betti, has_linear_resolution
 from .core import all_variable_orders
 from .corpus import CorpusSpec
-from .errors import PolymatError
+from .errors import ParseError, PolymatError
 from .ioformats import (
     format_ideal,
     ideal_to_json_dict,
@@ -32,13 +32,7 @@ from .quotients import (
     lq_all_orders_failure,
     sort_generators,
 )
-from .suites import (
-    SCHEMA_VERSION,
-    reproduce_remark,
-    run_conjecture_search,
-    run_localization_probe,
-    run_theorem_suite,
-)
+from .suites import SCHEMA_VERSION, SUITES
 from .version import __version__
 
 
@@ -81,13 +75,7 @@ def _cmd_check_poly(args) -> int:
             "command": "check poly",
             "ideal": ideal_to_json_dict(I),
             "polymatroidal": witness is None,
-            "witness": None
-            if witness is None
-            else {
-                "u": list(witness.u.exponents),
-                "v": list(witness.v.exponents),
-                "variable": witness.variable,
-            },
+            "witness": None if witness is None else witness.to_json_dict(),
         },
     )
     return 0 if witness is None else 1
@@ -96,44 +84,32 @@ def _cmd_check_poly(args) -> int:
 def _cmd_check_lq(args) -> int:
     I = _load_ideal(args)
     if args.all_orders:
-        witness = lq_all_orders_failure(I, args.kind)
-        if witness is None:
-            print(f"linear quotients ({args.kind}) hold for all {I.n}! variable orders")
-            ok = True
-            payload = {"all_orders": True, "holds": True}
+        order, failure = lq_all_orders_failure(I, args.kind) or (None, None)
+        payload = {"all_orders": True}
+        if failure is None:
+            verdict = f"({args.kind}) hold for all {I.n}! variable orders"
         else:
-            order, failure = witness
-            print(f"linear quotients ({args.kind}) FAIL for order {order}")
-            print(f"  at position {failure.position}, blocker {failure.blocker}")
-            ok = False
-            payload = {
-                "all_orders": True,
-                "holds": False,
-                "order": list(order.perm),
-                "position": failure.position,
-                "blocker": list(failure.blocker.exponents),
-            }
+            verdict = f"({args.kind}) FAIL for order {order}"
     else:
         order = parse_variable_order(args.order)
         failure = linear_quotients_failure(sort_generators(I, args.kind, order))
-        ok = failure is None
-        if ok:
-            print(f"linear quotients ({args.kind}, order {order}) hold")
-            payload = {"order": list(order.perm), "holds": True}
-        else:
-            print(f"linear quotients ({args.kind}, order {order}) FAIL")
-            print(f"  at position {failure.position}, blocker {failure.blocker}")
-            payload = {
-                "order": list(order.perm),
-                "holds": False,
-                "position": failure.position,
-                "blocker": list(failure.blocker.exponents),
-            }
+        payload = {"order": list(order.perm)}
+        verdict = f"({args.kind}, order {order}) {'hold' if failure is None else 'FAIL'}"
+    print(f"linear quotients {verdict}")
+    if failure is not None:
+        print(f"  at position {failure.position}, blocker {failure.blocker}")
+        payload.update(order=list(order.perm), **failure.to_json_dict())
     _emit_json(
         args,
-        {"command": "check lq", "kind": args.kind, "ideal": ideal_to_json_dict(I), **payload},
+        {
+            "command": "check lq",
+            "kind": args.kind,
+            "ideal": ideal_to_json_dict(I),
+            "holds": failure is None,
+            **payload,
+        },
     )
-    return 0 if ok else 1
+    return 0 if failure is None else 1
 
 
 def _cmd_check_qwlr(args) -> int:
@@ -215,7 +191,10 @@ def _cmd_lexsegment(args) -> int:
 
 def _cmd_localize(args) -> int:
     I = _load_ideal(args)
-    off = [int(t) for t in args.at.split(",")]
+    try:
+        off = [int(t) for t in args.at.split(",")]
+    except ValueError:
+        raise ParseError(f"malformed index list {args.at!r}") from None
     J = I.localize(off)
     print(format_ideal(J))
     if J.is_unit:
@@ -234,8 +213,9 @@ def _cmd_localize(args) -> int:
 
 
 def _cmd_suite(args) -> int:
+    runner = SUITES[args.name]
     if args.name == "remark":
-        report = reproduce_remark()
+        report = runner()
     else:
         spec = CorpusSpec(
             n=args.n,
@@ -247,16 +227,10 @@ def _cmd_suite(args) -> int:
             start_mask=args.start_mask,
             dedupe_isomorphic=args.dedupe_isomorphic,
         )
-        runner = {
-            "theorem": run_theorem_suite,
-            "conjecture": run_conjecture_search,
-            "localization": run_localization_probe,
-        }[args.name]
         report = runner(spec, jobs=args.jobs)
     print(report.summary())
-    for verdict in report.verdicts:
-        if verdict["verdict"] in ("MISMATCH", "COUNTEREXAMPLE", "VIOLATION", "fail"):
-            print(f"  {json.dumps(verdict, sort_keys=True)}")
+    for verdict in report.failures:
+        print(f"  {json.dumps(verdict, sort_keys=True)}")
     if args.json_path:
         Path(args.json_path).write_text(report.to_json())
         print(f"report written to {args.json_path}")
@@ -314,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     localize.set_defaults(func=_cmd_localize)
 
     suite = sub.add_parser("suite", help="corpus suites and the fixed example reproduction")
-    suite.add_argument("name", choices=("theorem", "conjecture", "remark", "localization"))
+    suite.add_argument("name", choices=tuple(SUITES))
     suite.add_argument("--n", type=int, default=3)
     suite.add_argument("--d", type=int, default=2)
     suite.add_argument("--mode", choices=("exhaustive", "random"), default="exhaustive")
@@ -339,10 +313,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except PolymatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (PolymatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
-from .errors import AmbientMismatchError, EmptyIdealError
+from .errors import AmbientMismatchError, EmptyIdealError, InvalidArgumentError
 
 
 def _check_ambient(n: int, m: int) -> None:
@@ -249,7 +249,7 @@ class MonomialIdeal:
         off = set(off)
         for i in off:
             if not 1 <= i <= self.n:
-                raise ValueError(f"variable index {i} out of range 1..{self.n}")
+                raise InvalidArgumentError(f"variable index {i} out of range 1..{self.n}")
         zeroed = frozenset(i - 1 for i in off)
         subs = [
             Monomial(tuple(0 if i in zeroed else e for i, e in enumerate(g.exponents)))
@@ -298,14 +298,3 @@ def make_ideal(n: int, raw: Iterable[Monomial]) -> MonomialIdeal:
     kept.sort(key=canonical_key, reverse=True)
     return MonomialIdeal(n, tuple(kept))
 
-
-def ideal_sum(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
-    return I + J
-
-
-def ideal_product(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
-    return I * J
-
-
-def ideal_power(I: MonomialIdeal, e: int) -> MonomialIdeal:
-    return I**e

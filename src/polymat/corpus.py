@@ -17,7 +17,7 @@ from math import comb
 from typing import Iterator
 
 from .core import MonomialIdeal
-from .errors import BoundExceededError
+from .errors import BoundExceededError, InvalidArgumentError
 from .lexsegment import monomials_of_degree
 
 EXHAUSTIVE_BASIS_LIMIT = 20
@@ -44,9 +44,9 @@ class CorpusSpec:
 
     def __post_init__(self) -> None:
         if self.n < 1 or self.d < 0:
-            raise ValueError(f"need n >= 1 and d >= 0, got n={self.n}, d={self.d}")
+            raise InvalidArgumentError(f"need n >= 1 and d >= 0, got n={self.n}, d={self.d}")
         if self.mode not in ("exhaustive", "random"):
-            raise ValueError(f"unknown corpus mode {self.mode!r}")
+            raise InvalidArgumentError(f"unknown corpus mode {self.mode!r}")
         basis = comb(self.n + self.d - 1, self.d)
         if self.mode == "exhaustive":
             if basis > EXHAUSTIVE_BASIS_LIMIT:
@@ -55,12 +55,12 @@ class CorpusSpec:
                     f"monomials, but n={self.n}, d={self.d} has {basis}"
                 )
             if not 1 <= self.start_mask < (1 << basis):
-                raise ValueError(f"start mask {self.start_mask} out of range")
+                raise InvalidArgumentError(f"start mask {self.start_mask} out of range")
         else:
             if self.m is None or not 1 <= self.m <= basis:
-                raise ValueError(f"random mode needs 1 <= m <= {basis}, got {self.m}")
+                raise InvalidArgumentError(f"random mode needs 1 <= m <= {basis}, got {self.m}")
             if self.count is None or self.count < 1:
-                raise ValueError("random mode needs a positive sample count")
+                raise InvalidArgumentError("random mode needs a positive sample count")
             if self.count > comb(basis, self.m):
                 raise BoundExceededError(
                     f"only {comb(basis, self.m)} distinct {self.m}-subsets exist, "

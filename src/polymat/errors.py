@@ -9,6 +9,10 @@ class AmbientMismatchError(PolymatError, ValueError):
     """Operands live in rings with different variable counts."""
 
 
+class InvalidArgumentError(PolymatError, ValueError):
+    """An argument lies outside the values the operation accepts."""
+
+
 class EmptyIdealError(PolymatError, ValueError):
     """A generating set must contain at least one monomial."""
 

@@ -20,10 +20,6 @@ from .errors import ParseError
 _FACTOR_RE = re.compile(r"x(\d+)(?:\^(\d+))?")
 
 
-def format_monomial(m: Monomial) -> str:
-    return str(m)
-
-
 def format_ideal(I: MonomialIdeal, sep: str = " + ") -> str:
     return sep.join(str(g) for g in I.gens)
 
@@ -118,6 +114,8 @@ def ideal_from_json_dict(data: dict) -> MonomialIdeal:
     n = data["n"]
     if not isinstance(n, int) or n < 1:
         raise ParseError(f'"n" must be a positive integer, got {n!r}', 0, 1)
+    if not isinstance(data["gens"], list):
+        raise ParseError('"gens" must be a list of exponent vectors', 0, 1)
     mons = []
     for k, vec in enumerate(data["gens"]):
         if not isinstance(vec, list) or len(vec) != n:

@@ -12,6 +12,7 @@ from math import comb
 from typing import Iterable, Iterator
 
 from .core import Monomial, MonomialIdeal, make_ideal, variable_monomial
+from .errors import InvalidArgumentError
 
 
 @dataclass(frozen=True)
@@ -72,14 +73,19 @@ def monomials_of_degree(n: int, d: int) -> MonomialSet:
     return MonomialSet(n, d, tuple(Monomial(v) for v in _vectors_desc(n, d)))
 
 
+def _check_endpoints(u: Monomial, v: Monomial) -> None:
+    """Reject a pair that does not bound a lexsegment u >= v of one degree."""
+    if u.n != v.n:
+        raise InvalidArgumentError(f"{u} and {v} live in different rings")
+    if u.degree != v.degree:
+        raise InvalidArgumentError(f"{u} and {v} have different degrees")
+    if u.exponents < v.exponents:
+        raise InvalidArgumentError(f"{u} is lex-smaller than {v}")
+
+
 def lexsegment(u: Monomial, v: Monomial) -> MonomialSet:
     """All degree-d monomials w with u >= w >= v in the identity lex order."""
-    if u.n != v.n:
-        raise ValueError(f"{u} and {v} live in different rings")
-    if u.degree != v.degree:
-        raise ValueError(f"{u} and {v} have different degrees")
-    if u.exponents < v.exponents:
-        raise ValueError(f"{u} is lex-smaller than {v}")
+    _check_endpoints(u, v)
     elems = tuple(
         w
         for w in monomials_of_degree(u.n, u.degree)
@@ -122,7 +128,7 @@ def is_completely_lexsegment(u: Monomial, v: Monomial, bound: int | None = None)
     if bound is None:
         bound = max(1, u.n * u.degree)
     if bound < 1:
-        raise ValueError("shadow depth bound must be at least 1")
+        raise InvalidArgumentError("shadow depth bound must be at least 1")
     for _ in range(bound):
         T = shadow(T)
         if not is_lexsegment(T):
@@ -156,10 +162,7 @@ def arnehe_criterion(u: Monomial, v: Monomial) -> bool:
     variables (degrees up to five); in wider rings the exact boundary has
     further case structure and this formula is only an upper bound.
     """
-    if u.n != v.n or u.degree != v.degree:
-        raise ValueError("endpoints must share ambient size and degree")
-    if u.exponents < v.exponents:
-        raise ValueError(f"{u} is lex-smaller than {v}")
+    _check_endpoints(u, v)
     ue, ve = u.exponents, v.exponents
     while len(ue) > 1 and ue[0] == 0:
         # v <= u forces v's leading exponent to zero as well

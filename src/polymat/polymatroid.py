@@ -26,6 +26,10 @@ class ExchangeWitness:
     v: Monomial
     variable: int
 
+    def to_json_dict(self) -> dict:
+        u, v = list(self.u.exponents), list(self.v.exponents)
+        return {"u": u, "v": v, "variable": self.variable}
+
 
 def require_equigenerated(I: MonomialIdeal) -> int:
     d = I.is_equigenerated()
@@ -34,40 +38,50 @@ def require_equigenerated(I: MonomialIdeal) -> int:
     return d
 
 
+def _exchange_scan(I: MonomialIdeal, symmetric: bool) -> ExchangeWitness | None:
+    """First ordered generator pair (u, v) and index i where exchange fails.
+
+    With a = u, b = v (direct form) or a = v, b = u (symmetric form), every
+    giver i with a[i] > b[i] needs a taker j with a[j] < b[j] such that u
+    with x_i and x_j stepped in opposite directions is a generator: x_i
+    goes down and x_j up in the direct form, the reverse in the symmetric
+    one.  Pairs run in canonical generator order and i, j ascend, so the
+    witness is deterministic.
+    """
+    require_equigenerated(I)
+    members = I.exponent_set
+    step = 1 if symmetric else -1
+    n = I.n
+    for u in I.gens:
+        ue = u.exponents
+        for v in I.gens:
+            if u is v:
+                continue
+            a, b = (v.exponents, ue) if symmetric else (ue, v.exponents)
+            takers = [j for j in range(n) if a[j] < b[j]]
+            for i in range(n):
+                if a[i] <= b[i]:
+                    continue
+                swapped = list(ue)
+                swapped[i] += step
+                for j in takers:
+                    swapped[j] -= step
+                    if tuple(swapped) in members:
+                        break
+                    swapped[j] += step
+                else:
+                    return ExchangeWitness(u, v, i + 1)
+    return None
+
+
 def exchange_failure(I: MonomialIdeal) -> ExchangeWitness | None:
     """First violation of the exchange property, or None if polymatroidal.
 
     Checks every ordered generator pair (u, v): whenever u has more copies
     of x_i than v, some variable x_j occurring more often in v must make
-    x_j * (u / x_i) a member of the ideal.  Pairs run in canonical
-    generator order and i ascends, so the witness is deterministic.
+    x_j * (u / x_i) a member of the ideal.
     """
-    require_equigenerated(I)
-    members = I.exponent_set
-    n = I.n
-    for u in I.gens:
-        ue = u.exponents
-        for v in I.gens:
-            if u == v:
-                continue
-            ve = v.exponents
-            deficient = [j for j in range(n) if ue[j] < ve[j]]
-            for i in range(n):
-                if ue[i] <= ve[i]:
-                    continue
-                swapped = list(ue)
-                swapped[i] -= 1
-                ok = False
-                for j in deficient:
-                    swapped[j] += 1
-                    if tuple(swapped) in members:
-                        ok = True
-                    swapped[j] -= 1
-                    if ok:
-                        break
-                if not ok:
-                    return ExchangeWitness(u, v, i + 1)
-    return None
+    return _exchange_scan(I, symmetric=False)
 
 
 def is_polymatroidal(I: MonomialIdeal) -> bool:
@@ -87,32 +101,7 @@ def symmetric_exchange_failure(I: MonomialIdeal) -> ExchangeWitness | None:
     x_i than u, some j with fewer copies in v than in u must make
     x_i * (u / x_j) a member of the ideal.
     """
-    require_equigenerated(I)
-    members = I.exponent_set
-    n = I.n
-    for u in I.gens:
-        ue = u.exponents
-        for v in I.gens:
-            if u == v:
-                continue
-            ve = v.exponents
-            surplus = [j for j in range(n) if ve[j] < ue[j]]
-            for i in range(n):
-                if ve[i] <= ue[i]:
-                    continue
-                swapped = list(ue)
-                swapped[i] += 1
-                ok = False
-                for j in surplus:
-                    swapped[j] -= 1
-                    if tuple(swapped) in members:
-                        ok = True
-                    swapped[j] += 1
-                    if ok:
-                        break
-                if not ok:
-                    return ExchangeWitness(u, v, i + 1)
-    return None
+    return _exchange_scan(I, symmetric=True)
 
 
 def satisfies_symmetric_exchange(I: MonomialIdeal) -> bool:

@@ -98,6 +98,9 @@ class LQFailure:
     position: int  # 1-based index j >= 2 into the sequence
     blocker: Monomial  # an earlier generator whose colon is not covered
 
+    def to_json_dict(self) -> dict:
+        return {"position": self.position, "blocker": list(self.blocker.exponents)}
+
 
 def sort_generators(I: MonomialIdeal, kind: str, order: VariableOrder) -> GeneratorSequence:
     """Generators in strictly decreasing induced order (greatest first)."""
@@ -138,12 +141,6 @@ def linear_quotients_failure(seq: GeneratorSequence) -> LQFailure | None:
 
 def has_linear_quotients(seq: GeneratorSequence) -> bool:
     return linear_quotients_failure(seq) is None
-
-
-def _max_perm_vars(limit: int | None) -> int:
-    if limit is not None:
-        return limit
-    return int(os.environ.get(MAX_PERM_ENV, DEFAULT_MAX_PERM_VARS))
 
 
 class _ColonTables:
@@ -252,9 +249,7 @@ def _first_failing_perm(I: MonomialIdeal, kind: str) -> tuple[int, ...] | None:
     return best
 
 
-def lq_all_orders_failure(
-    I: MonomialIdeal, kind: str, *, max_vars: int | None = None
-) -> tuple[VariableOrder, LQFailure] | None:
+def lq_all_orders_failure(I: MonomialIdeal, kind: str) -> tuple[VariableOrder, LQFailure] | None:
     """The first of the n! variable orders, in lexicographic permutation
     order, whose induced sequence fails linear quotients; or None.
 
@@ -264,11 +259,10 @@ def lq_all_orders_failure(
     position and blocker.
 
     Refuses outright when n exceeds the permutation guard (default 8,
-    overridable via the POLYMAT_MAX_PERMS environment variable or the
-    max_vars argument).
+    overridable via the POLYMAT_MAX_PERMS environment variable).
     """
     require_equigenerated(I)
-    bound = _max_perm_vars(max_vars)
+    bound = int(os.environ.get(MAX_PERM_ENV, DEFAULT_MAX_PERM_VARS))
     if I.n > bound:
         raise BoundExceededError(
             f"enumerating {I.n}! variable orders exceeds the guard of {bound} variables"
@@ -287,8 +281,8 @@ def lq_all_orders_failure(
     return order, failure
 
 
-def has_lq_all_orders(I: MonomialIdeal, kind: str, *, max_vars: int | None = None) -> bool:
-    return lq_all_orders_failure(I, kind, max_vars=max_vars) is None
+def has_lq_all_orders(I: MonomialIdeal, kind: str) -> bool:
+    return lq_all_orders_failure(I, kind) is None
 
 
 @dataclass(frozen=True)
@@ -306,9 +300,9 @@ class TheoremCheck:
         return self.polymatroidal == self.lex_all_orders
 
 
-def theorem_equivalence(I: MonomialIdeal, *, max_vars: int | None = None) -> TheoremCheck:
+def theorem_equivalence(I: MonomialIdeal) -> TheoremCheck:
     witness = exchange_failure(I)
-    lq_witness = lq_all_orders_failure(I, "lex", max_vars=max_vars)
+    lq_witness = lq_all_orders_failure(I, "lex")
     return TheoremCheck(witness is None, lq_witness is None, witness, lq_witness)
 
 
@@ -330,11 +324,11 @@ class ConjectureProbe:
     lq_failure: LQFailure | None
 
 
-def conjecture_probe(I: MonomialIdeal, *, max_vars: int | None = None) -> ConjectureProbe:
+def conjecture_probe(I: MonomialIdeal) -> ConjectureProbe:
     witness = exchange_failure(I)
     if witness is None:
         return ConjectureProbe(ConjectureOutcome.POLYMATROIDAL, None, None, None)
-    lq_witness = lq_all_orders_failure(I, "revlex", max_vars=max_vars)
+    lq_witness = lq_all_orders_failure(I, "revlex")
     if lq_witness is not None:
         order, failure = lq_witness
         return ConjectureProbe(ConjectureOutcome.REFUTED, witness, order, failure)

@@ -18,6 +18,7 @@ from typing import Callable
 from .betti import has_linear_resolution
 from .core import Monomial, MonomialIdeal, VariableOrder, all_variable_orders
 from .corpus import CorpusItem, CorpusSpec, enumerate_corpus
+from .errors import InvalidArgumentError
 from .polymatroid import exchange_failure, is_polymatroidal
 from .quotients import (
     ConjectureOutcome,
@@ -63,6 +64,11 @@ class CheckReport:
     def passed(self) -> bool:
         return not any(self.totals.get(v, 0) for v in _BAD_VERDICTS)
 
+    @property
+    def failures(self) -> list[dict]:
+        """The verdicts that make the report fail, in corpus order."""
+        return [v for v in self.verdicts if v["verdict"] in _BAD_VERDICTS]
+
     def exit_code(self) -> int:
         return 0 if self.passed else 1
 
@@ -103,13 +109,29 @@ def _tally(verdicts: list[dict]) -> dict[str, int]:
     return totals
 
 
-def _map_corpus(worker: Callable[[CorpusItem], dict], spec: CorpusSpec, jobs: int) -> list[dict]:
+def _run_suite(
+    name: str, verdict_fn: Callable[[CorpusItem], dict], spec: CorpusSpec, jobs: int
+) -> CheckReport:
+    """Map verdict_fn over the corpus on `jobs` processes and tally a report."""
+    if jobs < 1:
+        raise InvalidArgumentError(f"need at least one job, got {jobs}")
+    start = time.perf_counter()
     items = list(enumerate_corpus(spec))
-    if jobs <= 1:
-        return [worker(item) for item in items]
-    chunk = max(1, len(items) // (jobs * 8))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, items, chunksize=chunk))
+    if jobs == 1:
+        verdicts = [verdict_fn(item) for item in items]
+    else:
+        chunk = max(1, len(items) // (jobs * 8))
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            verdicts = list(pool.map(verdict_fn, items, chunksize=chunk))
+    report = CheckReport(
+        suite=name,
+        parameters=spec.to_json_dict(),
+        verdicts=verdicts,
+        totals=_tally(verdicts),
+        seed=spec.seed if spec.mode == "random" else None,
+    )
+    report.wall_time = time.perf_counter() - start
+    return report
 
 
 def _theorem_verdict(item: CorpusItem, *, with_linear_resolution: bool) -> dict:
@@ -129,19 +151,13 @@ def _theorem_verdict(item: CorpusItem, *, with_linear_resolution: bool) -> dict:
     out["verdict"] = "consistent" if consistent else "MISMATCH"
     if not consistent:
         if check.exchange_witness is not None:
-            w = check.exchange_witness
-            out["exchange_witness"] = {
-                "u": list(w.u.exponents),
-                "v": list(w.v.exponents),
-                "variable": w.variable,
-            }
+            out["exchange_witness"] = check.exchange_witness.to_json_dict()
         if check.lq_witness is not None:
             order, failure = check.lq_witness
             out["lq_witness"] = {
                 "kind": "lex",
                 "order": list(order.perm),
-                "position": failure.position,
-                "blocker": list(failure.blocker.exponents),
+                **failure.to_json_dict(),
             }
     return out
 
@@ -152,18 +168,8 @@ def run_theorem_suite(spec: CorpusSpec, jobs: int = 1) -> CheckReport:
     For two-variable corpora the verdict additionally requires agreement
     with the linear-resolution predicate.
     """
-    start = time.perf_counter()
     worker = partial(_theorem_verdict, with_linear_resolution=spec.n == 2)
-    verdicts = _map_corpus(worker, spec, jobs)
-    report = CheckReport(
-        suite="theorem",
-        parameters=spec.to_json_dict(),
-        verdicts=verdicts,
-        totals=_tally(verdicts),
-        seed=spec.seed if spec.mode == "random" else None,
-    )
-    report.wall_time = time.perf_counter() - start
-    return report
+    return _run_suite("theorem", worker, spec, jobs)
 
 
 def _conjecture_verdict(item: CorpusItem) -> dict:
@@ -178,17 +184,11 @@ def _conjecture_verdict(item: CorpusItem) -> dict:
         out["refuting_order"] = {
             "kind": "revlex",
             "order": list(probe.refuting_order.perm),
-            "position": probe.lq_failure.position,
-            "blocker": list(probe.lq_failure.blocker.exponents),
+            **probe.lq_failure.to_json_dict(),
         }
     if probe.outcome is ConjectureOutcome.COUNTEREXAMPLE:
         # headline event: serialize everything needed to re-verify
-        w = probe.exchange_witness
-        out["exchange_witness"] = {
-            "u": list(w.u.exponents),
-            "v": list(w.v.exponents),
-            "variable": w.variable,
-        }
+        out["exchange_witness"] = probe.exchange_witness.to_json_dict()
         out["revlex_orders_checked"] = [
             list(o.perm) for o in all_variable_orders(item.ideal.n)
         ]
@@ -198,17 +198,7 @@ def _conjecture_verdict(item: CorpusItem) -> dict:
 def run_conjecture_search(spec: CorpusSpec, jobs: int = 1) -> CheckReport:
     """Search for non-polymatroidal ideals with revlex linear quotients
     under every variable ordering; finding one is a headline event."""
-    start = time.perf_counter()
-    verdicts = _map_corpus(_conjecture_verdict, spec, jobs)
-    report = CheckReport(
-        suite="conjecture",
-        parameters=spec.to_json_dict(),
-        verdicts=verdicts,
-        totals=_tally(verdicts),
-        seed=spec.seed if spec.mode == "random" else None,
-    )
-    report.wall_time = time.perf_counter() - start
-    return report
+    return _run_suite("conjecture", _conjecture_verdict, spec, jobs)
 
 
 def _localization_verdict(item: CorpusItem) -> dict:
@@ -235,17 +225,7 @@ def _localization_verdict(item: CorpusItem) -> dict:
 def run_localization_probe(spec: CorpusSpec, jobs: int = 1) -> CheckReport:
     """For each polymatroidal corpus ideal, every proper substitution
     x_i -> 1 must leave an ideal with a linear resolution."""
-    start = time.perf_counter()
-    verdicts = _map_corpus(_localization_verdict, spec, jobs)
-    report = CheckReport(
-        suite="localization",
-        parameters=spec.to_json_dict(),
-        verdicts=verdicts,
-        totals=_tally(verdicts),
-        seed=spec.seed if spec.mode == "random" else None,
-    )
-    report.wall_time = time.perf_counter() - start
-    return report
+    return _run_suite("localization", _localization_verdict, spec, jobs)
 
 
 def reproduce_remark() -> CheckReport:
@@ -263,13 +243,7 @@ def reproduce_remark() -> CheckReport:
             "clause": 1,
             "description": "not polymatroidal",
             "verdict": "pass" if witness is not None else "fail",
-            "exchange_witness": None
-            if witness is None
-            else {
-                "u": list(witness.u.exponents),
-                "v": list(witness.v.exponents),
-                "variable": witness.variable,
-            },
+            "exchange_witness": None if witness is None else witness.to_json_dict(),
         }
     )
 
@@ -284,10 +258,7 @@ def reproduce_remark() -> CheckReport:
             "description": "linear quotients fail under lex and revlex for x3>x2>x1",
             "verdict": "pass" if all(f is not None for f in failures.values()) else "fail",
             "failures": {
-                kind: None
-                if f is None
-                else {"position": f.position, "blocker": list(f.blocker.exponents)}
-                for kind, f in failures.items()
+                kind: None if f is None else f.to_json_dict() for kind, f in failures.items()
             },
         }
     )
@@ -330,18 +301,18 @@ def reverify_witness(verdict: dict, n: int, d: int) -> bool:
         w = verdict["refuting_order"]
         seq = sort_generators(I, w["kind"], VariableOrder(tuple(w["order"])))
         failure = linear_quotients_failure(seq)
-        return (
-            failure is not None
-            and failure.position == w["position"]
-            and list(failure.blocker.exponents) == w["blocker"]
-        )
+        recorded = {"position": w["position"], "blocker": w["blocker"]}
+        return failure is not None and failure.to_json_dict() == recorded
     if "exchange_witness" in verdict:
-        w = verdict["exchange_witness"]
         failure = exchange_failure(I)
-        return (
-            failure is not None
-            and list(failure.u.exponents) == w["u"]
-            and list(failure.v.exponents) == w["v"]
-            and failure.variable == w["variable"]
-        )
+        return failure is not None and failure.to_json_dict() == verdict["exchange_witness"]
     return True
+
+
+# name -> runner, in the order the CLI lists them; remark takes no corpus
+SUITES = {
+    "theorem": run_theorem_suite,
+    "conjecture": run_conjecture_search,
+    "remark": reproduce_remark,
+    "localization": run_localization_probe,
+}

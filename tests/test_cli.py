@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -103,16 +104,34 @@ def test_bounds_error_exits_2(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        # variable order of the wrong length
         ["check", "lq", "x1*x3 + x2*x3 + x1*x2", "--kind", "lex", "--order", "2,1"],
         ["check", "qwlr", "x1*x3 + x2*x3 + x1*x2", "--kind", "lex", "--order", "2,1"],
         ["check", "lq", "x1", "--kind", "lex", "--order", "1,2"],
+        # substitution index out of range or malformed
+        ["localize", "x1", "--at", "5"],
+        ["localize", "x1", "--at", "abc"],
+        # lexsegment endpoints of different degrees, negative shadow depth
+        ["lexsegment", "--u", "x1", "--v", "x2^2"],
+        ["lexsegment", "--u", "x1", "--v", "x1", "--shadow-depth", "-1"],
+        # corpus parameters out of range
+        ["suite", "theorem", "--n", "0"],
+        ["suite", "theorem", "--n", "2", "--d", "2", "--mode", "random", "--m", "9",
+         "--count", "1"],
+        # worker count below one
+        ["suite", "theorem", "--jobs", "0"],
+        ["suite", "theorem", "--jobs", "-3"],
+        # ideal JSON whose generator list is not a list
+        ["check", "poly", '{"n": 2, "gens": 5}'],
+        # a directory where an ideal file is expected
+        ["check", "poly", "--file", str(Path(__file__).parent)],
     ],
 )
-def test_order_length_mismatch_exits_2(argv, capsys):
+def test_error_contract_exits_2(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "error:" in captured.err
+    assert captured.err.startswith("error: ")
 
 
 def test_missing_ideal_exits_2(capsys):

@@ -1,0 +1,100 @@
+"""Byte-for-byte pins of the witness-bearing output: the JSON (and, for
+single checks, the stdout) that the CLI writes, and the verdict dicts of
+the suite workers.  The expected values were recorded before witness
+serialization was shared; any change to key names, nesting or order
+shows up here."""
+
+from pathlib import Path
+
+import pytest
+
+import polymat as pm
+from polymat import suites
+from polymat.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+REMARK = "x1*x3^2 + x1^2*x3 + x1*x2*x3 + x2^2*x3"
+SQUAREFREE = "x1*x2 + x1*x3 + x2*x3"
+
+CASES = {
+    "suite-remark": (["suite", "remark"], 0),
+    "check-poly-remark": (["check", "poly", REMARK], 1),
+    "check-poly-squarefree": (["check", "poly", SQUAREFREE], 0),
+    "check-lq-order-fail": (["check", "lq", REMARK, "--kind", "lex", "--order", "3,2,1"], 1),
+    "check-lq-order-pass": (["check", "lq", SQUAREFREE, "--kind", "lex", "--order", "3,2,1"], 0),
+    "check-lq-all-fail": (["check", "lq", REMARK, "--kind", "revlex", "--all-orders"], 1),
+    "check-lq-all-pass": (["check", "lq", SQUAREFREE, "--kind", "lex", "--all-orders"], 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_json_matches_golden(name, tmp_path, capsys):
+    argv, code = CASES[name]
+    path = tmp_path / "out.json"
+    assert main(argv + ["--json", str(path)]) == code
+    assert path.read_text() == (GOLDEN / f"{name}.json").read_text()
+    if argv[0] == "check":
+        # the suite summary carries a wall time, so only check output is pinned
+        stdout = capsys.readouterr().out
+        assert stdout == (GOLDEN / f"{name}.stdout").read_text()
+
+
+# Verdicts no real corpus produces (the theorem holds and no counterexample
+# to the conjecture is known), forced through the suite workers so that
+# their witness shapes are pinned as well.
+REMARK_GENS = [[2, 0, 1], [1, 1, 1], [1, 0, 2], [0, 2, 1]]
+EXCHANGE = {"u": [1, 0, 2], "v": [0, 2, 1], "variable": 1}
+
+
+def test_theorem_mismatch_verdict_shape(monkeypatch):
+    def forced(I):
+        lq_witness = pm.lq_all_orders_failure(I, "lex")
+        return pm.TheoremCheck(True, False, pm.exchange_failure(I), lq_witness)
+
+    monkeypatch.setattr(suites, "theorem_equivalence", forced)
+    item = pm.CorpusItem(7, 42, suites.remark_ideal())
+    assert suites._theorem_verdict(item, with_linear_resolution=False) == {
+        "exchange_witness": EXCHANGE,
+        "gens": REMARK_GENS,
+        "index": 7,
+        "lex_all_orders": False,
+        "lq_witness": {"blocker": [1, 0, 2], "kind": "lex", "order": [3, 2, 1], "position": 2},
+        "mask": 42,
+        "polymatroidal": True,
+        "verdict": "MISMATCH",
+    }
+
+
+def test_conjecture_counterexample_verdict_shape(monkeypatch):
+    def forced(I):
+        outcome = pm.ConjectureOutcome.COUNTEREXAMPLE
+        return pm.ConjectureProbe(outcome, pm.exchange_failure(I), None, None)
+
+    monkeypatch.setattr(suites, "conjecture_probe", forced)
+    item = pm.CorpusItem(7, 42, suites.remark_ideal())
+    assert suites._conjecture_verdict(item) == {
+        "exchange_witness": EXCHANGE,
+        "gens": REMARK_GENS,
+        "index": 7,
+        "mask": 42,
+        "revlex_orders_checked": [list(o.perm) for o in pm.all_variable_orders(3)],
+        "verdict": "COUNTEREXAMPLE",
+    }
+
+
+def test_suite_prints_failing_verdicts(monkeypatch, capsys):
+    def forced(I):
+        return pm.TheoremCheck(True, False, None, None)
+
+    monkeypatch.setattr(suites, "theorem_equivalence", forced)
+    assert main(["suite", "theorem", "--n", "2", "--d", "1", "--jobs", "1"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("suite theorem: FAIL (MISMATCH=3)")
+    assert lines[1:] == [
+        '  {"gens": [[1, 0]], "index": 0, "lex_all_orders": false, "linear_resolution": true, '
+        '"mask": 1, "polymatroidal": true, "verdict": "MISMATCH"}',
+        '  {"gens": [[0, 1]], "index": 1, "lex_all_orders": false, "linear_resolution": true, '
+        '"mask": 2, "polymatroidal": true, "verdict": "MISMATCH"}',
+        '  {"gens": [[1, 0], [0, 1]], "index": 2, "lex_all_orders": false, '
+        '"linear_resolution": true, "mask": 3, "polymatroidal": true, "verdict": "MISMATCH"}',
+    ]

@@ -1,9 +1,11 @@
 import ast
+import importlib
 from pathlib import Path
 
 import polymat
 
 SOURCE = Path(polymat.__file__).parent
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
 def test_no_assert_statements_in_library():
@@ -14,3 +16,25 @@ def test_no_assert_statements_in_library():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, found
+
+
+def test_tracer_hooks_resolve():
+    # the benchmark's tracer rebinds these attributes to time each layer; a
+    # renamed one would silently read zero, so it must fail here instead.
+    # The file is parsed, not imported, so nothing is written next to it.
+    tree = ast.parse(TRACER.read_text(), filename=str(TRACER))
+    (hooks,) = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["HOOKS"]
+    ]
+    missing = []
+    for entry in hooks.elts:
+        owner_path = ast.unparse(entry.elts[0]).split(".")
+        attribute = ast.literal_eval(entry.elts[1])
+        owner = importlib.import_module(owner_path[0])
+        for part in owner_path[1:]:
+            owner = getattr(owner, part)
+        if not hasattr(owner, attribute):
+            missing.append(f"{'.'.join(owner_path)}.{attribute}")
+    assert hooks.elts and not missing, missing
