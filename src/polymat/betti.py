@@ -2,56 +2,81 @@
 
 Two independent routes compute the same table.  The default route walks
 the lcm lattice of the generators and, at each lattice multidegree a,
-takes reduced simplicial homology of the complex whose faces are the
-squarefree masks b with x^(a-b) still inside the ideal; the rank of
+takes reduced simplicial homology of the upper-Koszul complex
+K^a = {squarefree b on supp(a) : x^(a-b) in the ideal}; the rank of
 reduced homology in dimension i-1 there is the Betti number in
-homological index i at multidegree a.  The oracle route reads the same
+homological index i at multidegree a.  K^a is built from its facets: a
+generator g dividing x^a leaves the slack mask {t : a_t > g_t}, the
+maximal slack masks are the facets, and the faces are their submasks.
+When one vertex lies in every facet, K^a is a cone and contributes
+nothing, so that point is skipped.  The oracle route reads the same
 numbers off the multigraded strands of the Taylor complex on the
 generators, which costs 2^|G| and is gated accordingly.
 
-Homology ranks are computed by fraction-free integer elimination on
-boundary matrices; there is no floating point anywhere in this module,
-so agreement between the two routes is exact or not at all.
+Homology ranks come from integer row reduction of the sparse +-1
+boundary matrices: unit pivots eliminate with one integer multiple, and
+any other pivot with a fraction-free combination of the two rows.  There
+is no floating point and no modular arithmetic anywhere in this module,
+so the ranks are exact over Q and agreement between the two routes is
+exact or not at all.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cache
+from functools import lru_cache, reduce
+from itertools import compress
+from math import gcd
+from operator import and_, gt, le
 
 from .core import MonomialIdeal
 from .errors import InvalidComplexError, OracleUnavailableError, UnitIdealError
 
 TAYLOR_GENERATOR_LIMIT = 12
+# Entries kept by each of the two result caches below.  The localization
+# suite on the exhaustive (5,2) corpus asks for about 700 distinct tables
+# and 1,300 distinct linear-resolution verdicts, so this limit leaves
+# ample room while a long sweep can no longer grow them without end.
+CACHE_SIZE = 4096
 
 
 def integer_rank(rows: list[list[int]]) -> int:
-    """Matrix rank over the rationals via Bareiss fraction-free elimination."""
-    mat = [list(r) for r in rows]
-    m = len(mat)
-    ncols = len(mat[0]) if m else 0
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        if r == m:
-            break
-        p = next((i for i in range(r, m) if mat[i][c]), None)
-        if p is None:
-            continue
-        if p != r:
-            mat[r], mat[p] = mat[p], mat[r]
-        piv = mat[r][c]
-        for i in range(r + 1, m):
-            row = mat[i]
-            top = mat[r]
-            mic = row[c]
-            for j in range(c + 1, ncols):
-                row[j] = (piv * row[j] - mic * top[j]) // prev
-            row[c] = 0
-        prev = piv
-        r += 1
-    return r
+    """Matrix rank over the rationals by integer row reduction.
+
+    Each row, stored sparsely as {column: value}, is reduced against the
+    pivot rows found so far, which are keyed by their leading (here: last
+    non-zero) column; on boundary matrices whose faces are listed in
+    increasing order that runs about 1.7x faster than eliminating from
+    the first column (squarefree Veronese ideal, n=10, d=3).  A
+    +-1 pivot clears the leading entry with one integer multiple; another
+    pivot b clears an entry a by the fraction-free combination
+    (b/g)*row - (a/g)*pivot, g = gcd(a, b).  A row that keeps a non-zero
+    entry becomes a pivot, and the rank is the number of pivots.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for dense in rows:
+        row = dict(zip(compress(range(len(dense)), dense), filter(None, dense)))
+        while row:
+            lead = max(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = row
+                break
+            a, b = row[lead], pivot[lead]
+            if b == 1 or b == -1:
+                k = a * b
+            else:
+                g = gcd(a, b)
+                k, scale = a // g, b // g
+                row = {j: scale * v for j, v in row.items()}
+            for j, v in pivot.items():
+                w = row.get(j, 0) - k * v
+                if w:
+                    row[j] = w
+                else:
+                    del row[j]
+    return len(pivots)
 
 
 @dataclass(frozen=True)
@@ -211,53 +236,71 @@ def lcm_lattice(I: MonomialIdeal) -> list[tuple[int, ...]]:
     return sorted(lattice)
 
 
-def _mask_complex_faces(I: MonomialIdeal, alpha: tuple[int, ...]) -> tuple[list[int], list[int]]:
-    """Faces (as bitmasks over supp(alpha)) of the Koszul complement complex at alpha."""
-    gens = [g.exponents for g in I.gens]
-    supp = [i for i, a in enumerate(alpha) if a > 0]
-    faces = []
-    for mask in range(1 << len(supp)):
-        resid = list(alpha)
-        for t, i in enumerate(supp):
-            if mask >> t & 1:
-                resid[i] -= 1
-        if any(all(ge <= re for ge, re in zip(g, resid)) for g in gens):
-            faces.append(mask)
-    return supp, faces
+def _koszul_facets(gens, alpha: tuple[int, ...]) -> list[int]:
+    """Facets of K^alpha as bitmasks over the variables, largest first.
+
+    A squarefree b on supp(alpha) is a face exactly when some generator
+    g divides x^(alpha-b), that is, when g <= alpha and b lies inside the
+    slack mask {t : alpha_t > g_t}; the facets are the maximal slack masks.
+    """
+    bits = [1 << t for t in range(len(alpha))]
+    slack = {sum(compress(bits, map(gt, alpha, g))) for g in gens if all(map(le, g, alpha))}
+    facets: list[int] = []
+    wider: list[int] = []  # the facets with more bits than the current mask
+    size = None
+    # distinct masks of one size never contain each other
+    for mask in sorted(slack, key=int.bit_count, reverse=True):
+        if mask.bit_count() != size:
+            size, wider = mask.bit_count(), facets[:]
+        if all(mask & f != mask for f in wider):
+            facets.append(mask)
+    return facets
 
 
-def _is_cone(faces: list[int], width: int) -> bool:
-    # a vertex whose star is everything makes the complex contractible
-    face_set = set(faces)
-    for t in range(width):
-        bit = 1 << t
-        if all(f | bit in face_set for f in faces):
-            return True
-    return False
+def _faces_of(facets: list[int]) -> set[int]:
+    """Every submask of some facet, the empty mask included."""
+    faces = set()
+    for f in facets:
+        s = f
+        while s:
+            faces.add(s)
+            s = (s - 1) & f
+    faces.add(0)
+    return faces
 
 
-@cache
+def _mask_boundary(mask: int) -> list[int]:
+    """The masks one bit smaller, lowest removed bit first."""
+    out = []
+    rest = mask
+    while rest:
+        low = rest & -rest
+        out.append(mask ^ low)
+        rest ^= low
+    return out
+
+
+def _by_card(masks) -> dict[int, list[int]]:
+    """Masks grouped by their number of bits, each group in increasing order."""
+    by_card: dict[int, list[int]] = {}
+    for mask in sorted(masks):
+        by_card.setdefault(mask.bit_count(), []).append(mask)
+    return by_card
+
+
+@lru_cache(maxsize=CACHE_SIZE)
 def graded_betti(I: MonomialIdeal) -> BettiTable:
-    """Graded Betti numbers via homology of mask complexes over the lcm lattice."""
+    """Graded Betti numbers via homology of upper-Koszul complexes over the lcm lattice."""
     if I.is_unit:
         raise UnitIdealError("the unit ideal has nothing to resolve")
+    gens = [g.exponents for g in I.gens]
     table: dict[tuple[int, int], int] = {}
     for alpha in lcm_lattice(I):
-        supp, faces = _mask_complex_faces(I, alpha)
-        # alpha is a multiple of some generator, so the empty mask is a face
-        if _is_cone(faces, len(supp)):
-            continue
-        by_card: dict[int, list[int]] = {}
-        for mask in faces:
-            by_card.setdefault(mask.bit_count(), []).append(mask)
-        for lst in by_card.values():
-            lst.sort()
-
-        def mask_boundary(mask: int) -> list[int]:
-            bits = [t for t in range(len(supp)) if mask >> t & 1]
-            return [mask ^ (1 << t) for t in bits]
-
-        homology = _reduced_ranks(by_card, mask_boundary)
+        # alpha is a multiple of some generator, so there is at least one facet
+        facets = _koszul_facets(gens, alpha)
+        if reduce(and_, facets):
+            continue  # a vertex in every facet: K^alpha is a cone
+        homology = _reduced_ranks(_by_card(_faces_of(facets)), _mask_boundary)
         deg = sum(alpha)
         for i, h in enumerate(homology):
             if h:
@@ -291,17 +334,8 @@ def taylor_strand_betti(I: MonomialIdeal) -> BettiTable:
         strands.setdefault(lcm_of[mask], []).append(mask)
     table: dict[tuple[int, int], int] = {}
     for alpha, masks in strands.items():
-        by_card: dict[int, list[int]] = {}
-        for mask in masks:
-            by_card.setdefault(mask.bit_count(), []).append(mask)
-        for lst in by_card.values():
-            lst.sort()
-
-        def subset_boundary(mask: int) -> list[int]:
-            bits = [t for t in range(m) if mask >> t & 1]
-            return [mask ^ (1 << t) for t in bits]
-
-        ranks = _ranks_by_card(by_card, subset_boundary)
+        by_card = _by_card(masks)
+        ranks = _ranks_by_card(by_card, _mask_boundary)
         deg = sum(alpha)
         for card, lst in by_card.items():
             h = len(lst) - ranks.get(card, 0) - ranks.get(card + 1, 0)
@@ -311,7 +345,7 @@ def taylor_strand_betti(I: MonomialIdeal) -> BettiTable:
     return BettiTable.from_dict(table)
 
 
-@cache
+@lru_cache(maxsize=CACHE_SIZE)
 def has_linear_resolution(I: MonomialIdeal) -> bool:
     """Equigenerated in degree d with every Betti entry on the strand j = i + d.
 

@@ -47,7 +47,12 @@ def _load_ideal(args):
     if args.file and args.ideal:
         raise PolymatError("give the ideal inline or via --file, not both")
     if args.file:
-        text = Path(args.file).read_text()
+        try:
+            text = Path(args.file).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            head = exc.object[: exc.start]
+            line, column = head.count(b"\n") + 1, exc.start - (head.rfind(b"\n") + 1)
+            raise ParseError(f"{args.file} is not UTF-8 text", column, line) from None
     elif args.ideal:
         text = args.ideal
     else:

@@ -112,7 +112,8 @@ def ideal_from_json_dict(data: dict) -> MonomialIdeal:
     if not isinstance(data, dict) or "n" not in data or "gens" not in data:
         raise ParseError('ideal JSON needs "n" and "gens" fields', 0, 1)
     n = data["n"]
-    if not isinstance(n, int) or n < 1:
+    # bool is a subclass of int, but JSON true/false are not counts
+    if type(n) is not int or n < 1:
         raise ParseError(f'"n" must be a positive integer, got {n!r}', 0, 1)
     if not isinstance(data["gens"], list):
         raise ParseError('"gens" must be a list of exponent vectors', 0, 1)
@@ -120,7 +121,7 @@ def ideal_from_json_dict(data: dict) -> MonomialIdeal:
     for k, vec in enumerate(data["gens"]):
         if not isinstance(vec, list) or len(vec) != n:
             raise ParseError(f"generator {k} is not an exponent vector of length {n}", k, 1)
-        if any(not isinstance(e, int) or e < 0 for e in vec):
+        if any(type(e) is not int or e < 0 for e in vec):
             raise ParseError(f"generator {k} has a negative or non-integer exponent", k, 1)
         mons.append(Monomial(tuple(vec)))
     if not mons:

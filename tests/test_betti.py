@@ -1,11 +1,130 @@
 import itertools
 import random
+from fractions import Fraction
+from functools import reduce
+from operator import and_
 
 import pytest
 from hypothesis import given, settings
 
 import polymat as pm
 from conftest import I, M, small_ideals, veronese
+from polymat import betti
+
+# The minimal triangulation of the real projective plane: rational
+# homology vanishes, but its integral boundary matrix has the elementary
+# divisor 2, so integer elimination meets a pivot that is not +-1.
+RP2_FACETS = [
+    (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
+    (2, 3, 5), (2, 4, 5), (2, 4, 6), (3, 4, 6), (3, 5, 6),
+]
+
+
+def fraction_rank(rows: list[list[int]]) -> int:
+    """Rank by straightforward Gaussian elimination over Fraction."""
+    frac = [[Fraction(x) for x in row] for row in rows]
+    r = 0
+    for c in range(len(frac[0]) if frac else 0):
+        piv = next((i for i in range(r, len(frac)) if frac[i][c]), None)
+        if piv is None:
+            continue
+        frac[r], frac[piv] = frac[piv], frac[r]
+        for i in range(r + 1, len(frac)):
+            f = frac[i][c] / frac[r][c]
+            for j in range(c, len(frac[0])):
+                frac[i][j] -= f * frac[r][j]
+        r += 1
+        if r == len(frac):
+            break
+    return r
+
+
+def bareiss_rank(rows: list[list[int]]) -> int:
+    """Rank by dense Bareiss fraction-free elimination (the former production rank)."""
+    mat = [list(r) for r in rows]
+    m = len(mat)
+    ncols = len(mat[0]) if m else 0
+    prev = 1
+    r = 0
+    for c in range(ncols):
+        if r == m:
+            break
+        p = next((i for i in range(r, m) if mat[i][c]), None)
+        if p is None:
+            continue
+        if p != r:
+            mat[r], mat[p] = mat[p], mat[r]
+        piv = mat[r][c]
+        for i in range(r + 1, m):
+            row = mat[i]
+            top = mat[r]
+            mic = row[c]
+            for j in range(c + 1, ncols):
+                row[j] = (piv * row[j] - mic * top[j]) // prev
+            row[c] = 0
+        prev = piv
+        r += 1
+    return r
+
+
+def brute_force_faces(gens, alpha) -> set[int]:
+    """Faces of K^alpha by testing every squarefree mask on supp(alpha) against
+    every generator (the former production enumerator), as variable bitmasks."""
+    supp = [i for i, a in enumerate(alpha) if a > 0]
+    faces = set()
+    for bits in range(1 << len(supp)):
+        mask = sum(1 << i for t, i in enumerate(supp) if bits >> t & 1)
+        resid = [a - (mask >> i & 1) for i, a in enumerate(alpha)]
+        if any(all(ge <= re for ge, re in zip(g, resid)) for g in gens):
+            faces.add(mask)
+    return faces
+
+
+def brute_force_is_cone(faces: set[int], alpha) -> bool:
+    """Some vertex whose join with every face is a face (the former cone test)."""
+    return any(
+        all(f | 1 << t in faces for f in faces) for t, a in enumerate(alpha) if a > 0
+    )
+
+
+def random_mixed_ideal(rng: random.Random) -> pm.MonomialIdeal:
+    """Generators of mixed degrees with exponents up to 3, so mostly not squarefree."""
+    n = rng.randint(1, 5)
+    vecs = {tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(1, 7))}
+    vecs.discard((0,) * n)
+    return pm.make_ideal(n, [pm.Monomial(v) for v in vecs or {(1,) * n}])
+
+
+def low_rank_product(rng: random.Random) -> list[list[int]]:
+    """A product of random integer factors, so its rank is at most the inner size."""
+    rows, inner, cols = rng.randint(1, 7), rng.randint(1, 4), rng.randint(1, 7)
+    left = [[rng.randint(-3, 3) for _ in range(inner)] for _ in range(rows)]
+    right = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(inner)]
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left]
+
+
+@pytest.fixture
+def gcd_calls(monkeypatch):
+    """Counts integer_rank's fraction-free combinations, the only place it takes a gcd."""
+    calls = []
+    real_gcd = betti.gcd
+
+    def counting_gcd(a, b):
+        calls.append((a, b))
+        return real_gcd(a, b)
+
+    monkeypatch.setattr(betti, "gcd", counting_gcd)
+    return calls
+
+
+@pytest.fixture
+def ranked(monkeypatch):
+    """Every matrix the library passes to integer_rank while the test runs;
+    pm.integer_rank stays the unpatched routine."""
+    seen = []
+    rank = betti.integer_rank
+    monkeypatch.setattr(betti, "integer_rank", lambda rows: seen.append(rows) or rank(rows))
+    return seen
 
 
 class TestIntegerRank:
@@ -19,31 +138,61 @@ class TestIntegerRank:
         assert pm.integer_rank([[1, 2, 3], [2, 4, 6], [1, 1, 1]]) == 2
 
     def test_agrees_with_fractions(self):
-        # cross-check against straightforward elimination over Fraction
-        from fractions import Fraction
-
         rng = random.Random(3)
         for _ in range(40):
             rows = rng.randint(1, 6)
             cols = rng.randint(1, 6)
             mat = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
-            frac = [[Fraction(x) for x in row] for row in mat]
-            rank = 0
-            r = 0
-            for c in range(cols):
-                piv = next((i for i in range(r, rows) if frac[i][c]), None)
-                if piv is None:
-                    continue
-                frac[r], frac[piv] = frac[piv], frac[r]
-                for i in range(r + 1, rows):
-                    f = frac[i][c] / frac[r][c]
-                    for j in range(c, cols):
-                        frac[i][j] -= f * frac[r][j]
-                r += 1
-                rank += 1
-                if r == rows:
-                    break
-            assert pm.integer_rank(mat) == rank
+            assert pm.integer_rank(mat) == fraction_rank(mat) == bareiss_rank(mat)
+
+    def test_low_rank_products_agree_with_fractions(self, gcd_calls):
+        # unit pivots run out on these, so the fraction-free branch must carry them
+        rng = random.Random(5)
+        for _ in range(300):
+            mat = low_rank_product(rng)
+            assert pm.integer_rank(mat) == fraction_rank(mat)
+        assert gcd_calls
+
+    def test_projective_plane_boundaries(self, gcd_calls, ranked):
+        X = pm.SimplicialComplex.from_facets(range(1, 7), RP2_FACETS)
+        assert pm.reduced_homology_ranks(X) == [0, 0, 0, 0]
+        assert [(len(m), len(m[0])) for m in ranked] == [(1, 6), (6, 15), (15, 10)]
+        assert gcd_calls
+        for mat in ranked:
+            transposed = [list(col) for col in zip(*mat)]
+            assert pm.integer_rank(mat) == fraction_rank(mat) == fraction_rank(transposed)
+            assert pm.integer_rank(transposed) == fraction_rank(mat)
+
+    def test_agrees_with_bareiss_on_koszul_boundaries(self, ranked):
+        rng = random.Random(9)
+        for _ in range(40):
+            betti.graded_betti.__wrapped__(random_mixed_ideal(rng))
+        betti.graded_betti.__wrapped__(veronese(4, 2))
+        assert len(ranked) > 100
+        for mat in ranked:
+            assert pm.integer_rank(mat) == bareiss_rank(mat)
+
+
+class TestKoszulFaces:
+    def test_facet_faces_match_brute_force(self):
+        # every lcm-lattice point of mixed-degree, non-squarefree ideals
+        rng = random.Random(11)
+        cones = points = 0
+        for _ in range(150):
+            ideal = random_mixed_ideal(rng)
+            gens = [g.exponents for g in ideal.gens]
+            for alpha in betti.lcm_lattice(ideal):
+                facets = betti._koszul_facets(gens, alpha)
+                faces = brute_force_faces(gens, alpha)
+                assert betti._faces_of(facets) == faces
+                assert set(facets) == {
+                    f for f in faces if not any(f != h and f & h == f for h in faces)
+                }
+                cone = brute_force_is_cone(faces, alpha)
+                assert bool(reduce(and_, facets)) == cone
+                cones += cone
+                points += 1
+        assert 0 < cones < points
 
 
 class TestReducedHomology:

@@ -101,6 +101,9 @@ def test_bounds_error_exits_2(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+NON_UTF8_FILE = "<a binary file written by the test>"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -125,9 +128,18 @@ def test_bounds_error_exits_2(capsys):
         ["check", "poly", '{"n": 2, "gens": 5}'],
         # a directory where an ideal file is expected
         ["check", "poly", "--file", str(Path(__file__).parent)],
+        # a file that is not UTF-8 text
+        ["check", "poly", "--file", NON_UTF8_FILE],
+        # JSON booleans where a count or an exponent is expected
+        ["check", "poly", '{"n": true, "gens": [[1]]}'],
+        ["check", "poly", '{"n": 2, "gens": [[true, false]]}'],
     ],
 )
-def test_error_contract_exits_2(argv, capsys):
+def test_error_contract_exits_2(argv, capsys, tmp_path):
+    binary = tmp_path / "ideal.bin"
+    # the head of an executable: 0x80 and up never start a UTF-8 character
+    binary.write_bytes(b"\x7fELF\x02\x01\x01\x00" + bytes(range(0x80, 0xB8)))
+    argv = [str(binary) if arg == NON_UTF8_FILE else arg for arg in argv]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -75,6 +75,11 @@ def test_json_rejects_bad_input():
         pm.ideal_from_json_dict({"n": 2, "gens": [[1, 0, 0]]})
     with pytest.raises(pm.ParseError):
         pm.ideal_from_json_dict({"gens": [[1, 0]]})
+    # JSON true/false load as bool, which Python counts as an int
+    with pytest.raises(pm.ParseError):
+        pm.ideal_from_json_dict({"n": True, "gens": [[1]]})
+    with pytest.raises(pm.ParseError):
+        pm.ideal_from_json_dict({"n": 2, "gens": [[True, False]]})
 
 
 def test_load_ideal_text_sniffs_json():

@@ -18,6 +18,24 @@ def test_no_assert_statements_in_library():
     assert not found, found
 
 
+def test_no_unbounded_caches_in_library():
+    # a process-wide cache without a size limit grows for as long as a sweep runs
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            # `@cache` needs `from functools import cache`
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                found += [f"{path.name}:{node.lineno} import {alias.name}"
+                          for alias in node.names if alias.name in ("cache", "*")]
+            elif isinstance(node, ast.Attribute) and ast.unparse(node) == "functools.cache":
+                found.append(f"{path.name}:{node.lineno} functools.cache")
+            elif isinstance(node, ast.Call) and ast.unparse(node.func).endswith("lru_cache"):
+                limits = node.args[:1] + [k.value for k in node.keywords if k.arg == "maxsize"]
+                if any(isinstance(v, ast.Constant) and v.value is None for v in limits):
+                    found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    assert not found, found
+
+
 def test_tracer_hooks_resolve():
     # the benchmark's tracer rebinds these attributes to time each layer; a
     # renamed one would silently read zero, so it must fail here instead.
