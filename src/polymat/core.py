@@ -198,6 +198,14 @@ class MonomialIdeal:
     identity variable order), so structural equality is ideal equality.
     Direct construction validates the invariants; use make_ideal to build
     from an arbitrary generating set.
+
+    Minimality is tested only between generators of different degrees: a
+    proper divisor has strictly smaller degree, and the canonical order
+    puts every generator after all generators of greater degree, so g is
+    tested against the prefix before the first generator of its own
+    degree.  An equigenerated ideal therefore needs no divisibility test,
+    and a failure names the same pair (g, h) as a test of every ordered
+    pair in index order would.
     """
 
     n: int
@@ -207,14 +215,21 @@ class MonomialIdeal:
         gens = tuple(self.gens)
         if not gens:
             raise EmptyIdealError("an ideal needs at least one generator")
-        for g in gens:
-            _check_ambient(self.n, g.n)
-        keys = [canonical_key(g) for g in gens]
+        exps = [g.exponents for g in gens]
+        for e in exps:
+            _check_ambient(self.n, len(e))
+        keys = [(sum(e), e) for e in exps]  # canonical_key, without the property calls
         if any(a <= b for a, b in zip(keys, keys[1:])):
             raise ValueError("generators not in canonical decreasing order")
-        for g, h in itertools.permutations(gens, 2):
-            if g.divides(h):
-                raise ValueError(f"non-minimal generating set: {g} divides {h}")
+        # keys strictly decrease, so degrees never increase along gens
+        first = 0  # index of the first generator of the current degree
+        for i, (degree, _) in enumerate(keys):
+            if degree != keys[first][0]:
+                first = i
+            g = gens[i]
+            for h in gens[:first]:
+                if g.divides(h):
+                    raise ValueError(f"non-minimal generating set: {g} divides {h}")
         object.__setattr__(self, "gens", gens)
 
     @property

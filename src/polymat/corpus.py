@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterator
 
-from .core import MonomialIdeal
+from .core import Monomial, MonomialIdeal
 from .errors import BoundExceededError, InvalidArgumentError
 from .lexsegment import monomials_of_degree
 
@@ -48,7 +48,10 @@ class CorpusSpec:
         if self.mode not in ("exhaustive", "random"):
             raise InvalidArgumentError(f"unknown corpus mode {self.mode!r}")
         basis = comb(self.n + self.d - 1, self.d)
+        # a parameter the mode ignores would leave a report for another corpus than asked
         if self.mode == "exhaustive":
+            if self.m is not None or self.count is not None or self.seed != 0:
+                raise InvalidArgumentError("m, count and seed apply only to random mode")
             if basis > EXHAUSTIVE_BASIS_LIMIT:
                 raise BoundExceededError(
                     f"exhaustive mode needs at most {EXHAUSTIVE_BASIS_LIMIT} degree-{self.d} "
@@ -57,6 +60,8 @@ class CorpusSpec:
             if not 1 <= self.start_mask < (1 << basis):
                 raise InvalidArgumentError(f"start mask {self.start_mask} out of range")
         else:
+            if self.start_mask != 1:
+                raise InvalidArgumentError("a start mask applies only to exhaustive mode")
             if self.m is None or not 1 <= self.m <= basis:
                 raise InvalidArgumentError(f"random mode needs 1 <= m <= {basis}, got {self.m}")
             if self.count is None or self.count < 1:
@@ -90,11 +95,14 @@ class CorpusItem:
     ideal: MonomialIdeal
 
 
+def _decode(basis: tuple[Monomial, ...], mask: int) -> tuple[Monomial, ...]:
+    """The basis monomials whose bits are set in mask, in basis order."""
+    return tuple(m for i, m in enumerate(basis) if mask >> i & 1)
+
+
 def ideal_from_mask(n: int, d: int, mask: int) -> MonomialIdeal:
     """Rebuild the ideal a bitmask denotes (bit i = i-th lex-descending monomial)."""
-    basis = monomials_of_degree(n, d).elems
-    gens = tuple(m for i, m in enumerate(basis) if mask >> i & 1)
-    return MonomialIdeal(n, gens)
+    return MonomialIdeal(n, _decode(monomials_of_degree(n, d).elems, mask))
 
 
 def corpus_masks(spec: CorpusSpec) -> list[int]:
@@ -113,15 +121,25 @@ def corpus_masks(spec: CorpusSpec) -> list[int]:
                 seen.add(mask)
                 masks.append(mask)
     if spec.dedupe_isomorphic:
-        masks = [m for m in masks if _is_orbit_representative(spec.n, spec.d, m)]
+        basis = monomials_of_degree(spec.n, spec.d).elems
+        position = {m.exponents: i for i, m in enumerate(basis)}
+        masks = [
+            mask
+            for mask in masks
+            if _is_orbit_representative(spec.n, position, _decode(basis, mask), mask)
+        ]
     return masks
 
 
-def _is_orbit_representative(n: int, d: int, mask: int) -> bool:
-    """Whether no variable permutation sends this subset to a smaller mask."""
-    basis = monomials_of_degree(n, d).elems
-    position = {m.exponents: i for i, m in enumerate(basis)}
-    vectors = [basis[i].exponents for i in range(len(basis)) if mask >> i & 1]
+def _is_orbit_representative(
+    n: int, position: dict[tuple[int, ...], int], gens: tuple[Monomial, ...], mask: int
+) -> bool:
+    """Whether no variable permutation sends this subset to a smaller mask.
+
+    position maps each basis exponent vector to its bit; gens is the subset
+    the mask denotes.
+    """
+    vectors = [g.exponents for g in gens]
     for perm in itertools.permutations(range(n)):
         relabeled = 0
         for vec in vectors:
@@ -134,5 +152,4 @@ def _is_orbit_representative(n: int, d: int, mask: int) -> bool:
 def enumerate_corpus(spec: CorpusSpec) -> Iterator[CorpusItem]:
     basis = monomials_of_degree(spec.n, spec.d).elems
     for index, mask in enumerate(corpus_masks(spec)):
-        gens = tuple(m for i, m in enumerate(basis) if mask >> i & 1)
-        yield CorpusItem(index, mask, MonomialIdeal(spec.n, gens))
+        yield CorpusItem(index, mask, MonomialIdeal(spec.n, _decode(basis, mask)))

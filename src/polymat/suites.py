@@ -17,7 +17,7 @@ from typing import Callable
 
 from .betti import has_linear_resolution
 from .core import Monomial, MonomialIdeal, VariableOrder, all_variable_orders
-from .corpus import CorpusItem, CorpusSpec, enumerate_corpus
+from .corpus import CorpusItem, CorpusSpec, enumerate_corpus, ideal_from_mask
 from .errors import InvalidArgumentError
 from .polymatroid import exchange_failure, is_polymatroidal
 from .quotients import (
@@ -288,24 +288,25 @@ def reproduce_remark() -> CheckReport:
 
 
 def reverify_witness(verdict: dict, n: int, d: int) -> bool:
-    """Replay a serialized failure witness through the relevant checker.
+    """Replay every serialized failure witness a verdict carries.
 
-    Returns True when the recorded failure reproduces exactly.
+    Returns True when each recorded failure reproduces exactly.
     """
-    from .corpus import ideal_from_mask
-
     I = ideal_from_mask(n, d, verdict["mask"])
     if _gens_payload(I) != verdict["gens"]:
         return False
-    if "refuting_order" in verdict:
-        w = verdict["refuting_order"]
-        seq = sort_generators(I, w["kind"], VariableOrder(tuple(w["order"])))
-        failure = linear_quotients_failure(seq)
-        recorded = {"position": w["position"], "blocker": w["blocker"]}
-        return failure is not None and failure.to_json_dict() == recorded
+    for key in ("refuting_order", "lq_witness"):
+        if key in verdict:
+            w = verdict[key]
+            seq = sort_generators(I, w["kind"], VariableOrder(tuple(w["order"])))
+            failure = linear_quotients_failure(seq)
+            recorded = {"position": w["position"], "blocker": w["blocker"]}
+            if failure is None or failure.to_json_dict() != recorded:
+                return False
     if "exchange_witness" in verdict:
         failure = exchange_failure(I)
-        return failure is not None and failure.to_json_dict() == verdict["exchange_witness"]
+        if failure is None or failure.to_json_dict() != verdict["exchange_witness"]:
+            return False
     return True
 
 

@@ -133,6 +133,12 @@ NON_UTF8_FILE = "<a binary file written by the test>"
         # JSON booleans where a count or an exponent is expected
         ["check", "poly", '{"n": true, "gens": [[1]]}'],
         ["check", "poly", '{"n": 2, "gens": [[true, false]]}'],
+        # corpus parameters the chosen mode would ignore
+        ["suite", "theorem", "--n", "3", "--d", "2", "--m", "2", "--count", "5"],
+        ["suite", "theorem", "--count", "5"],
+        ["suite", "theorem", "--seed", "5"],
+        ["suite", "theorem", "--mode", "random", "--m", "2", "--count", "3",
+         "--start-mask", "99999"],
     ],
 )
 def test_error_contract_exits_2(argv, capsys, tmp_path):

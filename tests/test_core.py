@@ -3,8 +3,10 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polymat as pm
+from polymat.core import canonical_key
 from conftest import I, M, exponent_tuples, monomial_lists, monomial_triples_with_order
 
 
@@ -113,6 +115,76 @@ class TestMakeIdeal:
             pm.MonomialIdeal(2, (M("x1*x2", 2), M("x1", 2)))  # non-minimal
         with pytest.raises(ValueError):
             pm.MonomialIdeal(2, (M("x2", 2), M("x1", 2)))  # wrong order
+        with pytest.raises(pm.AmbientMismatchError):
+            pm.MonomialIdeal(3, (M("x1*x2", 3), M("x1", 2)))
+
+
+def pairwise_minimality_error(gens):
+    """Oracle: the minimality test of every ordered pair, in index order,
+    that MonomialIdeal ran before it tested only pairs across degrees."""
+    for g, h in itertools.permutations(gens, 2):
+        if g.divides(h):
+            return f"non-minimal generating set: {g} divides {h}"
+    return None
+
+
+@st.composite
+def canonical_generator_tuples(st_draw):
+    """Distinct monomials of mixed degree in canonical decreasing order.  In
+    about half the draws a multiple of one of them joins the tuple, so that
+    tuple is not minimal."""
+    n, mons = st_draw(monomial_lists(max_len=8, max_exp=3))
+    mons = set(mons)
+    if st_draw(st.booleans()):
+        g = st_draw(st.sampled_from(sorted(mons, key=canonical_key)))
+        t = st_draw(st.integers(1, n))
+        mons.add(g * pm.variable_monomial(t, n))
+    return n, tuple(sorted(mons, key=canonical_key, reverse=True))
+
+
+class TestMinimalityCheck:
+    @given(canonical_generator_tuples())
+    @settings(max_examples=300)
+    def test_agrees_with_pairwise_oracle(self, data):
+        n, gens = data
+        expected = pairwise_minimality_error(gens)
+        if expected is None:
+            assert pm.MonomialIdeal(n, gens).gens == gens
+        else:
+            with pytest.raises(ValueError) as exc:
+                pm.MonomialIdeal(n, gens)
+            assert str(exc.value) == expected
+
+    def test_first_offending_pair_named(self):
+        # x1 divides both x1^2*x2 and x1*x3; the pairwise scan names the first
+        gens = (M("x1^2*x2", 3), M("x1*x3", 3), M("x2^2", 3), M("x1", 3))
+        expected = "non-minimal generating set: x1 divides x1^2*x2"
+        assert pairwise_minimality_error(gens) == expected
+        with pytest.raises(ValueError) as exc:
+            pm.MonomialIdeal(3, gens)
+        assert str(exc.value) == expected
+
+    def test_equigenerated_corpora_test_no_pair(self, monkeypatch):
+        calls = 0
+        divides = pm.Monomial.divides
+
+        def counting(self, other):
+            nonlocal calls
+            calls += 1
+            return divides(self, other)
+
+        monkeypatch.setattr(pm.Monomial, "divides", counting)
+        items = {
+            (n, d): list(pm.enumerate_corpus(pm.CorpusSpec(n=n, d=d))) for n, d in ((3, 3), (4, 2))
+        }
+        assert calls == 0
+        pm.MonomialIdeal(2, (M("x1^2", 2), M("x2", 2)))  # mixed degrees: one pair tested
+        assert calls == 1
+        monkeypatch.undo()
+        for (n, _), corpus in items.items():
+            assert len(corpus) == 1023
+            for item in corpus:
+                assert pm.make_ideal(n, item.ideal.gens) == item.ideal
 
 
 class TestIdealOperations:

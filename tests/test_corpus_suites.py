@@ -4,6 +4,7 @@ import pytest
 
 import polymat as pm
 from conftest import veronese
+from polymat import suites
 
 
 class TestCorpus:
@@ -46,6 +47,20 @@ class TestCorpus:
         with pytest.raises(ValueError):
             pm.CorpusSpec(n=2, d=1, mode="random", m=7, count=1, seed=0)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"m": 2},
+            {"count": 5},
+            {"m": 2, "count": 5},
+            {"seed": 5},
+            {"mode": "random", "m": 2, "count": 3, "start_mask": 99999},
+        ],
+    )
+    def test_parameters_the_mode_ignores_refused(self, kwargs):
+        with pytest.raises(pm.InvalidArgumentError):
+            pm.CorpusSpec(n=3, d=2, **kwargs)
+
     def test_dedupe_isomorphic_orbit_count(self):
         # Burnside over S_3 acting on the 6 degree-2 monomials:
         # (2^6 + 3*2^4 + 2*2^2) / 6 = 20 orbits, 19 without the empty set
@@ -85,6 +100,36 @@ class TestConjectureSuite:
         report = pm.run_conjecture_search(spec)
         assert report.seed == 9
         assert report.parameters["seed"] == 9
+
+
+def forced_theorem_mismatch(monkeypatch, with_exchange: bool) -> dict:
+    """A theorem MISMATCH verdict carrying genuine witnesses.  No real corpus
+    yields one (the theorem holds), so the check is forced to misreport a
+    non-polymatroidal (3,2) ideal as polymatroidal."""
+
+    def forced(I):
+        exchange = pm.exchange_failure(I) if with_exchange else None
+        return pm.TheoremCheck(True, False, exchange, pm.lq_all_orders_failure(I, "lex"))
+
+    monkeypatch.setattr(suites, "theorem_equivalence", forced)
+    corpus = pm.enumerate_corpus(pm.CorpusSpec(n=3, d=2))
+    item = next(it for it in corpus if not pm.is_polymatroidal(it.ideal))
+    return suites._theorem_verdict(item, with_linear_resolution=False)
+
+
+class TestReverifyLexWitness:
+    @pytest.mark.parametrize("with_exchange", [True, False])
+    def test_genuine_witness_reverifies(self, monkeypatch, with_exchange):
+        verdict = forced_theorem_mismatch(monkeypatch, with_exchange)
+        assert verdict["verdict"] == "MISMATCH"
+        assert ("exchange_witness" in verdict) == with_exchange
+        assert pm.reverify_witness(verdict, 3, 2)
+
+    @pytest.mark.parametrize("with_exchange", [True, False])
+    def test_changed_witness_refused(self, monkeypatch, with_exchange):
+        verdict = forced_theorem_mismatch(monkeypatch, with_exchange)
+        verdict["lq_witness"].update(position=99, blocker=[9, 9, 9])
+        assert not pm.reverify_witness(verdict, 3, 2)
 
 
 class TestRemarkSuite:
