@@ -10,11 +10,9 @@ suites behind the `polymat` command-line tool.
 
 from .betti import (
     BettiTable,
-    SimplicialComplex,
     graded_betti,
     has_linear_resolution,
     integer_rank,
-    reduced_homology_ranks,
     taylor_strand_betti,
 )
 from .core import (
@@ -23,12 +21,9 @@ from .core import (
     VariableOrder,
     all_variable_orders,
     colon_monomial,
-    lex_compare,
     lex_key,
     make_ideal,
-    monomial_gcd,
     monomial_lcm,
-    revlex_compare,
     revlex_key,
     unit_ideal,
     unit_monomial,
@@ -40,7 +35,6 @@ from .errors import (
     BoundExceededError,
     EmptyIdealError,
     InvalidArgumentError,
-    InvalidComplexError,
     NotEquigeneratedError,
     OracleUnavailableError,
     ParseError,

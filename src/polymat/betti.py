@@ -23,7 +23,6 @@ exact or not at all.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import compress
@@ -31,7 +30,7 @@ from math import gcd
 from operator import and_, gt, le
 
 from .core import MonomialIdeal
-from .errors import InvalidComplexError, OracleUnavailableError, UnitIdealError
+from .errors import OracleUnavailableError, UnitIdealError
 
 TAYLOR_GENERATOR_LIMIT = 12
 # Entries kept by each of the two result caches below.  The localization
@@ -79,41 +78,8 @@ def integer_rank(rows: list[list[int]]) -> int:
     return len(pivots)
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
-    """An abstract simplicial complex with integer vertex labels.
-
-    Faces are sorted vertex tuples and include the empty face () whenever
-    the complex is non-void; a complex with no faces at all is void and
-    has zero homology everywhere.
-    """
-
-    vertices: tuple[int, ...]
-    faces: frozenset[tuple[int, ...]]
-
-    @classmethod
-    def from_facets(cls, vertices, facets) -> SimplicialComplex:
-        """Close the given facets downward (void if no facets are given)."""
-        faces: set[tuple[int, ...]] = set()
-        for facet in facets:
-            fs = tuple(sorted(set(facet)))
-            for k in range(len(fs) + 1):
-                faces.update(itertools.combinations(fs, k))
-        return cls(tuple(sorted(set(vertices))), frozenset(faces))
-
-    @classmethod
-    def from_faces(cls, vertices, faces) -> SimplicialComplex:
-        """Build from a full face list, verifying closure under subsets."""
-        face_set = {tuple(sorted(set(f))) for f in faces}
-        for f in face_set:
-            for t in range(len(f)):
-                if f[:t] + f[t + 1 :] not in face_set:
-                    raise InvalidComplexError(f"face {f} present but {f[:t] + f[t+1:]} missing")
-        return cls(tuple(sorted(set(vertices))), frozenset(face_set))
-
-
-def _ranks_by_card(faces_by_card: dict[int, list], boundary_targets) -> dict[int, int]:
-    """Ranks of the boundary maps card -> card-1, given index lookups per card."""
+def _ranks_by_card(faces_by_card: dict[int, list[int]]) -> dict[int, int]:
+    """Ranks of the boundary maps card -> card-1 between face masks grouped by card."""
     ranks: dict[int, int] = {}
     for card, cols in faces_by_card.items():
         if card == 0:
@@ -125,7 +91,7 @@ def _ranks_by_card(faces_by_card: dict[int, list], boundary_targets) -> dict[int
         row_index = {f: i for i, f in enumerate(rows)}
         mat = [[0] * len(cols) for _ in rows]
         for ci, face in enumerate(cols):
-            for t, target in enumerate(boundary_targets(face)):
+            for t, target in enumerate(_mask_boundary(face)):
                 ri = row_index.get(target)
                 if ri is not None:
                     mat[ri][ci] = -1 if t % 2 else 1
@@ -133,39 +99,17 @@ def _ranks_by_card(faces_by_card: dict[int, list], boundary_targets) -> dict[int
     return ranks
 
 
-def _reduced_ranks(faces_by_card: dict[int, list], boundary_targets) -> list[int]:
+def _reduced_ranks(faces_by_card: dict[int, list[int]]) -> list[int]:
     """Reduced homology ranks indexed from dimension -1 upward."""
     if not faces_by_card:
         return []
-    ranks = _ranks_by_card(faces_by_card, boundary_targets)
+    ranks = _ranks_by_card(faces_by_card)
     top = max(faces_by_card)
     out = []
     for card in range(top + 1):
         count = len(faces_by_card.get(card, []))
         out.append(count - ranks.get(card, 0) - ranks.get(card + 1, 0))
     return out
-
-
-def _tuple_boundary(face: tuple) -> list[tuple]:
-    return [face[:t] + face[t + 1 :] for t in range(len(face))]
-
-
-def reduced_homology_ranks(X: SimplicialComplex) -> list[int]:
-    """Ranks of reduced rational homology; index k corresponds to dim k-1.
-
-    Entry 0 is the rank in dimension -1 (1 exactly for the complex whose
-    only face is the empty face), entry 1 is dimension 0, and so on.
-    """
-    if not X.faces:
-        return []
-    by_card: dict[int, list[tuple[int, ...]]] = {}
-    for f in X.faces:
-        by_card.setdefault(len(f), []).append(f)
-    for lst in by_card.values():
-        lst.sort()
-    if 0 not in by_card:
-        raise InvalidComplexError("non-void complex is missing the empty face")
-    return _reduced_ranks(by_card, _tuple_boundary)
 
 
 @dataclass(frozen=True)
@@ -300,7 +244,7 @@ def graded_betti(I: MonomialIdeal) -> BettiTable:
         facets = _koszul_facets(gens, alpha)
         if reduce(and_, facets):
             continue  # a vertex in every facet: K^alpha is a cone
-        homology = _reduced_ranks(_by_card(_faces_of(facets)), _mask_boundary)
+        homology = _reduced_ranks(_by_card(_faces_of(facets)))
         deg = sum(alpha)
         for i, h in enumerate(homology):
             if h:
@@ -335,7 +279,7 @@ def taylor_strand_betti(I: MonomialIdeal) -> BettiTable:
     table: dict[tuple[int, int], int] = {}
     for alpha, masks in strands.items():
         by_card = _by_card(masks)
-        ranks = _ranks_by_card(by_card, _mask_boundary)
+        ranks = _ranks_by_card(by_card)
         deg = sum(alpha)
         for card, lst in by_card.items():
             h = len(lst) - ranks.get(card, 0) - ranks.get(card + 1, 0)

@@ -16,7 +16,7 @@ from pathlib import Path
 from .betti import graded_betti, has_linear_resolution
 from .core import all_variable_orders
 from .corpus import CorpusSpec
-from .errors import ParseError, PolymatError
+from .errors import InvalidArgumentError, ParseError, PolymatError
 from .ioformats import (
     format_ideal,
     ideal_to_json_dict,
@@ -34,6 +34,9 @@ from .quotients import (
 )
 from .suites import SCHEMA_VERSION, SUITES
 from .version import __version__
+
+# `suite` options that describe a corpus, as argparse destinations
+_CORPUS_OPTIONS = ("n", "d", "mode", "m", "count", "seed", "start_mask", "dedupe_isomorphic")
 
 
 def _add_ideal_args(p: argparse.ArgumentParser) -> None:
@@ -220,6 +223,12 @@ def _cmd_localize(args) -> int:
 def _cmd_suite(args) -> int:
     runner = SUITES[args.name]
     if args.name == "remark":
+        # the remark is one fixed ideal, so a corpus option would be silently ignored
+        defaults = build_parser().parse_args(["suite", "remark"])
+        given = [k for k in _CORPUS_OPTIONS if getattr(args, k) != getattr(defaults, k)]
+        if given:
+            flags = ", ".join("--" + k.replace("_", "-") for k in given)
+            raise InvalidArgumentError(f"suite remark takes no corpus options, got {flags}")
         report = runner()
     else:
         spec = CorpusSpec(
@@ -305,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     suite.add_argument(
         "--dedupe-isomorphic",
         action="store_true",
-        help="keep one representative per variable-permutation orbit",
+        help="keep one representative per variable-permutation orbit (exhaustive mode)",
     )
     suite.add_argument("--json", dest="json_path", help="write the JSON report here")
     suite.set_defaults(func=_cmd_suite)

@@ -47,10 +47,6 @@ class Monomial:
     def degree(self) -> int:
         return sum(self.exponents)
 
-    def degree_of(self, var: int) -> int:
-        """Exponent of x<var> (1-based)."""
-        return self.exponents[var - 1]
-
     @property
     def support(self) -> tuple[int, ...]:
         """1-based indices of the variables that occur."""
@@ -93,11 +89,6 @@ def variable_monomial(var: int, n: int) -> Monomial:
     if not 1 <= var <= n:
         raise ValueError(f"variable index {var} out of range 1..{n}")
     return Monomial(tuple(1 if i == var - 1 else 0 for i in range(n)))
-
-
-def monomial_gcd(u: Monomial, v: Monomial) -> Monomial:
-    _check_ambient(u.n, v.n)
-    return Monomial(tuple(min(a, b) for a, b in zip(u.exponents, v.exponents)))
 
 
 def monomial_lcm(u: Monomial, v: Monomial) -> Monomial:
@@ -167,24 +158,6 @@ def revlex_key(m: Monomial, order: VariableOrder):
     return (m.degree, tuple(-e[p] for p in reversed(order.positions)))
 
 
-def _cmp(a, b) -> int:
-    return (a > b) - (a < b)
-
-
-def lex_compare(u: Monomial, v: Monomial, order: VariableOrder) -> int:
-    """-1, 0 or 1 as u <, =, > v under the induced lexicographic order."""
-    _check_ambient(u.n, v.n)
-    _check_ambient(u.n, order.n)
-    return _cmp(lex_key(u, order), lex_key(v, order))
-
-
-def revlex_compare(u: Monomial, v: Monomial, order: VariableOrder) -> int:
-    """-1, 0 or 1 as u <, =, > v under the induced reverse lexicographic order."""
-    _check_ambient(u.n, v.n)
-    _check_ambient(u.n, order.n)
-    return _cmp(revlex_key(u, order), revlex_key(v, order))
-
-
 def canonical_key(m: Monomial):
     """Graded-lex key for the identity variable order; fixes all canonical sorts."""
     return (m.degree, m.exponents)
@@ -237,27 +210,19 @@ class MonomialIdeal:
         return len(self.gens) == 1 and self.gens[0].is_unit
 
     def is_equigenerated(self) -> int | None:
-        """The common generator degree, or None if degrees are mixed."""
+        """The common generator degree, or None if degrees are mixed.
+
+        The canonical order never lets the degree increase along gens, so
+        the first generator has the greatest degree and the last the least;
+        all degrees agree exactly when those two do.
+        """
         d = self.gens[0].degree
-        return d if all(g.degree == d for g in self.gens) else None
+        return d if self.gens[-1].degree == d else None
 
     @cached_property
     def exponent_set(self) -> frozenset[tuple[int, ...]]:
         """Generator exponent vectors, for O(1) membership of same-degree monomials."""
         return frozenset(g.exponents for g in self.gens)
-
-    def contains(self, m: Monomial) -> bool:
-        """Monomial membership: some generator divides m."""
-        _check_ambient(self.n, m.n)
-        return any(g.divides(m) for g in self.gens)
-
-    def __contains__(self, m: Monomial) -> bool:
-        return self.contains(m)
-
-    def colon(self, v: Monomial) -> MonomialIdeal:
-        """The quotient ideal I : v, generated by {g : v for g in G(I)}."""
-        _check_ambient(self.n, v.n)
-        return make_ideal(self.n, [colon_monomial(g, v) for g in self.gens])
 
     def localize(self, off: Iterable[int]) -> MonomialIdeal:
         """Substitute x_i -> 1 for every 1-based index i in `off`, then minimalize."""

@@ -28,9 +28,9 @@ class CorpusSpec:
     """Parameters of one corpus; (spec, seed) determines the stream exactly.
 
     dedupe_isomorphic keeps only the smallest-mask representative of each
-    orbit under variable permutations.  It is off by default: the checked
-    statements quantify over plain ideals and the documented exhaustive
-    counts are the unreduced ones.
+    orbit under variable permutations, in exhaustive mode only.  It is off
+    by default: the checked statements quantify over plain ideals and the
+    documented exhaustive counts are the unreduced ones.
     """
 
     n: int
@@ -62,6 +62,9 @@ class CorpusSpec:
         else:
             if self.start_mask != 1:
                 raise InvalidArgumentError("a start mask applies only to exhaustive mode")
+            # deduping a drawn sample would return fewer ideals than count
+            if self.dedupe_isomorphic:
+                raise InvalidArgumentError("isomorphism dedupe applies only to exhaustive mode")
             if self.m is None or not 1 <= self.m <= basis:
                 raise InvalidArgumentError(f"random mode needs 1 <= m <= {basis}, got {self.m}")
             if self.count is None or self.count < 1:

@@ -25,10 +25,6 @@ class BoundExceededError(PolymatError, RuntimeError):
     """A configured enumeration limit would be exceeded."""
 
 
-class InvalidComplexError(PolymatError, ValueError):
-    """A face list is not closed under taking subsets."""
-
-
 class UnitIdealError(PolymatError, ValueError):
     """The unit ideal is not a valid input here."""
 

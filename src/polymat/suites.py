@@ -22,6 +22,7 @@ from .errors import InvalidArgumentError
 from .polymatroid import exchange_failure, is_polymatroidal
 from .quotients import (
     ConjectureOutcome,
+    LQFailure,
     conjecture_probe,
     has_quotients_with_linear_resolution,
     linear_quotients_failure,
@@ -102,6 +103,11 @@ def _gens_payload(I: MonomialIdeal) -> list[list[int]]:
     return [list(g.exponents) for g in I.gens]
 
 
+def _order_witness(kind: str, order: VariableOrder, failure: LQFailure) -> dict:
+    """A linear-quotients failure under one induced order, as reverify_witness reads it."""
+    return {"kind": kind, "order": list(order.perm), **failure.to_json_dict()}
+
+
 def _tally(verdicts: list[dict]) -> dict[str, int]:
     totals: dict[str, int] = {}
     for v in verdicts:
@@ -153,12 +159,7 @@ def _theorem_verdict(item: CorpusItem, *, with_linear_resolution: bool) -> dict:
         if check.exchange_witness is not None:
             out["exchange_witness"] = check.exchange_witness.to_json_dict()
         if check.lq_witness is not None:
-            order, failure = check.lq_witness
-            out["lq_witness"] = {
-                "kind": "lex",
-                "order": list(order.perm),
-                **failure.to_json_dict(),
-            }
+            out["lq_witness"] = _order_witness("lex", *check.lq_witness)
     return out
 
 
@@ -181,11 +182,7 @@ def _conjecture_verdict(item: CorpusItem) -> dict:
         "verdict": probe.outcome.value,
     }
     if probe.outcome is ConjectureOutcome.REFUTED:
-        out["refuting_order"] = {
-            "kind": "revlex",
-            "order": list(probe.refuting_order.perm),
-            **probe.lq_failure.to_json_dict(),
-        }
+        out["refuting_order"] = _order_witness("revlex", probe.refuting_order, probe.lq_failure)
     if probe.outcome is ConjectureOutcome.COUNTEREXAMPLE:
         # headline event: serialize everything needed to re-verify
         out["exchange_witness"] = probe.exchange_witness.to_json_dict()
@@ -298,10 +295,9 @@ def reverify_witness(verdict: dict, n: int, d: int) -> bool:
     for key in ("refuting_order", "lq_witness"):
         if key in verdict:
             w = verdict[key]
-            seq = sort_generators(I, w["kind"], VariableOrder(tuple(w["order"])))
-            failure = linear_quotients_failure(seq)
-            recorded = {"position": w["position"], "blocker": w["blocker"]}
-            if failure is None or failure.to_json_dict() != recorded:
+            order = VariableOrder(tuple(w["order"]))
+            failure = linear_quotients_failure(sort_generators(I, w["kind"], order))
+            if failure is None or _order_witness(w["kind"], order, failure) != w:
                 return False
     if "exchange_witness" in verdict:
         failure = exchange_failure(I)

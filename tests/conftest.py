@@ -14,6 +14,11 @@ def I(text, n=None):
     return pm.parse_ideal(text, n)
 
 
+def contains(ideal, m):
+    """Monomial membership: some minimal generator divides m."""
+    return any(g.divides(m) for g in ideal.gens)
+
+
 def veronese(n, d):
     return pm.make_ideal(n, pm.monomials_of_degree(n, d).elems)
 

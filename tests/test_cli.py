@@ -82,6 +82,12 @@ def test_suite_remark(tmp_path, capsys):
     assert len(data["verdicts"]) == 3
 
 
+def test_suite_remark_accepts_jobs(capsys):
+    # --jobs and --json are the suite options that do not describe a corpus
+    assert main(["suite", "remark", "--jobs", "1"]) == 0
+    assert capsys.readouterr().out.startswith("suite remark: PASS")
+
+
 def test_suite_theorem_small(tmp_path, capsys):
     path = tmp_path / "report.json"
     assert main(
@@ -139,6 +145,12 @@ NON_UTF8_FILE = "<a binary file written by the test>"
         ["suite", "theorem", "--seed", "5"],
         ["suite", "theorem", "--mode", "random", "--m", "2", "--count", "3",
          "--start-mask", "99999"],
+        ["suite", "theorem", "--mode", "random", "--n", "4", "--d", "2", "--m", "3",
+         "--count", "20", "--dedupe-isomorphic", "--jobs", "1"],
+        # corpus options for the one fixed ideal of the remark
+        ["suite", "remark", "--n", "6", "--d", "4", "--mode", "random", "--m", "3",
+         "--count", "5", "--dedupe-isomorphic"],
+        ["suite", "remark", "--seed", "1"],
     ],
 )
 def test_error_contract_exits_2(argv, capsys, tmp_path):

@@ -55,6 +55,7 @@ class TestCorpus:
             {"m": 2, "count": 5},
             {"seed": 5},
             {"mode": "random", "m": 2, "count": 3, "start_mask": 99999},
+            {"mode": "random", "m": 2, "count": 3, "dedupe_isomorphic": True},
         ],
     )
     def test_parameters_the_mode_ignores_refused(self, kwargs):

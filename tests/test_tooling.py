@@ -1,11 +1,15 @@
 import ast
+import builtins
 import importlib
+import re
+import types
 from pathlib import Path
 
 import polymat
 
 SOURCE = Path(polymat.__file__).parent
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_no_assert_statements_in_library():
@@ -56,3 +60,19 @@ def test_tracer_hooks_resolve():
         if not hasattr(owner, attribute):
             missing.append(f"{'.'.join(owner_path)}.{attribute}")
     assert hooks.elts and not missing, missing
+
+
+def test_readme_export_list_matches_package():
+    # the paragraph after the one that introduces "the package exports, by module"
+    paragraphs = re.split(r"\n\s*\n", README.read_text())
+    (intro,) = [i for i, p in enumerate(paragraphs)
+                if "the package exports, by module" in " ".join(p.split())]
+    listed = {name for name in re.findall(r"`([^`]+)`", paragraphs[intro + 1])
+              if name.isidentifier()}
+    submodules = {name for name in polymat.__all__
+                  if isinstance(getattr(polymat, name), types.ModuleType)}
+    unlisted = set(polymat.__all__) - submodules - listed
+    assert not unlisted, sorted(unlisted)
+    unknown = {name for name in listed - set(polymat.__all__)
+               if not hasattr(polymat.MonomialIdeal, name) and not hasattr(builtins, name)}
+    assert not unknown, sorted(unknown)
