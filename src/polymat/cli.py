@@ -13,11 +13,12 @@ import os
 import sys
 from pathlib import Path
 
-from .betti import graded_betti, has_linear_resolution
+from .betti import graded_betti
 from .core import all_variable_orders
 from .corpus import CorpusSpec
 from .errors import InvalidArgumentError, ParseError, PolymatError
 from .ioformats import (
+    dump_json,
     format_ideal,
     ideal_to_json_dict,
     load_ideal_text,
@@ -32,7 +33,7 @@ from .quotients import (
     lq_all_orders_failure,
     sort_generators,
 )
-from .suites import SCHEMA_VERSION, SUITES
+from .suites import SUITES
 from .version import __version__
 
 # `suite` options that describe a corpus, as argparse destinations
@@ -65,8 +66,7 @@ def _load_ideal(args):
 
 def _emit_json(args, payload: dict) -> None:
     if getattr(args, "json_path", None):
-        payload = {"schema": SCHEMA_VERSION, "tool": "polymat", "version": __version__, **payload}
-        Path(args.json_path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        Path(args.json_path).write_text(dump_json(payload))
 
 
 def _cmd_check_poly(args) -> int:
@@ -153,7 +153,7 @@ def _cmd_betti(args) -> int:
     print(table.triangle())
     d = I.is_equigenerated()
     if d is not None:
-        linear = "yes" if has_linear_resolution(I) else "no"
+        linear = "yes" if table.is_linear(d) else "no"
         print(f"equigenerated in degree {d}; linear resolution: {linear}")
     else:
         print("not equigenerated; no linear resolution")

@@ -13,6 +13,7 @@ coordination.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -25,6 +26,14 @@ def _check_ambient(n: int, m: int) -> None:
         raise AmbientMismatchError(f"ambient variable counts differ: {n} vs {m}")
 
 
+def _integers(entries) -> tuple[int, ...]:
+    """The entries as ints; anything without __index__ (a float, a string) is refused."""
+    try:
+        return tuple(map(operator.index, entries))
+    except TypeError:
+        raise InvalidArgumentError(f"non-integer entry in {entries!r}") from None
+
+
 @dataclass(frozen=True)
 class Monomial:
     """A monomial given by its exponent vector."""
@@ -32,11 +41,11 @@ class Monomial:
     exponents: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        exps = tuple(int(e) for e in self.exponents)
+        exps = _integers(self.exponents)
         if not exps:
-            raise ValueError("ambient ring needs at least one variable")
+            raise InvalidArgumentError("ambient ring needs at least one variable")
         if any(e < 0 for e in exps):
-            raise ValueError(f"negative exponent in {exps}")
+            raise InvalidArgumentError(f"negative exponent in {exps}")
         object.__setattr__(self, "exponents", exps)
 
     @property
@@ -109,9 +118,9 @@ class VariableOrder:
     perm: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        perm = tuple(int(p) for p in self.perm)
-        if sorted(perm) != list(range(1, len(perm) + 1)):
-            raise ValueError(f"not a permutation of 1..{len(perm)}: {perm}")
+        perm = _integers(self.perm)
+        if not perm or sorted(perm) != list(range(1, len(perm) + 1)):
+            raise InvalidArgumentError(f"not a permutation of 1..{len(perm)}: {perm}")
         object.__setattr__(self, "perm", perm)
 
     @classmethod
@@ -218,11 +227,6 @@ class MonomialIdeal:
         """
         d = self.gens[0].degree
         return d if self.gens[-1].degree == d else None
-
-    @cached_property
-    def exponent_set(self) -> frozenset[tuple[int, ...]]:
-        """Generator exponent vectors, for O(1) membership of same-degree monomials."""
-        return frozenset(g.exponents for g in self.gens)
 
     def localize(self, off: Iterable[int]) -> MonomialIdeal:
         """Substitute x_i -> 1 for every 1-based index i in `off`, then minimalize."""

@@ -3,7 +3,8 @@
 Monomial text: `x<i>` or `x<i>^<e>` factors joined by `*`; the unit
 monomial is spelled `1` (e.g. `x1^2*x3`).  Ideal text: generators joined
 by ` + ` or given one per line; both forms and mixtures parse.  The JSON
-form of an ideal is `{"n": 3, "gens": [[2, 0, 1], [1, 1, 1]]}`.
+form of an ideal is `{"n": 3, "gens": [[2, 0, 1], [1, 1, 1]]}`.  Every
+JSON document the toolkit writes goes through dump_json.
 
 Parsers reject negative exponents and out-of-range variable indices with
 errors that carry the offending line and column.
@@ -16,6 +17,9 @@ import re
 
 from .core import Monomial, MonomialIdeal, VariableOrder, make_ideal
 from .errors import ParseError
+from .version import __version__
+
+SCHEMA_VERSION = 1
 
 _FACTOR_RE = re.compile(r"x(\d+)(?:\^(\d+))?")
 
@@ -106,6 +110,12 @@ def parse_variable_order(text: str) -> VariableOrder:
 
 def ideal_to_json_dict(I: MonomialIdeal) -> dict:
     return {"n": I.n, "gens": [list(g.exponents) for g in I.gens]}
+
+
+def dump_json(payload: dict) -> str:
+    """Stamp payload with the schema, tool and version and render it deterministically."""
+    stamped = {"schema": SCHEMA_VERSION, "tool": "polymat", "version": __version__, **payload}
+    return json.dumps(stamped, sort_keys=True, indent=2) + "\n"
 
 
 def ideal_from_json_dict(data: dict) -> MonomialIdeal:

@@ -49,7 +49,7 @@ def _exchange_scan(I: MonomialIdeal, symmetric: bool) -> ExchangeWitness | None:
     witness is deterministic.
     """
     require_equigenerated(I)
-    members = I.exponent_set
+    members = {g.exponents for g in I.gens}
     step = 1 if symmetric else -1
     n = I.n
     for u in I.gens:

@@ -51,7 +51,7 @@ from .core import (
     make_ideal,
     revlex_key,
 )
-from .errors import AmbientMismatchError, BoundExceededError
+from .errors import AmbientMismatchError, BoundExceededError, InvalidArgumentError
 from .polymatroid import ExchangeWitness, exchange_failure, require_equigenerated
 
 ORDER_KINDS = ("lex", "revlex")
@@ -262,7 +262,11 @@ def lq_all_orders_failure(I: MonomialIdeal, kind: str) -> tuple[VariableOrder, L
     overridable via the POLYMAT_MAX_PERMS environment variable).
     """
     require_equigenerated(I)
-    bound = int(os.environ.get(MAX_PERM_ENV, DEFAULT_MAX_PERM_VARS))
+    raw = os.environ.get(MAX_PERM_ENV, str(DEFAULT_MAX_PERM_VARS))
+    try:
+        bound = int(raw)
+    except ValueError:
+        raise InvalidArgumentError(f"{MAX_PERM_ENV}={raw!r} is not an integer") from None
     if I.n > bound:
         raise BoundExceededError(
             f"enumerating {I.n}! variable orders exceeds the guard of {bound} variables"

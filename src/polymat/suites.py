@@ -8,17 +8,17 @@ in-memory report, never in the JSON.
 
 from __future__ import annotations
 
-import json
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass
 from typing import Callable
 
 from .betti import has_linear_resolution
-from .core import Monomial, MonomialIdeal, VariableOrder, all_variable_orders
+from .core import Monomial, MonomialIdeal, VariableOrder, all_variable_orders, make_ideal
 from .corpus import CorpusItem, CorpusSpec, enumerate_corpus, ideal_from_mask
 from .errors import InvalidArgumentError
+from .ioformats import dump_json, ideal_to_json_dict
 from .polymatroid import exchange_failure, is_polymatroidal
 from .quotients import (
     ConjectureOutcome,
@@ -29,9 +29,6 @@ from .quotients import (
     sort_generators,
     theorem_equivalence,
 )
-from .version import __version__
-
-SCHEMA_VERSION = 1
 
 REMARK_GENS = ((1, 0, 2), (2, 0, 1), (1, 1, 1), (0, 2, 1))
 
@@ -40,14 +37,14 @@ _BAD_VERDICTS = {"MISMATCH", "COUNTEREXAMPLE", "VIOLATION", "fail"}
 
 def remark_ideal() -> MonomialIdeal:
     """The four-generator ideal reproduced by `suite remark`."""
-    gens = sorted((Monomial(e) for e in REMARK_GENS), key=lambda m: m.exponents, reverse=True)
-    return MonomialIdeal(3, tuple(gens))
+    return make_ideal(3, map(Monomial, REMARK_GENS))
 
 
 @dataclass
 class CheckReport:
     """Structured verdicts for one suite run.
 
+    Everything else is read off the verdicts and the corpus parameters.
     wall_time is informational only and deliberately excluded from the
     JSON rendering so that reports stay byte-identical across runs.
     """
@@ -55,15 +52,20 @@ class CheckReport:
     suite: str
     parameters: dict
     verdicts: list[dict]
-    totals: dict[str, int]
-    seed: int | None = None
-    version: str = __version__
     wall_time: float = 0.0
-    notes: list[str] = field(default_factory=list)
+
+    @property
+    def totals(self) -> dict[str, int]:
+        return dict(Counter(v["verdict"] for v in self.verdicts))
+
+    @property
+    def seed(self) -> int | None:
+        """The sampling seed; only random corpora record one."""
+        return self.parameters.get("seed")
 
     @property
     def passed(self) -> bool:
-        return not any(self.totals.get(v, 0) for v in _BAD_VERDICTS)
+        return not self.failures
 
     @property
     def failures(self) -> list[dict]:
@@ -73,22 +75,18 @@ class CheckReport:
     def exit_code(self) -> int:
         return 0 if self.passed else 1
 
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": SCHEMA_VERSION,
-            "suite": self.suite,
-            "tool": "polymat",
-            "version": self.version,
-            "parameters": self.parameters,
-            "seed": self.seed,
-            "totals": self.totals,
-            "passed": self.passed,
-            "notes": self.notes,
-            "verdicts": self.verdicts,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        return dump_json(
+            {
+                "suite": self.suite,
+                "parameters": self.parameters,
+                "seed": self.seed,
+                "totals": self.totals,
+                "passed": self.passed,
+                "notes": [],  # schema 1 keeps the key; nothing writes notes
+                "verdicts": self.verdicts,
+            }
+        )
 
     def summary(self) -> str:
         counts = ", ".join(f"{k}={v}" for k, v in sorted(self.totals.items()))
@@ -99,20 +97,14 @@ class CheckReport:
         )
 
 
-def _gens_payload(I: MonomialIdeal) -> list[list[int]]:
-    return [list(g.exponents) for g in I.gens]
+def _item_fields(item: CorpusItem) -> dict:
+    """The fields every corpus verdict starts with; reverify_witness reads mask and gens."""
+    return {"index": item.index, "mask": item.mask, "gens": ideal_to_json_dict(item.ideal)["gens"]}
 
 
 def _order_witness(kind: str, order: VariableOrder, failure: LQFailure) -> dict:
     """A linear-quotients failure under one induced order, as reverify_witness reads it."""
     return {"kind": kind, "order": list(order.perm), **failure.to_json_dict()}
-
-
-def _tally(verdicts: list[dict]) -> dict[str, int]:
-    totals: dict[str, int] = {}
-    for v in verdicts:
-        totals[v["verdict"]] = totals.get(v["verdict"], 0) + 1
-    return totals
 
 
 def _run_suite(
@@ -129,28 +121,18 @@ def _run_suite(
         chunk = max(1, len(items) // (jobs * 8))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             verdicts = list(pool.map(verdict_fn, items, chunksize=chunk))
-    report = CheckReport(
-        suite=name,
-        parameters=spec.to_json_dict(),
-        verdicts=verdicts,
-        totals=_tally(verdicts),
-        seed=spec.seed if spec.mode == "random" else None,
-    )
-    report.wall_time = time.perf_counter() - start
-    return report
+    return CheckReport(name, spec.to_json_dict(), verdicts, time.perf_counter() - start)
 
 
-def _theorem_verdict(item: CorpusItem, *, with_linear_resolution: bool) -> dict:
+def _theorem_verdict(item: CorpusItem) -> dict:
     check = theorem_equivalence(item.ideal)
     out = {
-        "index": item.index,
-        "mask": item.mask,
-        "gens": _gens_payload(item.ideal),
+        **_item_fields(item),
         "polymatroidal": check.polymatroidal,
         "lex_all_orders": check.lex_all_orders,
     }
     consistent = check.consistent
-    if with_linear_resolution:
+    if item.ideal.n == 2:
         linear = has_linear_resolution(item.ideal)
         out["linear_resolution"] = linear
         consistent = consistent and linear == check.polymatroidal
@@ -169,18 +151,12 @@ def run_theorem_suite(spec: CorpusSpec, jobs: int = 1) -> CheckReport:
     For two-variable corpora the verdict additionally requires agreement
     with the linear-resolution predicate.
     """
-    worker = partial(_theorem_verdict, with_linear_resolution=spec.n == 2)
-    return _run_suite("theorem", worker, spec, jobs)
+    return _run_suite("theorem", _theorem_verdict, spec, jobs)
 
 
 def _conjecture_verdict(item: CorpusItem) -> dict:
     probe = conjecture_probe(item.ideal)
-    out = {
-        "index": item.index,
-        "mask": item.mask,
-        "gens": _gens_payload(item.ideal),
-        "verdict": probe.outcome.value,
-    }
+    out = {**_item_fields(item), "verdict": probe.outcome.value}
     if probe.outcome is ConjectureOutcome.REFUTED:
         out["refuting_order"] = _order_witness("revlex", probe.refuting_order, probe.lq_failure)
     if probe.outcome is ConjectureOutcome.COUNTEREXAMPLE:
@@ -200,20 +176,18 @@ def run_conjecture_search(spec: CorpusSpec, jobs: int = 1) -> CheckReport:
 
 def _localization_verdict(item: CorpusItem) -> dict:
     I = item.ideal
-    out = {"index": item.index, "mask": item.mask, "gens": _gens_payload(I)}
+    out = _item_fields(item)
     if not is_polymatroidal(I):
         out["verdict"] = "not_polymatroidal"
         return out
+    # every mask but the last, which substitutes all variables away and leaves the unit ideal
+    proper = (1 << I.n) - 1
     violations = []
-    checked = 0
-    for mask in range(1 << I.n):
+    for mask in range(proper):
         off = [i + 1 for i in range(I.n) if mask >> i & 1]
-        if len(off) == I.n:
-            continue  # substituting every variable away leaves the unit ideal
-        checked += 1
         if not has_linear_resolution(I.localize(off)):
             violations.append(off)
-    out["checked"] = checked
+    out["checked"] = proper
     out["violations"] = violations
     out["verdict"] = "all_linear" if not violations else "VIOLATION"
     return out
@@ -274,14 +248,7 @@ def reproduce_remark() -> CheckReport:
         }
     )
 
-    report = CheckReport(
-        suite="remark",
-        parameters={"gens": _gens_payload(I), "n": 3},
-        verdicts=verdicts,
-        totals=_tally(verdicts),
-    )
-    report.wall_time = time.perf_counter() - start
-    return report
+    return CheckReport("remark", ideal_to_json_dict(I), verdicts, time.perf_counter() - start)
 
 
 def reverify_witness(verdict: dict, n: int, d: int) -> bool:
@@ -290,7 +257,7 @@ def reverify_witness(verdict: dict, n: int, d: int) -> bool:
     Returns True when each recorded failure reproduces exactly.
     """
     I = ideal_from_mask(n, d, verdict["mask"])
-    if _gens_payload(I) != verdict["gens"]:
+    if ideal_to_json_dict(I)["gens"] != verdict["gens"]:
         return False
     for key in ("refuting_order", "lq_witness"):
         if key in verdict:

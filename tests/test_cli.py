@@ -151,6 +151,11 @@ NON_UTF8_FILE = "<a binary file written by the test>"
         ["suite", "remark", "--n", "6", "--d", "4", "--mode", "random", "--m", "3",
          "--count", "5", "--dedupe-isomorphic"],
         ["suite", "remark", "--seed", "1"],
+        # an ambient ring without variables
+        ["check", "poly", "1", "--n", "0"],
+        ["check", "poly", "1", "--n", "-2"],
+        ["betti", "1", "--n", "0"],
+        ["lexsegment", "--u", "1", "--v", "1", "--n", "0"],
     ],
 )
 def test_error_contract_exits_2(argv, capsys, tmp_path):
@@ -162,6 +167,22 @@ def test_error_contract_exits_2(argv, capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("value", ["abc", ""])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "lq", "x1*x2+x2*x3", "--kind", "lex", "--all-orders"],
+        ["suite", "theorem", "--n", "2", "--d", "1", "--jobs", "1"],
+    ],
+)
+def test_malformed_permutation_guard_exits_2(argv, value, monkeypatch, capsys):
+    monkeypatch.setenv("POLYMAT_MAX_PERMS", value)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: POLYMAT_MAX_PERMS={value!r} is not an integer\n"
 
 
 def test_missing_ideal_exits_2(capsys):

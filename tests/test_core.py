@@ -130,6 +130,30 @@ class TestMakeIdeal:
             pm.MonomialIdeal(3, (M("x1*x2", 3), M("x1", 2)))
 
 
+class TestConstructorEntries:
+    class Two:
+        def __index__(self):
+            return 2
+
+    @pytest.mark.parametrize("entries", [(1.9, 0), ("2", 1), (), (1, -1)])
+    def test_monomial_refuses(self, entries):
+        with pytest.raises(pm.InvalidArgumentError):
+            pm.Monomial(entries)
+
+    def test_monomial_accepts_index_objects(self):
+        m = pm.Monomial((self.Two(), True))
+        assert m.exponents == (2, 1)
+        assert type(m.exponents[0]) is int and type(m.exponents[1]) is int
+
+    @pytest.mark.parametrize("perm", [(2.7, 1), ("2", "1"), (), (1, 1)])
+    def test_variable_order_refuses(self, perm):
+        with pytest.raises(pm.InvalidArgumentError):
+            pm.VariableOrder(perm)
+
+    def test_variable_order_accepts_index_objects(self):
+        assert pm.VariableOrder((self.Two(), 1)).perm == (2, 1)
+
+
 def pairwise_minimality_error(gens):
     """Oracle: the minimality test of every ordered pair, in index order,
     that MonomialIdeal ran before it tested only pairs across degrees."""

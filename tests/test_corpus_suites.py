@@ -115,7 +115,7 @@ def forced_theorem_mismatch(monkeypatch, with_exchange: bool) -> dict:
     monkeypatch.setattr(suites, "theorem_equivalence", forced)
     corpus = pm.enumerate_corpus(pm.CorpusSpec(n=3, d=2))
     item = next(it for it in corpus if not pm.is_polymatroidal(it.ideal))
-    return suites._theorem_verdict(item, with_linear_resolution=False)
+    return suites._theorem_verdict(item)
 
 
 class TestReverifyLexWitness:

@@ -24,6 +24,19 @@ CASES = {
     "check-lq-order-pass": (["check", "lq", SQUAREFREE, "--kind", "lex", "--order", "3,2,1"], 0),
     "check-lq-all-fail": (["check", "lq", REMARK, "--kind", "revlex", "--all-orders"], 1),
     "check-lq-all-pass": (["check", "lq", SQUAREFREE, "--kind", "lex", "--all-orders"], 0),
+    "check-qwlr-all": (["check", "qwlr", REMARK, "--kind", "revlex", "--all-orders"], 0),
+    "betti-remark": (["betti", REMARK], 0),
+    "lexsegment": (["lexsegment", "--u", "x1^2", "--v", "x1*x3", "--n", "3"], 0),
+    "localize-remark": (["localize", REMARK, "--at", "3"], 0),
+    # a two-variable theorem report carries linear_resolution
+    "suite-theorem-2-2": (["suite", "theorem", "--n", "2", "--d", "2", "--jobs", "1"], 0),
+    "suite-conjecture-2-2": (["suite", "conjecture", "--n", "2", "--d", "2", "--jobs", "1"], 0),
+    "suite-localization-2-2": (
+        ["suite", "localization", "--n", "2", "--d", "2", "--jobs", "1"], 0),
+    # a random corpus puts its seed at the top level of the report
+    "suite-conjecture-random": (
+        ["suite", "conjecture", "--n", "3", "--d", "2", "--mode", "random", "--m", "3",
+         "--count", "4", "--seed", "5", "--jobs", "1"], 0),
 }
 
 
@@ -53,7 +66,7 @@ def test_theorem_mismatch_verdict_shape(monkeypatch):
 
     monkeypatch.setattr(suites, "theorem_equivalence", forced)
     item = pm.CorpusItem(7, 42, suites.remark_ideal())
-    assert suites._theorem_verdict(item, with_linear_resolution=False) == {
+    assert suites._theorem_verdict(item) == {
         "exchange_witness": EXCHANGE,
         "gens": REMARK_GENS,
         "index": 7,

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 
 import pytest
 
@@ -137,7 +138,7 @@ def test_membership_equals_generator_set_for_swaps():
     # equigenerated degree-d membership of a degree-d monomial is exactly
     # membership in the generating set; spot-check the candidate swaps
     for ideal in _corpus(3, 2):
-        members = ideal.exponent_set
+        members = {g.exponents for g in ideal.gens}
         for u in ideal.gens:
             for i in range(3):
                 if u.exponents[i] == 0:
@@ -180,3 +181,16 @@ def test_exchange_scan_agrees_with_rank_function_oracle(n, d):
     ]
     assert all(scan == oracle for scan, oracle in verdicts)
     assert 0 < sum(oracle for _, oracle in verdicts) < len(verdicts)
+
+
+def test_checks_leave_the_ideal_as_they_found_it(remark_ideal):
+    # a corpus ideal stays alive for the whole suite run, so no check may
+    # hang state on it
+    for ideal in (remark_ideal, veronese(3, 2)):
+        before = pickle.dumps(ideal)
+        pm.exchange_failure(ideal)
+        for kind in ("lex", "revlex"):
+            pm.lq_all_orders_failure(ideal, kind)
+        pm.has_linear_resolution(ideal)
+        assert set(vars(ideal)) == {"n", "gens"}
+        assert pickle.dumps(ideal) == before

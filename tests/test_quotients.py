@@ -150,6 +150,12 @@ class TestAllOrders:
         monkeypatch.setenv("POLYMAT_MAX_PERMS", "9")
         assert not pm.has_lq_all_orders(disjoint, "lex")
 
+    @pytest.mark.parametrize("value", ["abc", "", "8.5"])
+    def test_permutation_guard_env_malformed(self, monkeypatch, value):
+        monkeypatch.setenv("POLYMAT_MAX_PERMS", value)
+        with pytest.raises(pm.InvalidArgumentError, match="POLYMAT_MAX_PERMS"):
+            pm.lq_all_orders_failure(I("x1*x2 + x2*x3"), "lex")
+
 
 class TestTheoremEquivalence:
     def test_veronese33_consistent_true(self):
