@@ -5,13 +5,20 @@ the lcm lattice of the generators and, at each lattice multidegree a,
 takes reduced simplicial homology of the upper-Koszul complex
 K^a = {squarefree b on supp(a) : x^(a-b) in the ideal}; the rank of
 reduced homology in dimension i-1 there is the Betti number in
-homological index i at multidegree a.  K^a is built from its facets: a
-generator g dividing x^a leaves the slack mask {t : a_t > g_t}, the
-maximal slack masks are the facets, and the faces are their submasks.
-When one vertex lies in every facet, K^a is a cone and contributes
-nothing, so that point is skipped.  The oracle route reads the same
-numbers off the multigraded strands of the Taylor complex on the
-generators, which costs 2^|G| and is gated accordingly.
+homological index i at multidegree a (Miller-Sturmfels, Thm 1.34).  K^a
+is built from its facets, the maximal slack masks {t : a_t > g_t} of the
+generators g dividing x^a.  When one vertex lies in every facet, K^a is a
+cone and contributes nothing, so that point is skipped.  The oracle route
+reads the same numbers off the multigraded strands of the Taylor complex
+on the generators, which costs 2^|G| and is gated accordingly.
+
+The default route packs an exponent vector into one int: variable t takes
+the w bits from bit t*w, with w one more than the bit length of the largest
+exponent, so the top bit of each field, its guard bit, is always zero.
+With H the mask of all guard bits, (a | H) - g keeps field t's guard bit
+exactly when a_t >= g_t, and no borrow crosses a field (Warren, Hacker's
+Delight, ch. 2).  Face masks sit on the guard bits; bit t -> t*w + w - 1
+is monotone, so faces sort, and boundaries take signs, as variable masks.
 
 Homology ranks come from integer row reduction of the sparse +-1
 boundary matrices: unit pivots eliminate with one integer multiple, and
@@ -20,14 +27,13 @@ is no floating point and no modular arithmetic anywhere in this module,
 so the ranks are exact over Q and agreement between the two routes is
 exact or not at all.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import compress
 from math import gcd
-from operator import and_, gt, le
+from operator import and_
 
 from .core import MonomialIdeal
 from .errors import OracleUnavailableError, UnitIdealError
@@ -159,37 +165,49 @@ class BettiTable:
         return "\n".join(lines)
 
 
-def lcm_lattice(I: MonomialIdeal) -> list[tuple[int, ...]]:
-    """All coordinatewise maxima of non-empty generator subsets, sorted.
+def _packed(exps: list[tuple[int, ...]]) -> tuple[list[int], int, int]:
+    """The exponent vectors packed one int each, the guard mask and the width w."""
+    width = max(map(max, exps)).bit_length() + 1
+    shifts = range(0, len(exps[0]) * width, width)
+    packed = [sum(e << s for e, s in zip(v, shifts)) for v in exps]
+    return packed, sum(1 << (s + width - 1) for s in shifts), width
 
-    Computed as the closure of the generator exponent vectors under
-    pairwise join, which agrees with enumerating subsets but scales with
-    the lattice size instead of 2^|G|.
+
+def lcm_lattice(gens: list[int], guards: int, width: int) -> set[int]:
+    """All coordinatewise maxima of non-empty generator subsets, packed.
+
+    The closure of the generators under pairwise join scales with the
+    lattice size instead of 2^|G|.  In the join, d marks the fields with
+    a_t >= g_t and m = d - (d >> (w-1)) fills the w-1 bits under each mark.
     """
-    gens = [g.exponents for g in I.gens]
+    shift = width - 1
     lattice = set(gens)
-    frontier = set(gens)
+    frontier = lattice
     while frontier:
-        fresh = set()
+        joins = set()
         for a in frontier:
+            a_guarded = a | guards
             for g in gens:
-                j = tuple(map(max, a, g))
-                if j not in lattice:
-                    lattice.add(j)
-                    fresh.add(j)
-        frontier = fresh
-    return sorted(lattice)
+                d = (a_guarded - g) & guards
+                m = d - (d >> shift)
+                joins.add((a & m) | (g & ~m))
+        frontier = joins - lattice
+        lattice |= frontier
+    return lattice
 
 
-def _koszul_facets(gens, alpha: tuple[int, ...]) -> list[int]:
-    """Facets of K^alpha as bitmasks over the variables, largest first.
+def _koszul_facets(gens: list[int], alpha: int, guards: int, width: int) -> list[int]:
+    """Facets of K^alpha as masks of guard bits, largest first.
 
-    A squarefree b on supp(alpha) is a face exactly when some generator
-    g divides x^(alpha-b), that is, when g <= alpha and b lies inside the
-    slack mask {t : alpha_t > g_t}; the facets are the maximal slack masks.
+    A squarefree b on supp(alpha) is a face exactly when some generator g
+    divides x^(alpha-b): when g <= alpha (every guard bit of (alpha | H) - g
+    survives) and b lies in the slack mask {t : alpha_t > g_t} (the guard
+    bits that also survive one more from each field).  The facets are the
+    maximal slack masks.
     """
-    bits = [1 << t for t in range(len(alpha))]
-    slack = {sum(compress(bits, map(gt, alpha, g))) for g in gens if all(map(le, g, alpha))}
+    ones = guards >> (width - 1)
+    differences = ((alpha | guards) - g for g in gens)
+    slack = {(d - ones) & guards for d in differences if d & guards == guards}
     facets: list[int] = []
     wider: list[int] = []  # the facets with more bits than the current mask
     size = None
@@ -238,15 +256,16 @@ def graded_betti(I: MonomialIdeal) -> BettiTable:
     """Graded Betti numbers via homology of upper-Koszul complexes over the lcm lattice."""
     if I.is_unit:
         raise UnitIdealError("the unit ideal has nothing to resolve")
-    gens = [g.exponents for g in I.gens]
+    gens, guards, width = _packed([g.exponents for g in I.gens])
+    field = (1 << width) - 1
     table: dict[tuple[int, int], int] = {}
-    for alpha in lcm_lattice(I):
+    for alpha in lcm_lattice(gens, guards, width):
         # alpha is a multiple of some generator, so there is at least one facet
-        facets = _koszul_facets(gens, alpha)
+        facets = _koszul_facets(gens, alpha, guards, width)
         if reduce(and_, facets):
             continue  # a vertex in every facet: K^alpha is a cone
         homology = _reduced_ranks(_by_card(_faces_of(facets)))
-        deg = sum(alpha)
+        deg = sum(alpha >> s & field for s in range(0, I.n * width, width))
         for i, h in enumerate(homology):
             if h:
                 table[(i, deg)] = table.get((i, deg), 0) + h

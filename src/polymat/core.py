@@ -229,17 +229,27 @@ class MonomialIdeal:
         return d if self.gens[-1].degree == d else None
 
     def localize(self, off: Iterable[int]) -> MonomialIdeal:
-        """Substitute x_i -> 1 for every 1-based index i in `off`, then minimalize."""
+        """Substitute x_i -> 1 for every 1-based index i in `off`, then minimalize.
+
+        Works on exponent tuples and builds each kept generator once.  As
+        in make_ideal, a proper divisor has strictly smaller degree, so in
+        ascending order each tuple is tested only against the kept tuples
+        of smaller degree.
+        """
         off = set(off)
         for i in off:
             if not 1 <= i <= self.n:
                 raise InvalidArgumentError(f"variable index {i} out of range 1..{self.n}")
-        zeroed = frozenset(i - 1 for i in off)
-        subs = [
-            Monomial(tuple(0 if i in zeroed else e for i, e in enumerate(g.exponents)))
-            for g in self.gens
-        ]
-        return make_ideal(self.n, subs)
+        keep = tuple(0 if i + 1 in off else 1 for i in range(self.n))
+        exps = {tuple(map(operator.mul, g.exponents, keep)) for g in self.gens}
+        kept: list[tuple[int, ...]] = []
+        degree = lower = 0  # kept[:lower] holds the kept tuples of smaller degree
+        for d, e in sorted((sum(e), e) for e in exps):
+            if d != degree:
+                degree, lower = d, len(kept)
+            if not any(all(map(operator.le, k, e)) for k in kept[:lower]):
+                kept.append(e)
+        return MonomialIdeal(self.n, tuple(Monomial(e) for e in reversed(kept)))
 
     def __add__(self, other: MonomialIdeal) -> MonomialIdeal:
         _check_ambient(self.n, other.n)

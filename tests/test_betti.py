@@ -2,10 +2,12 @@ import itertools
 import random
 from fractions import Fraction
 from functools import reduce
-from operator import and_
+from itertools import compress
+from operator import and_, gt, le
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polymat as pm
 from conftest import I, M, small_ideals, veronese
@@ -96,6 +98,42 @@ def brute_force_is_cone(faces: set[int], alpha) -> bool:
     )
 
 
+def tuple_lcm_lattice(exps) -> set[tuple[int, ...]]:
+    """Coordinatewise maxima of every non-empty subset of the exponent vectors."""
+    return {
+        tuple(max(column) for column in zip(*subset))
+        for r in range(1, len(exps) + 1)
+        for subset in itertools.combinations(exps, r)
+    }
+
+
+def unpack(packed: int, n: int, width: int) -> tuple[int, ...]:
+    """The exponent vector of a packed int with fields of `width` bits."""
+    return tuple(packed >> (t * width) & ((1 << width) - 1) for t in range(n))
+
+
+def variable_bits(mask: int, width: int) -> int:
+    """A mask of guard bits read back as a mask over the variables: guard bit
+    t*width + width - 1 stands for variable t."""
+    bits = [b for b in range(mask.bit_length()) if mask >> b & 1]
+    assert all(b % width == width - 1 for b in bits), (bin(mask), width)
+    return sum(1 << (b // width) for b in bits)
+
+
+# exponents either side of a field-width step: 0, 2^k - 1 and 2^k
+boundary_exponents = st.one_of(
+    st.integers(0, 3),
+    st.builds(lambda k, below: 2**k - below, st.integers(1, 9), st.sampled_from([0, 1])),
+)
+
+
+@st.composite
+def exponent_pairs(draw):
+    n = draw(st.integers(1, 5))
+    vector = st.tuples(*[boundary_exponents] * n)
+    return draw(vector), draw(vector)
+
+
 def random_mixed_ideal(rng: random.Random) -> pm.MonomialIdeal:
     """Generators of mixed degrees with exponents up to 3, so mostly not squarefree."""
     n = rng.randint(1, 5)
@@ -183,17 +221,23 @@ class TestIntegerRank:
 
 class TestKoszulFaces:
     def test_facet_faces_match_brute_force(self):
-        # every lcm-lattice point of mixed-degree, non-squarefree ideals
+        # every lcm-lattice point of mixed-degree, non-squarefree ideals; the
+        # packed points and guard-bit facets are read back as tuples and
+        # masks over the variables
         rng = random.Random(11)
         cones = points = 0
         for _ in range(150):
             ideal = random_mixed_ideal(rng)
-            gens = [g.exponents for g in ideal.gens]
-            for alpha in betti.lcm_lattice(ideal):
-                facets = betti._koszul_facets(gens, alpha)
-                faces = brute_force_faces(gens, alpha)
-                assert betti._faces_of(facets) == faces
-                assert set(facets) == {
+            exps = [g.exponents for g in ideal.gens]
+            gens, guards, width = betti._packed(exps)
+            lattice = betti.lcm_lattice(gens, guards, width)
+            assert {unpack(a, ideal.n, width) for a in lattice} == tuple_lcm_lattice(exps)
+            for packed_alpha in lattice:
+                alpha = unpack(packed_alpha, ideal.n, width)
+                facets = betti._koszul_facets(gens, packed_alpha, guards, width)
+                faces = brute_force_faces(exps, alpha)
+                assert {variable_bits(f, width) for f in betti._faces_of(facets)} == faces
+                assert {variable_bits(f, width) for f in facets} == {
                     f for f in faces if not any(f != h and f & h == f for h in faces)
                 }
                 cone = brute_force_is_cone(faces, alpha)
@@ -201,6 +245,24 @@ class TestKoszulFaces:
                 cones += cone
                 points += 1
         assert 0 < cones < points
+
+    @given(exponent_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_packed_join_and_compare_match_tuples(self, pair):
+        a, g = pair
+        joined = tuple(map(max, a, g))
+        (pa, pg, pj), guards, width = betti._packed([a, g, joined])
+        assert width == max(joined).bit_length() + 1
+        # the closure of {a, g} under the packed join adds exactly max(a, g)
+        assert betti.lcm_lattice([pa, pg], guards, width) == {pa, pg, pj}
+        # one generator leaves one facet, its slack mask, exactly when g <= alpha
+        bits = [1 << t for t in range(len(a))]
+        for alpha, gen, p_alpha, p_gen in ((a, g, pa, pg), (g, a, pg, pa)):
+            facets = betti._koszul_facets([p_gen], p_alpha, guards, width)
+            expected = [sum(compress(bits, map(gt, alpha, gen)))]
+            assert [variable_bits(f, width) for f in facets] == (
+                expected if all(map(le, gen, alpha)) else []
+            )
 
 
 class TestReducedHomology:
@@ -257,6 +319,17 @@ class TestTaylorOracle:
     def test_same_examples(self, remark_ideal):
         for ideal in (I("x1 + x2"), I("x1^2 + x1*x2 + x2^2"), remark_ideal):
             assert pm.taylor_strand_betti(ideal) == pm.graded_betti(ideal)
+
+    def test_power_of_two_exponents(self):
+        # the largest exponent fills its field up to the guard bit: w = 4, then w = 5
+        for text in (
+            "x1^4*x2 + x1^2*x2^2*x3 + x2^4 + x2^3*x3^2 + x1*x3^4",
+            "x1^8 + x1^5*x2^3 + x2^7*x3 + x1*x2*x3^6 + x3^8",
+        ):
+            ideal = I(text)
+            table = pm.taylor_strand_betti(ideal)
+            assert table == pm.graded_betti(ideal)
+            assert max(i for i, _, _ in table.entries) == 2
 
     def test_gate(self):
         wide = pm.make_ideal(13, pm.monomials_of_degree(13, 1).elems)

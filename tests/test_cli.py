@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -35,6 +38,19 @@ def test_check_lq_all_orders(capsys):
 def test_check_qwlr_all_orders(capsys):
     assert main(["check", "qwlr", REMARK, "--kind", "lex", "--all-orders"]) == 0
     assert main(["check", "qwlr", REMARK, "--kind", "revlex", "--all-orders"]) == 0
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    # the package need not be installed: the child finds it where this test did
+    paths = [str(Path(pm.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    child = subprocess.run(
+        [sys.executable, "-m", "polymat", "betti", "x1 + x2"],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert main(["betti", "x1 + x2"]) == 0
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == capsys.readouterr().out
 
 
 def test_betti_triangle(capsys):

@@ -268,6 +268,25 @@ class TestIdealOperations:
         result = I("x1*x2 + x2^2", 2).localize({1, 2})
         assert result.is_unit
 
+    def test_localize_rejects_out_of_range(self):
+        for off in ({0}, {4}, {1, 4}):
+            with pytest.raises(pm.InvalidArgumentError):
+                I("x1^2 + x2*x3").localize(off)
+
+    @given(monomial_lists(max_len=7))
+    @settings(max_examples=150)
+    def test_localize_matches_substitution_oracle(self, data):
+        # the former route: substitute into every Monomial, then make_ideal
+        n, mons = data
+        ideal = pm.make_ideal(n, mons)
+        for bits in range(1 << n):
+            off = {t + 1 for t in range(n) if bits >> t & 1}
+            substituted = [
+                pm.Monomial(tuple(0 if t + 1 in off else e for t, e in enumerate(g.exponents)))
+                for g in ideal.gens
+            ]
+            assert ideal.localize(off) == pm.make_ideal(n, substituted)
+
     def test_localize_composes(self):
         ideal = I("x1^2*x2 + x2*x3^2 + x1*x3*x4", 4)
         assert ideal.localize({1}).localize({3}) == ideal.localize({1, 3})

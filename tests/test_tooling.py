@@ -40,6 +40,28 @@ def test_no_unbounded_caches_in_library():
     assert not found, found
 
 
+def test_betti_arithmetic_is_exact():
+    # Betti numbers are ranks over Q: the Betti layer may hold no float, take
+    # no true quotient, build no Fraction and reduce nothing modulo p
+    path = SOURCE / "betti.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            found.append(f"{node.lineno} float constant {node.value!r}")
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            found.append(f"{node.lineno} true division")
+        elif isinstance(node, ast.Call) and ast.unparse(node.func) == "float":
+            found.append(f"{node.lineno} float(...)")
+        elif isinstance(node, ast.Call) and ast.unparse(node.func) == "pow" and (
+            len(node.args) == 3 or any(k.arg == "mod" for k in node.keywords)
+        ):
+            found.append(f"{node.lineno} three-argument pow")
+        elif "Fraction" in {getattr(node, "id", None), getattr(node, "attr", None),
+                            getattr(node, "name", None)}:
+            found.append(f"{node.lineno} Fraction")
+    assert not found, found
+
+
 def test_tracer_hooks_resolve():
     # the benchmark's tracer rebinds these attributes to time each layer; a
     # renamed one would silently read zero, so it must fail here instead.
