@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .betti import graded_betti
@@ -33,11 +34,8 @@ from .quotients import (
     lq_all_orders_failure,
     sort_generators,
 )
-from .suites import SUITES
+from .suites import SUITES, _check_jobs
 from .version import __version__
-
-# `suite` options that describe a corpus, as argparse destinations
-_CORPUS_OPTIONS = ("n", "d", "mode", "m", "count", "seed", "start_mask", "dedupe_isomorphic")
 
 
 def _add_ideal_args(p: argparse.ArgumentParser) -> None:
@@ -45,6 +43,13 @@ def _add_ideal_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--file", help="read the ideal from a text or JSON file")
     p.add_argument("--n", type=int, help="ambient variable count (default: largest index used)")
     p.add_argument("--json", dest="json_path", help="also write a JSON result to this path")
+
+
+def _add_order_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--kind", choices=("lex", "revlex"), required=True)
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--order", help="variable permutation, e.g. 3,2,1")
+    group.add_argument("--all-orders", action="store_true")
 
 
 def _load_ideal(args):
@@ -222,26 +227,17 @@ def _cmd_localize(args) -> int:
 
 def _cmd_suite(args) -> int:
     runner = SUITES[args.name]
+    # corpus options default to absent, so args holds exactly the ones given
+    corpus = {f.name: getattr(args, f.name) for f in fields(CorpusSpec) if hasattr(args, f.name)}
     if args.name == "remark":
         # the remark is one fixed ideal, so a corpus option would be silently ignored
-        defaults = build_parser().parse_args(["suite", "remark"])
-        given = [k for k in _CORPUS_OPTIONS if getattr(args, k) != getattr(defaults, k)]
-        if given:
-            flags = ", ".join("--" + k.replace("_", "-") for k in given)
+        if corpus:
+            flags = ", ".join("--" + k.replace("_", "-") for k in corpus)
             raise InvalidArgumentError(f"suite remark takes no corpus options, got {flags}")
+        _check_jobs(args.jobs)
         report = runner()
     else:
-        spec = CorpusSpec(
-            n=args.n,
-            d=args.d,
-            mode=args.mode,
-            m=args.m,
-            count=args.count,
-            seed=args.seed,
-            start_mask=args.start_mask,
-            dedupe_isomorphic=args.dedupe_isomorphic,
-        )
-        report = runner(spec, jobs=args.jobs)
+        report = runner(CorpusSpec(**{"n": 3, "d": 2, **corpus}), jobs=args.jobs)
     print(report.summary())
     for verdict in report.failures:
         print(f"  {json.dumps(verdict, sort_keys=True)}")
@@ -270,18 +266,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     lq = check_sub.add_parser("lq", help="linear quotients for one or all variable orders")
     _add_ideal_args(lq)
-    lq.add_argument("--kind", choices=("lex", "revlex"), required=True)
-    group = lq.add_mutually_exclusive_group(required=True)
-    group.add_argument("--order", help="variable permutation, e.g. 3,2,1")
-    group.add_argument("--all-orders", action="store_true")
+    _add_order_args(lq)
     lq.set_defaults(func=_cmd_check_lq)
 
     qwlr = check_sub.add_parser("qwlr", help="quotients with linear resolution")
     _add_ideal_args(qwlr)
-    qwlr.add_argument("--kind", choices=("lex", "revlex"), required=True)
-    group = qwlr.add_mutually_exclusive_group(required=True)
-    group.add_argument("--order", help="variable permutation, e.g. 3,2,1")
-    group.add_argument("--all-orders", action="store_true")
+    _add_order_args(qwlr)
     qwlr.set_defaults(func=_cmd_check_qwlr)
 
     betti = sub.add_parser("betti", help="graded Betti numbers (Macaulay-style triangle)")
@@ -301,22 +291,23 @@ def build_parser() -> argparse.ArgumentParser:
     localize.add_argument("--at", required=True, help="comma-separated 1-based indices")
     localize.set_defaults(func=_cmd_localize)
 
-    suite = sub.add_parser("suite", help="corpus suites and the fixed example reproduction")
+    suite = sub.add_parser("suite", argument_default=argparse.SUPPRESS,
+                           help="corpus suites and the fixed example reproduction")
     suite.add_argument("name", choices=tuple(SUITES))
-    suite.add_argument("--n", type=int, default=3)
-    suite.add_argument("--d", type=int, default=2)
-    suite.add_argument("--mode", choices=("exhaustive", "random"), default="exhaustive")
+    suite.add_argument("--n", type=int)
+    suite.add_argument("--d", type=int)
+    suite.add_argument("--mode", choices=("exhaustive", "random"))
     suite.add_argument("--m", type=int, help="generator count (random mode)")
     suite.add_argument("--count", type=int, help="sample size (random mode)")
-    suite.add_argument("--seed", type=int, default=0)
+    suite.add_argument("--seed", type=int)
     suite.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
-    suite.add_argument("--start-mask", type=int, default=1, help="resume an exhaustive sweep")
+    suite.add_argument("--start-mask", type=int, help="resume an exhaustive sweep")
     suite.add_argument(
         "--dedupe-isomorphic",
         action="store_true",
         help="keep one representative per variable-permutation orbit (exhaustive mode)",
     )
-    suite.add_argument("--json", dest="json_path", help="write the JSON report here")
+    suite.add_argument("--json", dest="json_path", default=None, help="write the JSON report here")
     suite.set_defaults(func=_cmd_suite)
 
     return parser

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import itertools
 import operator
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
-from .errors import AmbientMismatchError, EmptyIdealError, InvalidArgumentError
+from .errors import AmbientMismatchError, BoundExceededError, EmptyIdealError, InvalidArgumentError
 
 
 def _check_ambient(n: int, m: int) -> None:
@@ -140,10 +141,25 @@ class VariableOrder:
         return ",".join(str(p) for p in self.perm)
 
 
+def _check_perm_guard(n: int) -> None:
+    """Refuse to enumerate the n! variable orders when n exceeds the guard
+    (default 8, overridable via the POLYMAT_MAX_PERMS environment variable)."""
+    raw = os.environ.get("POLYMAT_MAX_PERMS", "8")
+    try:
+        bound = int(raw)
+    except ValueError:
+        raise InvalidArgumentError(f"POLYMAT_MAX_PERMS={raw!r} is not an integer") from None
+    if n > bound:
+        raise BoundExceededError(
+            f"enumerating {n}! variable orders exceeds the guard of {bound} variables"
+        )
+
+
 def all_variable_orders(n: int) -> Iterator[VariableOrder]:
-    """All n! variable orders, in lexicographic order of their permutations."""
-    for perm in itertools.permutations(range(1, n + 1)):
-        yield VariableOrder(perm)
+    """All n! variable orders, in lexicographic order of their permutations;
+    the permutation guard is checked at the call, before any is enumerated."""
+    _check_perm_guard(n)
+    return map(VariableOrder, itertools.permutations(range(1, n + 1)))
 
 
 def lex_key(m: Monomial, order: VariableOrder):
@@ -229,27 +245,14 @@ class MonomialIdeal:
         return d if self.gens[-1].degree == d else None
 
     def localize(self, off: Iterable[int]) -> MonomialIdeal:
-        """Substitute x_i -> 1 for every 1-based index i in `off`, then minimalize.
-
-        Works on exponent tuples and builds each kept generator once.  As
-        in make_ideal, a proper divisor has strictly smaller degree, so in
-        ascending order each tuple is tested only against the kept tuples
-        of smaller degree.
-        """
+        """Substitute x_i -> 1 for every 1-based index i in `off`, then minimalize."""
         off = set(off)
         for i in off:
             if not 1 <= i <= self.n:
                 raise InvalidArgumentError(f"variable index {i} out of range 1..{self.n}")
         keep = tuple(0 if i + 1 in off else 1 for i in range(self.n))
         exps = {tuple(map(operator.mul, g.exponents, keep)) for g in self.gens}
-        kept: list[tuple[int, ...]] = []
-        degree = lower = 0  # kept[:lower] holds the kept tuples of smaller degree
-        for d, e in sorted((sum(e), e) for e in exps):
-            if d != degree:
-                degree, lower = d, len(kept)
-            if not any(all(map(operator.le, k, e)) for k in kept[:lower]):
-                kept.append(e)
-        return MonomialIdeal(self.n, tuple(Monomial(e) for e in reversed(kept)))
+        return _minimal_ideal(self.n, exps)
 
     def __add__(self, other: MonomialIdeal) -> MonomialIdeal:
         _check_ambient(self.n, other.n)
@@ -275,6 +278,22 @@ def unit_ideal(n: int) -> MonomialIdeal:
     return MonomialIdeal(n, (unit_monomial(n),))
 
 
+def _minimal_ideal(n: int, exps: set[tuple[int, ...]]) -> MonomialIdeal:
+    """The ideal generated by a set of distinct exponent tuples, minimalized.
+
+    A proper divisor has strictly smaller degree, so in ascending order each
+    tuple is tested only against the kept tuples of smaller degree.
+    """
+    kept: list[tuple[int, ...]] = []
+    degree = lower = 0  # kept[:lower] holds the kept tuples of smaller degree
+    for d, e in sorted((sum(e), e) for e in exps):
+        if d != degree:
+            degree, lower = d, len(kept)
+        if not any(all(map(operator.le, k, e)) for k in kept[:lower]):
+            kept.append(e)
+    return MonomialIdeal(n, tuple(Monomial(e) for e in reversed(kept)))
+
+
 def make_ideal(n: int, raw: Iterable[Monomial]) -> MonomialIdeal:
     """Minimalize a generating set: drop duplicates and divisible monomials."""
     mons = list(raw)
@@ -282,13 +301,4 @@ def make_ideal(n: int, raw: Iterable[Monomial]) -> MonomialIdeal:
         raise EmptyIdealError("cannot build an ideal from an empty generating set")
     for m in mons:
         _check_ambient(n, m.n)
-    # ascending degree: any proper divisor has strictly smaller degree, so a
-    # single pass against the kept prefix suffices
-    pending = sorted(set(mons), key=canonical_key)
-    kept: list[Monomial] = []
-    for m in pending:
-        if not any(k.divides(m) for k in kept):
-            kept.append(m)
-    kept.sort(key=canonical_key, reverse=True)
-    return MonomialIdeal(n, tuple(kept))
-
+    return _minimal_ideal(n, {m.exponents for m in mons})

@@ -10,13 +10,12 @@ reproducible from the corpus parameters.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from math import comb
 from typing import Iterator
 
-from .core import Monomial, MonomialIdeal
+from .core import Monomial, MonomialIdeal, all_variable_orders
 from .errors import BoundExceededError, InvalidArgumentError
 from .lexsegment import monomials_of_degree
 
@@ -124,26 +123,27 @@ def corpus_masks(spec: CorpusSpec) -> list[int]:
                 seen.add(mask)
                 masks.append(mask)
     if spec.dedupe_isomorphic:
+        perms = [order.positions for order in all_variable_orders(spec.n)]
         basis = monomials_of_degree(spec.n, spec.d).elems
         position = {m.exponents: i for i, m in enumerate(basis)}
         masks = [
             mask
             for mask in masks
-            if _is_orbit_representative(spec.n, position, _decode(basis, mask), mask)
+            if _is_orbit_representative(perms, position, _decode(basis, mask), mask)
         ]
     return masks
 
 
 def _is_orbit_representative(
-    n: int, position: dict[tuple[int, ...], int], gens: tuple[Monomial, ...], mask: int
+    perms: list, position: dict[tuple[int, ...], int], gens: tuple[Monomial, ...], mask: int
 ) -> bool:
     """Whether no variable permutation sends this subset to a smaller mask.
 
-    position maps each basis exponent vector to its bit; gens is the subset
-    the mask denotes.
+    perms lists the 0-based variable permutations, position maps each basis
+    exponent vector to its bit, and gens is the subset the mask denotes.
     """
     vectors = [g.exponents for g in gens]
-    for perm in itertools.permutations(range(n)):
+    for perm in perms:
         relabeled = 0
         for vec in vectors:
             relabeled |= 1 << position[tuple(vec[p] for p in perm)]

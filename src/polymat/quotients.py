@@ -36,7 +36,6 @@ reported position and blocker are those of the single-sequence check.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from enum import Enum
 
@@ -45,18 +44,17 @@ from .core import (
     Monomial,
     MonomialIdeal,
     VariableOrder,
+    _check_perm_guard,
     canonical_key,
     colon_monomial,
     lex_key,
     make_ideal,
     revlex_key,
 )
-from .errors import AmbientMismatchError, BoundExceededError, InvalidArgumentError
+from .errors import AmbientMismatchError
 from .polymatroid import ExchangeWitness, exchange_failure, require_equigenerated
 
 ORDER_KINDS = ("lex", "revlex")
-DEFAULT_MAX_PERM_VARS = 8
-MAX_PERM_ENV = "POLYMAT_MAX_PERMS"
 
 
 def induced_key(kind: str, order: VariableOrder):
@@ -262,15 +260,7 @@ def lq_all_orders_failure(I: MonomialIdeal, kind: str) -> tuple[VariableOrder, L
     overridable via the POLYMAT_MAX_PERMS environment variable).
     """
     require_equigenerated(I)
-    raw = os.environ.get(MAX_PERM_ENV, str(DEFAULT_MAX_PERM_VARS))
-    try:
-        bound = int(raw)
-    except ValueError:
-        raise InvalidArgumentError(f"{MAX_PERM_ENV}={raw!r} is not an integer") from None
-    if I.n > bound:
-        raise BoundExceededError(
-            f"enumerating {I.n}! variable orders exceeds the guard of {bound} variables"
-        )
+    _check_perm_guard(I.n)
     identity = VariableOrder.identity(I.n)
     failure = linear_quotients_failure(sort_generators(I, kind, identity))
     if failure is not None:

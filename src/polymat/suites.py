@@ -107,12 +107,16 @@ def _order_witness(kind: str, order: VariableOrder, failure: LQFailure) -> dict:
     return {"kind": kind, "order": list(order.perm), **failure.to_json_dict()}
 
 
+def _check_jobs(jobs: int) -> None:
+    if jobs < 1:
+        raise InvalidArgumentError(f"need at least one job, got {jobs}")
+
+
 def _run_suite(
     name: str, verdict_fn: Callable[[CorpusItem], dict], spec: CorpusSpec, jobs: int
 ) -> CheckReport:
     """Map verdict_fn over the corpus on `jobs` processes and tally a report."""
-    if jobs < 1:
-        raise InvalidArgumentError(f"need at least one job, got {jobs}")
+    _check_jobs(jobs)
     start = time.perf_counter()
     items = list(enumerate_corpus(spec))
     if jobs == 1:

@@ -172,6 +172,14 @@ NON_UTF8_FILE = "<a binary file written by the test>"
         ["check", "poly", "1", "--n", "-2"],
         ["betti", "1", "--n", "0"],
         ["lexsegment", "--u", "1", "--v", "1", "--n", "0"],
+        # corpus options for the remark, given at their default values
+        ["suite", "remark", "--n", "3", "--seed", "0"],
+        # a worker count below one, for the suite that runs no corpus
+        ["suite", "remark", "--jobs", "0"],
+        ["suite", "remark", "--jobs", "-3"],
+        # n! enumerations above the permutation guard
+        ["check", "qwlr", "x1 + x11", "--kind", "lex", "--all-orders"],
+        ["suite", "theorem", "--n", "11", "--d", "1", "--dedupe-isomorphic", "--jobs", "1"],
     ],
 )
 def test_error_contract_exits_2(argv, capsys, tmp_path):
@@ -191,6 +199,7 @@ def test_error_contract_exits_2(argv, capsys, tmp_path):
     [
         ["check", "lq", "x1*x2+x2*x3", "--kind", "lex", "--all-orders"],
         ["suite", "theorem", "--n", "2", "--d", "1", "--jobs", "1"],
+        ["check", "qwlr", "x1*x2+x2*x3", "--kind", "lex", "--all-orders"],
     ],
 )
 def test_malformed_permutation_guard_exits_2(argv, value, monkeypatch, capsys):

@@ -144,6 +144,9 @@ class TestAllOrders:
         disjoint = I("x1*x2 + x8*x9", 9)
         with pytest.raises(pm.BoundExceededError):
             pm.has_lq_all_orders(disjoint, "lex")
+        # the enumerator refuses at the call, before anything is iterated
+        with pytest.raises(pm.BoundExceededError):
+            pm.all_variable_orders(9)
 
     def test_permutation_guard_env_override(self, monkeypatch):
         disjoint = I("x1*x2 + x8*x9", 9)

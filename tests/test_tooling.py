@@ -62,6 +62,25 @@ def test_betti_arithmetic_is_exact():
     assert not found, found
 
 
+def test_factorial_loops_stay_behind_the_permutation_guard():
+    # every n! enumeration goes through all_variable_orders, which checks the
+    # guard first; the guard is the one reader of the environment
+    allowed = {("core.py", "all_variable_orders"), ("core.py", "_check_perm_guard")}
+    guarded = ("itertools.permutations", "os.environ", "os.getenv")
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            where = (path.name, getattr(top, "name", None))
+            for node in ast.walk(top):
+                if isinstance(node, ast.ImportFrom) and node.module in ("itertools", "os"):
+                    if {a.name for a in node.names} & {"permutations", "environ", "getenv", "*"}:
+                        found.append(f"{path.name}:{node.lineno} from {node.module} import")
+                elif isinstance(node, ast.Attribute) and ast.unparse(node) in guarded:
+                    if where not in allowed:
+                        found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    assert not found, found
+
+
 def test_tracer_hooks_resolve():
     # the benchmark's tracer rebinds these attributes to time each layer; a
     # renamed one would silently read zero, so it must fail here instead.
