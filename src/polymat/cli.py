@@ -34,7 +34,7 @@ from .quotients import (
     lq_all_orders_failure,
     sort_generators,
 )
-from .suites import SUITES, _check_jobs
+from .suites import SUITES, _check_jobs, _order_witness
 from .version import __version__
 
 
@@ -69,36 +69,31 @@ def _load_ideal(args):
     return load_ideal_text(text, getattr(args, "n", None))
 
 
-def _emit_json(args, payload: dict) -> None:
-    if getattr(args, "json_path", None):
-        Path(args.json_path).write_text(dump_json(payload))
-
-
-def _cmd_check_poly(args) -> int:
+def _cmd_check_poly(args):
     I = _load_ideal(args)
     witness = exchange_failure(I)
     if witness is None:
-        print(f"polymatroidal: {format_ideal(I)}")
+        lines = [f"polymatroidal: {format_ideal(I)}"]
     else:
-        print(f"NOT polymatroidal: {format_ideal(I)}")
-        print(f"  exchange fails for u={witness.u}, v={witness.v}, variable x{witness.variable}")
-    _emit_json(
-        args,
-        {
-            "command": "check poly",
-            "ideal": ideal_to_json_dict(I),
-            "polymatroidal": witness is None,
-            "witness": None if witness is None else witness.to_json_dict(),
-        },
-    )
-    return 0 if witness is None else 1
+        lines = [
+            f"NOT polymatroidal: {format_ideal(I)}",
+            f"  exchange fails for u={witness.u}, v={witness.v}, variable x{witness.variable}",
+        ]
+    payload = {
+        "command": "check poly",
+        "ideal": ideal_to_json_dict(I),
+        "polymatroidal": witness is None,
+        "witness": None if witness is None else witness.to_json_dict(),
+    }
+    return (0 if witness is None else 1), lines, payload
 
 
-def _cmd_check_lq(args) -> int:
+def _cmd_check_lq(args):
     I = _load_ideal(args)
+    payload = {"command": "check lq", "kind": args.kind, "ideal": ideal_to_json_dict(I)}
     if args.all_orders:
         order, failure = lq_all_orders_failure(I, args.kind) or (None, None)
-        payload = {"all_orders": True}
+        payload["all_orders"] = True
         if failure is None:
             verdict = f"({args.kind}) hold for all {I.n}! variable orders"
         else:
@@ -106,26 +101,17 @@ def _cmd_check_lq(args) -> int:
     else:
         order = parse_variable_order(args.order)
         failure = linear_quotients_failure(sort_generators(I, args.kind, order))
-        payload = {"order": list(order.perm)}
+        payload["order"] = list(order.perm)
         verdict = f"({args.kind}, order {order}) {'hold' if failure is None else 'FAIL'}"
-    print(f"linear quotients {verdict}")
+    payload["holds"] = failure is None
+    lines = [f"linear quotients {verdict}"]
     if failure is not None:
-        print(f"  at position {failure.position}, blocker {failure.blocker}")
-        payload.update(order=list(order.perm), **failure.to_json_dict())
-    _emit_json(
-        args,
-        {
-            "command": "check lq",
-            "kind": args.kind,
-            "ideal": ideal_to_json_dict(I),
-            "holds": failure is None,
-            **payload,
-        },
-    )
-    return 0 if failure is None else 1
+        lines.append(f"  at position {failure.position}, blocker {failure.blocker}")
+        payload.update(_order_witness(args.kind, order, failure))
+    return (0 if failure is None else 1), lines, payload
 
 
-def _cmd_check_qwlr(args) -> int:
+def _cmd_check_qwlr(args):
     I = _load_ideal(args)
     if args.all_orders:
         orders = list(all_variable_orders(I.n))
@@ -136,40 +122,35 @@ def _cmd_check_qwlr(args) -> int:
         seq = sort_generators(I, args.kind, order)
         results[str(order)] = has_quotients_with_linear_resolution(seq)
     ok = all(results.values())
-    for name, holds in results.items():
-        print(f"quotients with linear resolution ({args.kind}, order {name}): "
-              f"{'yes' if holds else 'NO'}")
-    _emit_json(
-        args,
-        {
-            "command": "check qwlr",
-            "kind": args.kind,
-            "ideal": ideal_to_json_dict(I),
-            "results": results,
-            "holds": ok,
-        },
-    )
-    return 0 if ok else 1
+    lines = [
+        f"quotients with linear resolution ({args.kind}, order {name}): "
+        f"{'yes' if holds else 'NO'}"
+        for name, holds in results.items()
+    ]
+    payload = {
+        "command": "check qwlr",
+        "kind": args.kind,
+        "ideal": ideal_to_json_dict(I),
+        "results": results,
+        "holds": ok,
+    }
+    return (0 if ok else 1), lines, payload
 
 
-def _cmd_betti(args) -> int:
+def _cmd_betti(args):
     I = _load_ideal(args)
     table = graded_betti(I)
-    print(table.triangle())
     d = I.is_equigenerated()
     if d is not None:
         linear = "yes" if table.is_linear(d) else "no"
-        print(f"equigenerated in degree {d}; linear resolution: {linear}")
+        resolution = f"equigenerated in degree {d}; linear resolution: {linear}"
     else:
-        print("not equigenerated; no linear resolution")
-    _emit_json(
-        args,
-        {"command": "betti", "ideal": ideal_to_json_dict(I), **table.to_json_dict()},
-    )
-    return 0
+        resolution = "not equigenerated; no linear resolution"
+    payload = {"command": "betti", "ideal": ideal_to_json_dict(I), **table.to_json_dict()}
+    return 0, [table.triangle(), resolution], payload
 
 
-def _cmd_lexsegment(args) -> int:
+def _cmd_lexsegment(args):
     if args.n is not None:
         n = args.n
     else:
@@ -180,52 +161,46 @@ def _cmd_lexsegment(args) -> int:
     depth = args.shadow_depth if args.shadow_depth is not None else max(1, n * u.degree)
     complete = is_completely_lexsegment(u, v, depth)
     criterion = arnehe_criterion(u, v)
-    print(f"L({u}, {v}) has {len(segment)} monomials:")
-    print("  " + " + ".join(str(m) for m in segment))
-    print(f"shadow size: {len(shadow(segment))}")
-    print(f"completely lexsegment (shadow depth {depth}): {'yes' if complete else 'no'}")
-    print(f"linear-resolution criterion for the segment endpoints: "
-          f"{'satisfied' if criterion else 'not satisfied'}")
-    _emit_json(
-        args,
-        {
-            "command": "lexsegment",
-            "n": n,
-            "u": list(u.exponents),
-            "v": list(v.exponents),
-            "segment": [list(m.exponents) for m in segment],
-            "shadow_depth": depth,
-            "completely_lexsegment": complete,
-            "criterion": criterion,
-        },
-    )
-    return 0
+    lines = [
+        f"L({u}, {v}) has {len(segment)} monomials:",
+        "  " + " + ".join(str(m) for m in segment),
+        f"shadow size: {len(shadow(segment))}",
+        f"completely lexsegment (shadow depth {depth}): {'yes' if complete else 'no'}",
+        f"linear-resolution criterion for the segment endpoints: "
+        f"{'satisfied' if criterion else 'not satisfied'}",
+    ]
+    payload = {
+        "command": "lexsegment",
+        "n": n,
+        "u": list(u.exponents),
+        "v": list(v.exponents),
+        "segment": [list(m.exponents) for m in segment],
+        "shadow_depth": depth,
+        "completely_lexsegment": complete,
+        "criterion": criterion,
+    }
+    return 0, lines, payload
 
 
-def _cmd_localize(args) -> int:
+def _cmd_localize(args):
     I = _load_ideal(args)
     try:
         off = [int(t) for t in args.at.split(",")]
     except ValueError:
         raise ParseError(f"malformed index list {args.at!r}") from None
     J = I.localize(off)
-    print(format_ideal(J))
-    if J.is_unit:
-        print("(unit ideal)")
-    _emit_json(
-        args,
-        {
-            "command": "localize",
-            "ideal": ideal_to_json_dict(I),
-            "at": off,
-            "result": ideal_to_json_dict(J),
-            "unit": J.is_unit,
-        },
-    )
-    return 0
+    lines = [format_ideal(J)] + (["(unit ideal)"] if J.is_unit else [])
+    payload = {
+        "command": "localize",
+        "ideal": ideal_to_json_dict(I),
+        "at": off,
+        "result": ideal_to_json_dict(J),
+        "unit": J.is_unit,
+    }
+    return 0, lines, payload
 
 
-def _cmd_suite(args) -> int:
+def _cmd_suite(args):
     runner = SUITES[args.name]
     # corpus options default to absent, so args holds exactly the ones given
     corpus = {f.name: getattr(args, f.name) for f in fields(CorpusSpec) if hasattr(args, f.name)}
@@ -238,13 +213,11 @@ def _cmd_suite(args) -> int:
         report = runner()
     else:
         report = runner(CorpusSpec(**{"n": 3, "d": 2, **corpus}), jobs=args.jobs)
-    print(report.summary())
-    for verdict in report.failures:
-        print(f"  {json.dumps(verdict, sort_keys=True)}")
+    lines = [report.summary()]
+    lines += [f"  {json.dumps(verdict, sort_keys=True)}" for verdict in report.failures]
     if args.json_path:
-        Path(args.json_path).write_text(report.to_json())
-        print(f"report written to {args.json_path}")
-    return report.exit_code()
+        lines.append(f"report written to {args.json_path}")
+    return report.exit_code(), lines, report.to_json_dict()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -314,18 +287,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command. Handlers return (exit code, stdout lines, JSON payload);
+    only this function writes, the JSON first, so an exit of 2 prints nothing."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code, lines, payload = args.func(args)
+        if args.json_path:
+            Path(args.json_path).write_text(dump_json(payload))
     except (PolymatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    print("\n".join(lines))
+    return code
 
 
 def entrypoint() -> None:
     raise SystemExit(main())
-
-
-if __name__ == "__main__":
-    entrypoint()

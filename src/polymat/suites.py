@@ -8,6 +8,7 @@ in-memory report, never in the JSON.
 
 from __future__ import annotations
 
+import os
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -75,18 +76,19 @@ class CheckReport:
     def exit_code(self) -> int:
         return 0 if self.passed else 1
 
+    def to_json_dict(self) -> dict:
+        return {
+            "suite": self.suite,
+            "parameters": self.parameters,
+            "seed": self.seed,
+            "totals": self.totals,
+            "passed": self.passed,
+            "notes": [],  # schema 1 keeps the key; nothing writes notes
+            "verdicts": self.verdicts,
+        }
+
     def to_json(self) -> str:
-        return dump_json(
-            {
-                "suite": self.suite,
-                "parameters": self.parameters,
-                "seed": self.seed,
-                "totals": self.totals,
-                "passed": self.passed,
-                "notes": [],  # schema 1 keeps the key; nothing writes notes
-                "verdicts": self.verdicts,
-            }
-        )
+        return dump_json(self.to_json_dict())
 
     def summary(self) -> str:
         counts = ", ".join(f"{k}={v}" for k, v in sorted(self.totals.items()))
@@ -115,7 +117,11 @@ def _check_jobs(jobs: int) -> None:
 def _run_suite(
     name: str, verdict_fn: Callable[[CorpusItem], dict], spec: CorpusSpec, jobs: int
 ) -> CheckReport:
-    """Map verdict_fn over the corpus on `jobs` processes and tally a report."""
+    """Map verdict_fn over the corpus on `jobs` processes and tally a report.
+
+    Under fork the pool starts all its workers at the first submit, so it
+    gets at most one per CPU; the chunk size still follows `jobs`.
+    """
     _check_jobs(jobs)
     start = time.perf_counter()
     items = list(enumerate_corpus(spec))
@@ -123,7 +129,7 @@ def _run_suite(
         verdicts = [verdict_fn(item) for item in items]
     else:
         chunk = max(1, len(items) // (jobs * 8))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1)) as pool:
             verdicts = list(pool.map(verdict_fn, items, chunksize=chunk))
     return CheckReport(name, spec.to_json_dict(), verdicts, time.perf_counter() - start)
 

@@ -124,6 +124,7 @@ def test_bounds_error_exits_2(capsys):
 
 
 NON_UTF8_FILE = "<a binary file written by the test>"
+UNWRITABLE_JSON = "<a --json path in a directory that does not exist>"
 
 
 @pytest.mark.parametrize(
@@ -180,13 +181,22 @@ NON_UTF8_FILE = "<a binary file written by the test>"
         # n! enumerations above the permutation guard
         ["check", "qwlr", "x1 + x11", "--kind", "lex", "--all-orders"],
         ["suite", "theorem", "--n", "11", "--d", "1", "--dedupe-isomorphic", "--jobs", "1"],
+        # a --json path that cannot be written, for commands that would pass
+        ["check", "poly", "x1*x2", "--json", UNWRITABLE_JSON],
+        ["check", "lq", "x1*x2", "--kind", "lex", "--order", "1,2", "--json", UNWRITABLE_JSON],
+        ["check", "qwlr", "x1*x2", "--kind", "lex", "--order", "1,2", "--json", UNWRITABLE_JSON],
+        ["betti", "x1*x2", "--json", UNWRITABLE_JSON],
+        ["lexsegment", "--u", "x1", "--v", "x2", "--json", UNWRITABLE_JSON],
+        ["localize", "x1*x2", "--at", "1", "--json", UNWRITABLE_JSON],
+        ["suite", "remark", "--json", UNWRITABLE_JSON],
     ],
 )
 def test_error_contract_exits_2(argv, capsys, tmp_path):
     binary = tmp_path / "ideal.bin"
     # the head of an executable: 0x80 and up never start a UTF-8 character
     binary.write_bytes(b"\x7fELF\x02\x01\x01\x00" + bytes(range(0x80, 0xB8)))
-    argv = [str(binary) if arg == NON_UTF8_FILE else arg for arg in argv]
+    replace = {NON_UTF8_FILE: str(binary), UNWRITABLE_JSON: str(tmp_path / "missing" / "out.json")}
+    argv = [replace.get(arg, arg) for arg in argv]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

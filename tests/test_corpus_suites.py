@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -159,6 +160,32 @@ class TestLocalizationSuite:
             if len(off) == 3:
                 continue
             assert pm.has_linear_resolution(ideal.localize(off))
+
+
+class TestWorkerPool:
+    def test_workers_capped_at_cpu_count(self, monkeypatch):
+        # a real pool forks every worker at its first submit, so this one
+        # only records its size and maps in-process
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize):
+                return map(fn, items)
+
+        monkeypatch.setattr(suites, "ProcessPoolExecutor", RecordingPool)
+        spec = pm.CorpusSpec(n=2, d=1)
+        report = pm.run_theorem_suite(spec, jobs=10**6)
+        assert sizes == [os.cpu_count() or 1]
+        assert report.to_json() == pm.run_theorem_suite(spec, jobs=1).to_json()
 
 
 class TestReportDeterminism:

@@ -81,6 +81,24 @@ def test_factorial_loops_stay_behind_the_permutation_guard():
     assert not found, found
 
 
+def test_cli_writes_output_only_in_main():
+    # handlers return (code, lines, payload) and main writes: the JSON file
+    # first, then stdout, so an unwritable --json path leaves stdout empty
+    path = SOURCE / "cli.py"
+    writers = {"print", "open", "write", "write_text", "write_bytes"}
+    found = []
+    for top in ast.parse(path.read_text(), filename=str(path)).body:
+        if getattr(top, "name", None) == "main":
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in writers:
+                    found.append(f"cli.py:{node.lineno} {ast.unparse(func)}")
+    assert not found, found
+
+
 def test_tracer_hooks_resolve():
     # the benchmark's tracer rebinds these attributes to time each layer; a
     # renamed one would silently read zero, so it must fail here instead.
