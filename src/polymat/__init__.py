@@ -42,7 +42,6 @@ from .errors import (
     UnitIdealError,
 )
 from .ioformats import (
-    format_ideal,
     ideal_from_json_dict,
     ideal_to_json_dict,
     load_ideal_text,
@@ -72,7 +71,6 @@ from .polymatroid import (
 from .quotients import (
     ConjectureOutcome,
     ConjectureProbe,
-    GeneratorSequence,
     LQFailure,
     TheoremCheck,
     conjecture_probe,

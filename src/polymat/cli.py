@@ -20,7 +20,6 @@ from .corpus import CorpusSpec
 from .errors import InvalidArgumentError, ParseError, PolymatError
 from .ioformats import (
     dump_json,
-    format_ideal,
     ideal_to_json_dict,
     load_ideal_text,
     parse_monomial,
@@ -73,10 +72,10 @@ def _cmd_check_poly(args):
     I = _load_ideal(args)
     witness = exchange_failure(I)
     if witness is None:
-        lines = [f"polymatroidal: {format_ideal(I)}"]
+        lines = [f"polymatroidal: {I}"]
     else:
         lines = [
-            f"NOT polymatroidal: {format_ideal(I)}",
+            f"NOT polymatroidal: {I}",
             f"  exchange fails for u={witness.u}, v={witness.v}, variable x{witness.variable}",
         ]
     payload = {
@@ -189,7 +188,7 @@ def _cmd_localize(args):
     except ValueError:
         raise ParseError(f"malformed index list {args.at!r}") from None
     J = I.localize(off)
-    lines = [format_ideal(J)] + (["(unit ideal)"] if J.is_unit else [])
+    lines = [str(J)] + (["(unit ideal)"] if J.is_unit else [])
     payload = {
         "command": "localize",
         "ideal": ideal_to_json_dict(I),

@@ -75,6 +75,9 @@ class CorpusSpec:
                 )
 
     def size(self) -> int:
+        """The number of ideals in the corpus; only a deduped one is enumerated."""
+        if self.dedupe_isomorphic:
+            return len(corpus_masks(self))
         if self.mode == "exhaustive":
             return (1 << comb(self.n + self.d - 1, self.d)) - self.start_mask
         return self.count

@@ -24,10 +24,6 @@ SCHEMA_VERSION = 1
 _FACTOR_RE = re.compile(r"x(\d+)(?:\^(\d+))?")
 
 
-def format_ideal(I: MonomialIdeal, sep: str = " + ") -> str:
-    return sep.join(str(g) for g in I.gens)
-
-
 def _parse_factors(token: str, offset: int, line: int) -> list[tuple[int, int]]:
     """Parse one monomial token into (1-based variable, exponent) pairs."""
     text = token.strip()

@@ -1,9 +1,11 @@
 """Linear quotients under variable-induced generator orderings.
 
-A generator sequence is declared by a monomial order kind (lex or revlex)
-plus a variable permutation; the sequence lists the minimal generators in
-strictly decreasing order, so prefixes are exactly the sets of strictly
-greater generators.  linear_quotients_failure tests one such sequence.
+sort_generators lists the minimal generators as a tuple in strictly
+decreasing order under the lex or revlex order that a variable permutation
+induces (core.lex_key, core.revlex_key), so prefixes are exactly the sets
+of strictly greater generators.  linear_quotients_failure and
+has_quotients_with_linear_resolution test that tuple, or any non-empty
+sequence of monomials in one ring.
 
 The quantified check lq_all_orders_failure covers all n! permutations and
 reports the first failing one in lexicographic permutation order.  It tests
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 from .betti import has_linear_resolution
 from .core import (
@@ -51,41 +54,10 @@ from .core import (
     make_ideal,
     revlex_key,
 )
-from .errors import AmbientMismatchError
+from .errors import AmbientMismatchError, EmptyIdealError, InvalidArgumentError
 from .polymatroid import ExchangeWitness, exchange_failure, require_equigenerated
 
-ORDER_KINDS = ("lex", "revlex")
-
-
-def induced_key(kind: str, order: VariableOrder):
-    """Sort-key function for the monomial order of the given kind."""
-    if kind == "lex":
-        return lambda m: lex_key(m, order)
-    if kind == "revlex":
-        return lambda m: revlex_key(m, order)
-    raise ValueError(f"unknown order kind {kind!r}")
-
-
-@dataclass(frozen=True)
-class GeneratorSequence:
-    """A total ordering of an ideal's minimal generators.
-
-    sort_generators always produces the strictly decreasing sequence for
-    its monomial order; free-form sequences may be constructed directly
-    (the constructor only checks that seq is a permutation of the
-    generators).
-    """
-
-    ideal: MonomialIdeal
-    order_kind: str
-    var_order: VariableOrder
-    seq: tuple[Monomial, ...]
-
-    def __post_init__(self) -> None:
-        if self.order_kind not in ORDER_KINDS:
-            raise ValueError(f"unknown order kind {self.order_kind!r}")
-        if len(self.seq) != len(self.ideal.gens) or set(self.seq) != set(self.ideal.gens):
-            raise ValueError("sequence is not a permutation of the minimal generators")
+_KEYS = {"lex": lex_key, "revlex": revlex_key}  # the induced order of each kind
 
 
 @dataclass(frozen=True)
@@ -100,28 +72,39 @@ class LQFailure:
         return {"position": self.position, "blocker": list(self.blocker.exponents)}
 
 
-def sort_generators(I: MonomialIdeal, kind: str, order: VariableOrder) -> GeneratorSequence:
+def sort_generators(I: MonomialIdeal, kind: str, order: VariableOrder) -> tuple[Monomial, ...]:
     """Generators in strictly decreasing induced order (greatest first)."""
     require_equigenerated(I)
     if order.n != I.n:
         raise AmbientMismatchError(
             f"variable order {order} has {order.n} variables, the ideal {I.n}"
         )
-    key = induced_key(kind, order)
-    seq = tuple(sorted(I.gens, key=key, reverse=True))
-    return GeneratorSequence(I, kind, order, seq)
+    if kind not in _KEYS:
+        raise InvalidArgumentError(f"unknown order kind {kind!r}")
+    key = _KEYS[kind]
+    return tuple(sorted(I.gens, key=lambda m: key(m, order), reverse=True))
 
 
-def linear_quotients_failure(seq: GeneratorSequence) -> LQFailure | None:
+def _ring(seq: Sequence[Monomial]) -> int:
+    """The variable count of a non-empty sequence of monomials in one ring."""
+    if not seq:
+        raise EmptyIdealError("a generator sequence needs at least one monomial")
+    n = seq[0].n
+    if any(m.n != n for m in seq):
+        raise AmbientMismatchError("the sequence mixes monomials of different rings")
+    return n
+
+
+def linear_quotients_failure(seq: Sequence[Monomial]) -> LQFailure | None:
     """First position where a prefix colon ideal is not variable-generated.
 
     The prefix colon (u_1..u_{j-1}) : u_j is generated by the monomial
     colons u_i : u_j; it is variable-generated exactly when every such
     colon is divisible by one of the degree-1 colons.
     """
-    mons = seq.seq
-    exps = [m.exponents for m in mons]
-    for j in range(1, len(mons)):
+    _ring(seq)
+    exps = [m.exponents for m in seq]
+    for j in range(1, len(seq)):
         uj = exps[j]
         colons = []
         deg1_vars = set()
@@ -132,12 +115,12 @@ def linear_quotients_failure(seq: GeneratorSequence) -> LQFailure | None:
                 deg1_vars.add(c.index(1))
         uncovered = [i for i, c in enumerate(colons) if not any(c[t] for t in deg1_vars)]
         if uncovered:
-            blocker = max((mons[i] for i in uncovered), key=canonical_key)
+            blocker = max((seq[i] for i in uncovered), key=canonical_key)
             return LQFailure(j + 1, blocker)
     return None
 
 
-def has_linear_quotients(seq: GeneratorSequence) -> bool:
+def has_linear_quotients(seq: Sequence[Monomial]) -> bool:
     return linear_quotients_failure(seq) is None
 
 
@@ -329,20 +312,20 @@ def conjecture_probe(I: MonomialIdeal) -> ConjectureProbe:
     return ConjectureProbe(ConjectureOutcome.COUNTEREXAMPLE, witness, None, None)
 
 
-def has_quotients_with_linear_resolution(seq: GeneratorSequence) -> bool:
-    """The ideal and every prefix colon ideal have linear resolutions.
+def has_quotients_with_linear_resolution(seq: Sequence[Monomial]) -> bool:
+    """The ideal of the sequence and every prefix colon ideal have linear
+    resolutions.
 
     Prefix colon ideals are materialized and minimalized; one generated in
     several degrees counts as not having a linear resolution.  Principal
-    colon ideals pass trivially.  A unit prefix colon would need one
-    generator to divide another and cannot occur.
+    colon ideals pass trivially.  A unit prefix colon, which a free-form
+    sequence has where a monomial divides a later one, counts as linear.
     """
-    I = seq.ideal
+    I = make_ideal(_ring(seq), seq)
     if not has_linear_resolution(I):
         return False
-    mons = seq.seq
-    for j in range(1, len(mons)):
-        prefix_colon = make_ideal(I.n, [colon_monomial(mons[i], mons[j]) for i in range(j)])
+    for j in range(1, len(seq)):
+        prefix_colon = make_ideal(I.n, [colon_monomial(seq[i], seq[j]) for i in range(j)])
         if not has_linear_resolution(prefix_colon):
             return False
     return True

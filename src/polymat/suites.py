@@ -117,19 +117,21 @@ def _check_jobs(jobs: int) -> None:
 def _run_suite(
     name: str, verdict_fn: Callable[[CorpusItem], dict], spec: CorpusSpec, jobs: int
 ) -> CheckReport:
-    """Map verdict_fn over the corpus on `jobs` processes and tally a report.
+    """Map verdict_fn over the corpus on up to `jobs` processes and tally a report.
 
     Under fork the pool starts all its workers at the first submit, so it
-    gets at most one per CPU; the chunk size still follows `jobs`.
+    gets at most one per CPU; where that leaves one, the map runs in this
+    process.
     """
     _check_jobs(jobs)
     start = time.perf_counter()
     items = list(enumerate_corpus(spec))
-    if jobs == 1:
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers == 1:
         verdicts = [verdict_fn(item) for item in items]
     else:
-        chunk = max(1, len(items) // (jobs * 8))
-        with ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1)) as pool:
+        chunk = max(1, len(items) // (workers * 8))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             verdicts = list(pool.map(verdict_fn, items, chunksize=chunk))
     return CheckReport(name, spec.to_json_dict(), verdicts, time.perf_counter() - start)
 

@@ -32,7 +32,8 @@ def two_variable_corpora():
 
 @pytest.fixture(scope="module")
 def lq_survey(exhaustive_corpora, two_variable_corpora):
-    """Every (ideal, kind, order) with linear quotients, over all corpora."""
+    """Every ideal with its (kind, order, sequence) triples that have
+    linear quotients, over all corpora."""
     survey = []
     pools = list(exhaustive_corpora.values()) + list(two_variable_corpora.values())
     for pool in pools:
@@ -42,7 +43,7 @@ def lq_survey(exhaustive_corpora, two_variable_corpora):
                 for order in pm.all_variable_orders(ideal.n):
                     seq = pm.sort_generators(ideal, kind, order)
                     if pm.has_linear_quotients(seq):
-                        hits.append(seq)
+                        hits.append((kind, order, seq))
             survey.append((ideal, hits))
     return survey
 
@@ -119,12 +120,8 @@ def test_criterion_6_lq_implies_linear_resolution_and_qwlr(lq_survey):
             continue
         ideals_with_lq += 1
         assert pm.has_linear_resolution(ideal), ideal
-        for seq in hits:
-            assert pm.has_quotients_with_linear_resolution(seq), (
-                ideal,
-                seq.order_kind,
-                seq.var_order,
-            )
+        for kind, order, seq in hits:
+            assert pm.has_quotients_with_linear_resolution(seq), (ideal, kind, order)
             sequences += 1
     print(
         f"ACCEPTANCE 6 LQ => linear resolution and QWLR: PASS "

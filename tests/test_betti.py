@@ -1,8 +1,10 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from itertools import compress
+from math import comb
 from operator import and_, gt, le
 
 import pytest
@@ -148,6 +150,41 @@ def low_rank_product(rng: random.Random) -> list[list[int]]:
     left = [[rng.randint(-3, 3) for _ in range(inner)] for _ in range(rows)]
     right = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(inner)]
     return [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left]
+
+
+def herzog_takayama_betti(seq) -> pm.BettiTable:
+    """Betti table of the ideal of an equigenerated sequence u_1 > ... > u_m
+    with linear quotients, without homology (Herzog-Takayama, Resolutions by
+    mapping cones, 2002): beta_{i,i+d} = sum_j C(r_j, i), where r_j variables
+    generate (u_1, ..., u_{j-1}) : u_j, and every other entry is 0."""
+    d = seq[0].degree
+    assert all(u.degree == d for u in seq) and pm.has_linear_quotients(seq), seq
+    table = Counter()
+    for j, u in enumerate(seq):
+        colons = (pm.colon_monomial(v, u) for v in seq[:j])
+        r = len({c.support for c in colons if c.degree == 1})
+        for i in range(r + 1):
+            table[i, i + d] += comb(r, i)
+    return pm.BettiTable.from_dict(table)
+
+
+def squarefree_veronese(n: int, k: int) -> pm.MonomialIdeal:
+    """The ideal of all squarefree monomials of degree k in n variables."""
+    return pm.make_ideal(n, [
+        pm.Monomial(tuple(int(t in support) for t in range(n)))
+        for support in itertools.combinations(range(n), k)
+    ])
+
+
+@st.composite
+def squarefree_veronese_products(draw):
+    """A product of one to three squarefree Veronese ideals (polymatroidal),
+    with an induced order under which its generators have linear quotients."""
+    n = draw(st.integers(1, 4))
+    ks = draw(st.lists(st.integers(1, n), min_size=1, max_size=3))
+    ideal = reduce(lambda a, b: a * b, [squarefree_veronese(n, k) for k in ks])
+    order = pm.VariableOrder(tuple(draw(st.permutations(range(1, n + 1)))))
+    return ideal, draw(st.sampled_from(["lex", "revlex"])), order
 
 
 @pytest.fixture
@@ -340,6 +377,40 @@ class TestTaylorOracle:
     @settings(max_examples=40, deadline=None)
     def test_agreement_random(self, ideal):
         assert pm.taylor_strand_betti(ideal) == pm.graded_betti(ideal)
+
+
+class TestHerzogTakayamaOracle:
+    """Full tables of ideals with linear quotients against the mapping-cone
+    formula, past the Taylor oracle's generator limit."""
+
+    def test_squarefree_veronese_10_3(self):
+        ideal = squarefree_veronese(10, 3)
+        assert len(ideal.gens) > betti.TAYLOR_GENERATOR_LIMIT
+        seq = pm.sort_generators(ideal, "lex", pm.VariableOrder.identity(10))
+        assert pm.graded_betti(ideal) == herzog_takayama_betti(seq)
+
+    def test_polymatroidal_corpora_and_localizations(self):
+        ideals = set()
+        for n, d in ((3, 2), (4, 2), (3, 3), (2, 4)):
+            for item in pm.enumerate_corpus(pm.CorpusSpec(n=n, d=d)):
+                if not pm.is_polymatroidal(item.ideal):
+                    continue
+                for r in range(n):
+                    for off in itertools.combinations(range(1, n + 1), r):
+                        local = item.ideal.localize(off)
+                        if not local.is_unit and local.is_equigenerated() is not None:
+                            ideals.add(local)
+        assert len(ideals) == 295
+        for ideal in ideals:
+            seq = pm.sort_generators(ideal, "revlex", pm.VariableOrder.identity(ideal.n))
+            assert pm.graded_betti(ideal) == herzog_takayama_betti(seq), ideal
+
+    @given(squarefree_veronese_products())
+    @settings(max_examples=40, deadline=None)
+    def test_products_of_squarefree_veronese(self, case):
+        ideal, kind, order = case
+        seq = pm.sort_generators(ideal, kind, order)
+        assert pm.graded_betti(ideal) == herzog_takayama_betti(seq)
 
 
 class TestHasLinearResolution:

@@ -63,6 +63,19 @@ class TestCorpus:
         with pytest.raises(pm.InvalidArgumentError):
             pm.CorpusSpec(n=3, d=2, **kwargs)
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            pm.CorpusSpec(n=3, d=2),
+            pm.CorpusSpec(n=3, d=2, start_mask=40),
+            pm.CorpusSpec(n=3, d=2, dedupe_isomorphic=True),
+            pm.CorpusSpec(n=4, d=2, start_mask=500, dedupe_isomorphic=True),
+            pm.CorpusSpec(n=4, d=3, mode="random", m=5, count=30, seed=3),
+        ],
+    )
+    def test_size_counts_the_corpus(self, spec):
+        assert spec.size() == sum(1 for _ in pm.enumerate_corpus(spec))
+
     def test_dedupe_isomorphic_orbit_count(self):
         # Burnside over S_3 acting on the 6 degree-2 monomials:
         # (2^6 + 3*2^4 + 2*2^2) / 6 = 20 orbits, 19 without the empty set
@@ -163,14 +176,18 @@ class TestLocalizationSuite:
 
 
 class TestWorkerPool:
-    def test_workers_capped_at_cpu_count(self, monkeypatch):
-        # a real pool forks every worker at its first submit, so this one
-        # only records its size and maps in-process
-        sizes = []
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """(max_workers, chunksize) of every pool the suites start.
+
+        A real pool forks every worker at its first submit, so this one only
+        records its size and chunking and maps in-process.
+        """
+        calls = []
 
         class RecordingPool:
             def __init__(self, max_workers):
-                sizes.append(max_workers)
+                self.max_workers = max_workers
 
             def __enter__(self):
                 return self
@@ -179,13 +196,31 @@ class TestWorkerPool:
                 return False
 
             def map(self, fn, items, chunksize):
+                calls.append((self.max_workers, chunksize))
                 return map(fn, items)
 
         monkeypatch.setattr(suites, "ProcessPoolExecutor", RecordingPool)
+        return calls
+
+    def test_workers_capped_at_cpu_count(self, monkeypatch, pools):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         spec = pm.CorpusSpec(n=2, d=1)
         report = pm.run_theorem_suite(spec, jobs=10**6)
-        assert sizes == [os.cpu_count() or 1]
+        assert [size for size, _ in pools] == [2]
         assert report.to_json() == pm.run_theorem_suite(spec, jobs=1).to_json()
+
+    def test_one_cpu_starts_no_pool(self, monkeypatch, pools):
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        spec = pm.CorpusSpec(n=2, d=1)
+        report = pm.run_theorem_suite(spec, jobs=4)
+        assert pools == []
+        assert report.to_json() == pm.run_theorem_suite(spec, jobs=1).to_json()
+
+    def test_chunk_size_follows_the_workers(self, monkeypatch, pools):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        spec = pm.CorpusSpec(n=3, d=2)
+        pm.run_theorem_suite(spec, jobs=10**6)
+        assert pools == [(2, spec.size() // 16)]
 
 
 class TestReportDeterminism:

@@ -21,28 +21,61 @@ def first_failing_order_brute(ideal, kind):
 class TestSortGenerators:
     def test_veronese22_lex(self):
         seq = pm.sort_generators(veronese(2, 2), "lex", O.identity(2))
-        assert seq.seq == (M("x1^2", 2), M("x1*x2", 2), M("x2^2", 2))
+        assert seq == (M("x1^2", 2), M("x1*x2", 2), M("x2^2", 2))
 
     def test_veronese22_revlex_agrees(self):
         seq = pm.sort_generators(veronese(2, 2), "revlex", O.identity(2))
-        assert seq.seq == (M("x1^2", 2), M("x1*x2", 2), M("x2^2", 2))
+        assert seq == (M("x1^2", 2), M("x1*x2", 2), M("x2^2", 2))
 
     def test_remark_ideal_lex_321(self, remark_ideal):
         # rank by exponent of x3 first, then x2, then x1
         seq = pm.sort_generators(remark_ideal, "lex", O((3, 2, 1)))
-        assert seq.seq == (M("x1*x3^2"), M("x2^2*x3"), M("x1*x2*x3"), M("x1^2*x3"))
+        assert seq == (M("x1*x3^2"), M("x2^2*x3"), M("x1*x2*x3"), M("x1^2*x3"))
 
     def test_requires_equigenerated(self):
         with pytest.raises(pm.NotEquigeneratedError):
             pm.sort_generators(I("x1 + x2^2"), "lex", O.identity(2))
 
-    def test_free_form_sequence_must_be_permutation(self, remark_ideal):
-        with pytest.raises(ValueError):
-            pm.GeneratorSequence(remark_ideal, "lex", O.identity(3), remark_ideal.gens[:2])
-
     def test_order_must_match_ambient(self):
         with pytest.raises(pm.AmbientMismatchError):
             pm.sort_generators(I("x1*x3 + x2*x3 + x1*x2"), "lex", O((2, 1)))
+
+    def test_unknown_kind(self, remark_ideal):
+        with pytest.raises(pm.InvalidArgumentError, match="deglex"):
+            pm.sort_generators(remark_ideal, "deglex", O.identity(3))
+
+    @pytest.mark.parametrize("n,d", [(3, 2), (4, 2), (3, 3)])
+    def test_sorts_by_the_core_keys(self, n, d):
+        keys = {"lex": pm.lex_key, "revlex": pm.revlex_key}
+        orders = list(pm.all_variable_orders(n))
+        for item in pm.enumerate_corpus(pm.CorpusSpec(n=n, d=d)):
+            for kind, key in keys.items():
+                for order in orders:
+                    expected = sorted(item.ideal.gens, key=lambda m: key(m, order), reverse=True)
+                    assert pm.sort_generators(item.ideal, kind, order) == tuple(expected)
+
+
+class TestFreeFormSequences:
+    # the sequence checks take any non-empty sequence of monomials in one ring
+    CHECKS = (pm.linear_quotients_failure, pm.has_quotients_with_linear_resolution)
+
+    @pytest.mark.parametrize("check", CHECKS)
+    def test_empty_sequence_refused(self, check):
+        with pytest.raises(pm.EmptyIdealError):
+            check(())
+
+    @pytest.mark.parametrize("check", CHECKS)
+    def test_mixed_rings_refused(self, check):
+        with pytest.raises(pm.AmbientMismatchError):
+            check((M("x1*x2", 2), M("x1*x3", 3)))
+
+    def test_list_equals_sorted_tuple(self, remark_ideal):
+        seq = pm.sort_generators(remark_ideal, "lex", O((3, 2, 1)))
+        assert pm.linear_quotients_failure(list(seq)) == pm.linear_quotients_failure(seq)
+
+    def test_unit_prefix_colon_counts_as_linear(self):
+        # x1 divides x1*x2, so (x1) : x1*x2 is the unit ideal
+        assert pm.has_quotients_with_linear_resolution((M("x1", 2), M("x1*x2", 2)))
 
 
 class TestHasLinearQuotients:
@@ -76,10 +109,9 @@ class TestHasLinearQuotients:
         for item in pm.enumerate_corpus(pm.CorpusSpec(n=3, d=2)):
             for kind in ("lex", "revlex"):
                 seq = pm.sort_generators(item.ideal, kind, identity)
-                mons = seq.seq
                 first_bad = None
-                for j in range(1, len(mons)):
-                    colons = [pm.colon_monomial(mons[i], mons[j]) for i in range(j)]
+                for j in range(1, len(seq)):
+                    colons = [pm.colon_monomial(seq[i], seq[j]) for i in range(j)]
                     prefix_colon = pm.make_ideal(item.ideal.n, colons)
                     if any(g.degree != 1 for g in prefix_colon.gens):
                         first_bad = j + 1

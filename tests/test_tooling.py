@@ -1,7 +1,9 @@
 import ast
 import builtins
 import importlib
+import io
 import re
+import tokenize
 import types
 from pathlib import Path
 
@@ -135,3 +137,22 @@ def test_readme_export_list_matches_package():
     unknown = {name for name in listed - set(polymat.__all__)
                if not hasattr(polymat.MonomialIdeal, name) and not hasattr(builtins, name)}
     assert not unknown, sorted(unknown)
+
+
+def test_readme_example_runs():
+    # the one-minute example runs line by line, and each expression whose
+    # comment starts with "# True" or "# False" evaluates to that value
+    (block,) = re.findall(r"## Library in one minute\s+```python\n(.*?)```",
+                          README.read_text(), re.S)
+    namespace = {}
+    checked = 0
+    for line in block.splitlines():
+        tokens = tokenize.generate_tokens(io.StringIO(line).readline)
+        comment = next((t.string for t in tokens if t.type == tokenize.COMMENT), "")
+        verdict = re.match(r"# (True|False)\b", comment)
+        if verdict:
+            assert eval(line, namespace) is (verdict[1] == "True"), line
+            checked += 1
+        else:
+            exec(line, namespace)
+    assert checked >= 5, checked
