@@ -22,7 +22,6 @@ from .core import (
     all_variable_orders,
     colon_monomial,
     lex_key,
-    make_ideal,
     monomial_lcm,
     revlex_key,
     unit_ideal,

@@ -5,6 +5,11 @@ indexed from 0, so the exponent of x<i> sits at position i-1; every public
 surface (permutations, witnesses, text formats) speaks 1-based variable
 indices.  Exponents are arbitrary-precision integers.
 
+MonomialIdeal(n, gens) accepts any non-empty generating set in n variables
+and stores the ideal's minimal generators G(I) in canonical order; every
+ideal the toolkit builds (sums, products, powers, localizations, parsed
+and corpus ideals) goes through that one minimalization.
+
 All values are immutable and hashable and every operation is a pure
 function, so they can be shared across worker processes without
 coordination.
@@ -97,7 +102,7 @@ def unit_monomial(n: int) -> Monomial:
 def variable_monomial(var: int, n: int) -> Monomial:
     """The monomial x<var> in n variables (var is 1-based)."""
     if not 1 <= var <= n:
-        raise ValueError(f"variable index {var} out of range 1..{n}")
+        raise InvalidArgumentError(f"variable index {var} out of range 1..{n}")
     return Monomial(tuple(1 if i == var - 1 else 0 for i in range(n)))
 
 
@@ -190,45 +195,38 @@ def canonical_key(m: Monomial):
 
 @dataclass(frozen=True)
 class MonomialIdeal:
-    """A monomial ideal, stored as its unique minimal generating set.
+    """The monomial ideal that `gens` generates in n variables, stored as
+    its unique minimal generating set G(I).
 
-    Generators are kept in canonical order (decreasing graded-lex under the
+    Construction computes G(I) from any non-empty generating set: repeats
+    and multiples of other members are dropped, and the caller's Monomial
+    objects are kept in canonical order (decreasing graded-lex under the
     identity variable order), so structural equality is ideal equality.
-    Direct construction validates the invariants; use make_ideal to build
-    from an arbitrary generating set.
 
-    Minimality is tested only between generators of different degrees: a
-    proper divisor has strictly smaller degree, and the canonical order
-    puts every generator after all generators of greater degree, so g is
-    tested against the prefix before the first generator of its own
-    degree.  An equigenerated ideal therefore needs no divisibility test,
-    and a failure names the same pair (g, h) as a test of every ordered
-    pair in index order would.
+    A proper divisor has strictly smaller degree, so in ascending degree
+    order each exponent vector is tested only against the kept vectors of
+    smaller degree; an equigenerated ideal needs no divisibility test.
     """
 
     n: int
     gens: tuple[Monomial, ...]
 
     def __post_init__(self) -> None:
-        gens = tuple(self.gens)
-        if not gens:
+        by_exps = {g.exponents: g for g in self.gens}
+        if not by_exps:
             raise EmptyIdealError("an ideal needs at least one generator")
-        exps = [g.exponents for g in gens]
-        for e in exps:
-            _check_ambient(self.n, len(e))
-        keys = [(sum(e), e) for e in exps]  # canonical_key, without the property calls
-        if any(a <= b for a, b in zip(keys, keys[1:])):
-            raise ValueError("generators not in canonical decreasing order")
-        # keys strictly decrease, so degrees never increase along gens
-        first = 0  # index of the first generator of the current degree
-        for i, (degree, _) in enumerate(keys):
-            if degree != keys[first][0]:
-                first = i
-            g = gens[i]
-            for h in gens[:first]:
-                if g.divides(h):
-                    raise ValueError(f"non-minimal generating set: {g} divides {h}")
-        object.__setattr__(self, "gens", gens)
+        n = self.n
+        kept: list[tuple[int, ...]] = []
+        degree = lower = 0  # kept[:lower] holds the kept vectors of smaller degree
+        for d, e in sorted(zip(map(sum, by_exps), by_exps)):
+            if len(e) != n:
+                _check_ambient(n, len(e))
+            if d != degree:
+                degree, lower = d, len(kept)
+            if lower and any(all(map(operator.le, k, e)) for k in kept[:lower]):
+                continue
+            kept.append(e)
+        object.__setattr__(self, "gens", tuple(map(by_exps.__getitem__, reversed(kept))))
 
     @property
     def is_unit(self) -> bool:
@@ -245,26 +243,31 @@ class MonomialIdeal:
         return d if self.gens[-1].degree == d else None
 
     def localize(self, off: Iterable[int]) -> MonomialIdeal:
-        """Substitute x_i -> 1 for every 1-based index i in `off`, then minimalize."""
+        """Substitute x_i -> 1 for every 1-based index i in `off`, then minimalize.
+
+        A generator whose support misses `off` is passed on as the same object.
+        """
         off = set(off)
         for i in off:
             if not 1 <= i <= self.n:
                 raise InvalidArgumentError(f"variable index {i} out of range 1..{self.n}")
         keep = tuple(0 if i + 1 in off else 1 for i in range(self.n))
-        exps = {tuple(map(operator.mul, g.exponents, keep)) for g in self.gens}
-        return _minimal_ideal(self.n, exps)
+        zeroed: dict[tuple[int, ...], Monomial] = {}
+        for g in self.gens:
+            e = tuple(map(operator.mul, g.exponents, keep))
+            if e not in zeroed:
+                zeroed[e] = g if e == g.exponents else Monomial(e)
+        return MonomialIdeal(self.n, zeroed.values())
 
     def __add__(self, other: MonomialIdeal) -> MonomialIdeal:
-        _check_ambient(self.n, other.n)
-        return make_ideal(self.n, self.gens + other.gens)
+        return MonomialIdeal(self.n, self.gens + other.gens)
 
     def __mul__(self, other: MonomialIdeal) -> MonomialIdeal:
-        _check_ambient(self.n, other.n)
-        return make_ideal(self.n, [g * h for g in self.gens for h in other.gens])
+        return MonomialIdeal(self.n, [g * h for g in self.gens for h in other.gens])
 
     def __pow__(self, e: int) -> MonomialIdeal:
         if e < 0:
-            raise ValueError("exponent must be non-negative")
+            raise InvalidArgumentError("exponent must be non-negative")
         result = unit_ideal(self.n)
         for _ in range(e):
             result = result * self
@@ -277,28 +280,3 @@ class MonomialIdeal:
 def unit_ideal(n: int) -> MonomialIdeal:
     return MonomialIdeal(n, (unit_monomial(n),))
 
-
-def _minimal_ideal(n: int, exps: set[tuple[int, ...]]) -> MonomialIdeal:
-    """The ideal generated by a set of distinct exponent tuples, minimalized.
-
-    A proper divisor has strictly smaller degree, so in ascending order each
-    tuple is tested only against the kept tuples of smaller degree.
-    """
-    kept: list[tuple[int, ...]] = []
-    degree = lower = 0  # kept[:lower] holds the kept tuples of smaller degree
-    for d, e in sorted((sum(e), e) for e in exps):
-        if d != degree:
-            degree, lower = d, len(kept)
-        if not any(all(map(operator.le, k, e)) for k in kept[:lower]):
-            kept.append(e)
-    return MonomialIdeal(n, tuple(Monomial(e) for e in reversed(kept)))
-
-
-def make_ideal(n: int, raw: Iterable[Monomial]) -> MonomialIdeal:
-    """Minimalize a generating set: drop duplicates and divisible monomials."""
-    mons = list(raw)
-    if not mons:
-        raise EmptyIdealError("cannot build an ideal from an empty generating set")
-    for m in mons:
-        _check_ambient(n, m.n)
-    return _minimal_ideal(n, {m.exponents for m in mons})

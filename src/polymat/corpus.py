@@ -107,7 +107,10 @@ def _decode(basis: tuple[Monomial, ...], mask: int) -> tuple[Monomial, ...]:
 
 def ideal_from_mask(n: int, d: int, mask: int) -> MonomialIdeal:
     """Rebuild the ideal a bitmask denotes (bit i = i-th lex-descending monomial)."""
-    return MonomialIdeal(n, _decode(monomials_of_degree(n, d).elems, mask))
+    basis = monomials_of_degree(n, d).elems
+    if not 1 <= mask < 1 << len(basis):
+        raise InvalidArgumentError(f"mask {mask} out of range for {len(basis)} basis monomials")
+    return MonomialIdeal(n, _decode(basis, mask))
 
 
 def corpus_masks(spec: CorpusSpec) -> list[int]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import re
 
-from .core import Monomial, MonomialIdeal, VariableOrder, make_ideal
+from .core import Monomial, MonomialIdeal, VariableOrder
 from .errors import ParseError
 from .version import __version__
 
@@ -89,7 +89,7 @@ def parse_ideal(text: str, n: int | None = None) -> MonomialIdeal:
             raise ParseError("cannot infer the variable count of the unit ideal", 0, 1)
         n = max(indices)
     mons = [_build_monomial(pairs, n, off, ln) for pairs, off, ln in parsed]
-    return make_ideal(n, mons)
+    return MonomialIdeal(n, mons)
 
 
 def parse_variable_order(text: str) -> VariableOrder:
@@ -132,16 +132,20 @@ def ideal_from_json_dict(data: dict) -> MonomialIdeal:
         mons.append(Monomial(tuple(vec)))
     if not mons:
         raise ParseError("no generators given", 0, 1)
-    return make_ideal(n, mons)
+    return MonomialIdeal(n, mons)
 
 
 def load_ideal_text(text: str, n: int | None = None) -> MonomialIdeal:
-    """Parse an ideal from either the text format or the JSON form."""
+    """Parse an ideal from either the text format or the JSON form; a given
+    n must agree with the "n" of a JSON document."""
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad JSON: {exc.msg}", exc.colno - 1, exc.lineno) from None
-        return ideal_from_json_dict(data)
+        ideal = ideal_from_json_dict(data)
+        if n is not None and n != ideal.n:
+            raise ParseError(f'n={n} was given, but the JSON says "n": {ideal.n}', 0, 1)
+        return ideal
     return parse_ideal(text, n)

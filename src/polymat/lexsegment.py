@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Iterator
 
-from .core import Monomial, MonomialIdeal, make_ideal, variable_monomial
+from .core import Monomial, MonomialIdeal, variable_monomial
 from .errors import InvalidArgumentError
 
 
@@ -26,12 +26,12 @@ class MonomialSet:
     def __post_init__(self) -> None:
         for m in self.elems:
             if m.n != self.n:
-                raise ValueError(f"{m} does not live in {self.n} variables")
+                raise InvalidArgumentError(f"{m} does not live in {self.n} variables")
             if m.degree != self.d:
-                raise ValueError(f"{m} does not have degree {self.d}")
+                raise InvalidArgumentError(f"{m} does not have degree {self.d}")
         vecs = [m.exponents for m in self.elems]
         if any(a <= b for a, b in zip(vecs, vecs[1:])):
-            raise ValueError("elements not strictly lex-descending")
+            raise InvalidArgumentError("elements not strictly lex-descending")
 
     @classmethod
     def from_monomials(cls, n: int, d: int, mons: Iterable[Monomial]) -> MonomialSet:
@@ -69,7 +69,7 @@ def _vectors_desc(n: int, d: int) -> Iterator[tuple[int, ...]]:
 def monomials_of_degree(n: int, d: int) -> MonomialSet:
     """All C(n+d-1, d) monomials of degree d, lex-descending."""
     if n < 1 or d < 0:
-        raise ValueError(f"need n >= 1 and d >= 0, got n={n}, d={d}")
+        raise InvalidArgumentError(f"need n >= 1 and d >= 0, got n={n}, d={d}")
     return MonomialSet(n, d, tuple(Monomial(v) for v in _vectors_desc(n, d)))
 
 
@@ -97,14 +97,14 @@ def lexsegment(u: Monomial, v: Monomial) -> MonomialSet:
 def shadow(T: MonomialSet) -> MonomialSet:
     """All products of elements of T with single variables, deduplicated."""
     if not T.elems:
-        raise ValueError("shadow of an empty set")
+        raise InvalidArgumentError("shadow of an empty set")
     out = {m * variable_monomial(i, T.n) for m in T.elems for i in range(1, T.n + 1)}
     return MonomialSet.from_monomials(T.n, T.d + 1, out)
 
 
 def iterated_shadow(T: MonomialSet, depth: int) -> MonomialSet:
     if depth < 0:
-        raise ValueError("shadow depth must be non-negative")
+        raise InvalidArgumentError("shadow depth must be non-negative")
     for _ in range(depth):
         T = shadow(T)
     return T
@@ -113,7 +113,7 @@ def iterated_shadow(T: MonomialSet, depth: int) -> MonomialSet:
 def is_lexsegment(T: MonomialSet) -> bool:
     """Whether T is exactly the lex interval between its top and bottom."""
     if not T.elems:
-        raise ValueError("empty set")
+        raise InvalidArgumentError("empty set")
     return T.elems == lexsegment(T.top, T.bottom).elems
 
 
@@ -142,7 +142,7 @@ def final_segment_ideal(v: Monomial) -> MonomialIdeal:
     """The ideal generated by all degree-d monomials lex-greater-or-equal to v."""
     d = v.degree
     top = Monomial((d,) + (0,) * (v.n - 1))
-    return make_ideal(v.n, lexsegment(top, v).elems)
+    return MonomialIdeal(v.n, lexsegment(top, v).elems)
 
 
 def arnehe_criterion(u: Monomial, v: Monomial) -> bool:

@@ -51,7 +51,6 @@ from .core import (
     canonical_key,
     colon_monomial,
     lex_key,
-    make_ideal,
     revlex_key,
 )
 from .errors import AmbientMismatchError, EmptyIdealError, InvalidArgumentError
@@ -321,11 +320,11 @@ def has_quotients_with_linear_resolution(seq: Sequence[Monomial]) -> bool:
     colon ideals pass trivially.  A unit prefix colon, which a free-form
     sequence has where a monomial divides a later one, counts as linear.
     """
-    I = make_ideal(_ring(seq), seq)
+    I = MonomialIdeal(_ring(seq), seq)
     if not has_linear_resolution(I):
         return False
     for j in range(1, len(seq)):
-        prefix_colon = make_ideal(I.n, [colon_monomial(seq[i], seq[j]) for i in range(j)])
+        prefix_colon = MonomialIdeal(I.n, [colon_monomial(seq[i], seq[j]) for i in range(j)])
         if not has_linear_resolution(prefix_colon):
             return False
     return True

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .betti import has_linear_resolution
-from .core import Monomial, MonomialIdeal, VariableOrder, all_variable_orders, make_ideal
+from .core import Monomial, MonomialIdeal, VariableOrder, all_variable_orders
 from .corpus import CorpusItem, CorpusSpec, enumerate_corpus, ideal_from_mask
 from .errors import InvalidArgumentError
 from .ioformats import dump_json, ideal_to_json_dict
@@ -38,7 +38,7 @@ _BAD_VERDICTS = {"MISMATCH", "COUNTEREXAMPLE", "VIOLATION", "fail"}
 
 def remark_ideal() -> MonomialIdeal:
     """The four-generator ideal reproduced by `suite remark`."""
-    return make_ideal(3, map(Monomial, REMARK_GENS))
+    return MonomialIdeal(3, map(Monomial, REMARK_GENS))
 
 
 @dataclass

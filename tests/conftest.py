@@ -20,13 +20,13 @@ def contains(ideal, m):
 
 
 def veronese(n, d):
-    return pm.make_ideal(n, pm.monomials_of_degree(n, d).elems)
+    return pm.MonomialIdeal(n, pm.monomials_of_degree(n, d).elems)
 
 
 def random_ideal(rng: random.Random, n: int, d: int, max_gens: int) -> pm.MonomialIdeal:
     basis = pm.monomials_of_degree(n, d).elems
     m = rng.randint(1, min(max_gens, len(basis)))
-    return pm.make_ideal(n, rng.sample(basis, m))
+    return pm.MonomialIdeal(n, rng.sample(basis, m))
 
 
 @st.composite
@@ -68,7 +68,7 @@ def small_ideals(st_draw, max_n=4, max_d=3, max_gens=6):
     basis = pm.monomials_of_degree(n, d).elems
     size = st_draw(st.integers(1, min(max_gens, len(basis))))
     picks = st_draw(st.permutations(range(len(basis))))
-    return pm.make_ideal(n, [basis[i] for i in picks[:size]])
+    return pm.MonomialIdeal(n, [basis[i] for i in picks[:size]])
 
 
 @pytest.fixture

@@ -95,7 +95,7 @@ def test_criterion_5_betti_oracle_agreement(exhaustive_corpora, two_variable_cor
         d = rng.randint(1, 4)
         basis = pm.monomials_of_degree(n, d).elems
         size = rng.randint(1, min(8, len(basis)))
-        ideal = pm.make_ideal(n, rng.sample(basis, size))
+        ideal = pm.MonomialIdeal(n, rng.sample(basis, size))
         assert pm.graded_betti(ideal) == pm.taylor_strand_betti(ideal), ideal
         random_checked += 1
     corpus_checked = 0
@@ -150,7 +150,7 @@ def test_criterion_8_lexsegment_suite():
                 for v in layer[i:]:
                     if not pm.is_completely_lexsegment(u, v):
                         continue
-                    ideal = pm.make_ideal(n, pm.lexsegment(u, v).elems)
+                    ideal = pm.MonomialIdeal(n, pm.lexsegment(u, v).elems)
                     assert pm.arnehe_criterion(u, v) == pm.has_linear_resolution(ideal), (u, v)
                     criterion_checked += 1
                     outcome = pm.conjecture_probe(ideal).outcome

@@ -141,7 +141,7 @@ def random_mixed_ideal(rng: random.Random) -> pm.MonomialIdeal:
     n = rng.randint(1, 5)
     vecs = {tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(1, 7))}
     vecs.discard((0,) * n)
-    return pm.make_ideal(n, [pm.Monomial(v) for v in vecs or {(1,) * n}])
+    return pm.MonomialIdeal(n, [pm.Monomial(v) for v in vecs or {(1,) * n}])
 
 
 def low_rank_product(rng: random.Random) -> list[list[int]]:
@@ -170,7 +170,7 @@ def herzog_takayama_betti(seq) -> pm.BettiTable:
 
 def squarefree_veronese(n: int, k: int) -> pm.MonomialIdeal:
     """The ideal of all squarefree monomials of degree k in n variables."""
-    return pm.make_ideal(n, [
+    return pm.MonomialIdeal(n, [
         pm.Monomial(tuple(int(t in support) for t in range(n)))
         for support in itertools.combinations(range(n), k)
     ])
@@ -369,7 +369,7 @@ class TestTaylorOracle:
             assert max(i for i, _, _ in table.entries) == 2
 
     def test_gate(self):
-        wide = pm.make_ideal(13, pm.monomials_of_degree(13, 1).elems)
+        wide = pm.MonomialIdeal(13, pm.monomials_of_degree(13, 1).elems)
         with pytest.raises(pm.OracleUnavailableError):
             pm.taylor_strand_betti(wide)
 
@@ -459,7 +459,7 @@ class TestTableProperties:
     def test_invariant_under_variable_permutation(self, ideal):
         table = pm.graded_betti(ideal)
         for perm in itertools.permutations(range(ideal.n)):
-            relabeled = pm.make_ideal(
+            relabeled = pm.MonomialIdeal(
                 ideal.n,
                 [pm.Monomial(tuple(g.exponents[p] for p in perm)) for g in ideal.gens],
             )

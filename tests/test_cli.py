@@ -189,6 +189,8 @@ UNWRITABLE_JSON = "<a --json path in a directory that does not exist>"
         ["lexsegment", "--u", "x1", "--v", "x2", "--json", UNWRITABLE_JSON],
         ["localize", "x1*x2", "--at", "1", "--json", UNWRITABLE_JSON],
         ["suite", "remark", "--json", UNWRITABLE_JSON],
+        # a variable count that contradicts the "n" of an ideal JSON document
+        ["check", "poly", '{"n": 3, "gens": [[1, 0, 0], [0, 1, 0]]}', "--n", "5"],
     ],
 )
 def test_error_contract_exits_2(argv, capsys, tmp_path):

@@ -41,7 +41,7 @@ def compare(key, u, v, order) -> int:
 
 def colon_ideal(ideal, v):
     """The quotient ideal I : v, generated by {g : v for g in G(I)}."""
-    return pm.make_ideal(ideal.n, [pm.colon_monomial(g, v) for g in ideal.gens])
+    return pm.MonomialIdeal(ideal.n, [pm.colon_monomial(g, v) for g in ideal.gens])
 
 
 class TestOrders:
@@ -110,45 +110,60 @@ def generating_lists(st_draw):
 
 
 class TestMakeIdeal:
+    """MonomialIdeal(n, gens) is the ideal any generating set generates."""
+
     @given(generating_lists())
     @settings(max_examples=200)
     def test_matches_brute_force_oracle(self, data):
         n, mons = data
-        assert pm.make_ideal(n, mons).gens == brute_force_minimal_gens(mons)
+        ideal = pm.MonomialIdeal(n, mons)
+        assert ideal.gens == brute_force_minimal_gens(mons)
+        assert pm.MonomialIdeal(ideal.n, ideal.gens) == ideal
 
     def test_divisible_generator_dropped(self):
-        ideal = pm.make_ideal(2, [M("x1^2", 2), M("x1*x2", 2), M("x2", 2)])
+        ideal = pm.MonomialIdeal(2, [M("x1^2", 2), M("x1*x2", 2), M("x2", 2)])
         assert ideal == I("x1^2 + x2")
 
     def test_singleton(self):
-        assert pm.make_ideal(2, [M("x1*x2", 2)]).gens == (M("x1*x2", 2),)
+        assert pm.MonomialIdeal(2, [M("x1*x2", 2)]).gens == (M("x1*x2", 2),)
 
     def test_empty_raises(self):
         with pytest.raises(pm.EmptyIdealError):
-            pm.make_ideal(2, [])
+            pm.MonomialIdeal(2, [])
 
     def test_equal_degree_antichain_kept(self):
         mons = pm.monomials_of_degree(3, 2).elems
-        assert pm.make_ideal(3, mons).gens == mons
+        assert pm.MonomialIdeal(3, mons).gens == mons
 
     @given(monomial_lists())
     @settings(max_examples=60)
     def test_idempotent_and_order_insensitive(self, data):
         n, mons = data
-        ideal = pm.make_ideal(n, mons)
+        ideal = pm.MonomialIdeal(n, mons)
         rng = random.Random(42)
         shuffled = list(mons)
         rng.shuffle(shuffled)
-        assert pm.make_ideal(n, shuffled) == ideal
-        assert pm.make_ideal(n, ideal.gens) == ideal
+        assert pm.MonomialIdeal(n, shuffled) == ideal
+        assert pm.MonomialIdeal(n, ideal.gens) == ideal
 
     def test_direct_construction_validates(self):
-        with pytest.raises(ValueError):
-            pm.MonomialIdeal(2, (M("x1*x2", 2), M("x1", 2)))  # non-minimal
-        with pytest.raises(ValueError):
-            pm.MonomialIdeal(2, (M("x2", 2), M("x1", 2)))  # wrong order
+        non_minimal = pm.MonomialIdeal(2, (M("x1*x2", 2), M("x1", 2)))
+        assert non_minimal.gens == (M("x1", 2),)
+        wrong_order = pm.MonomialIdeal(2, (M("x2", 2), M("x1", 2)))
+        assert wrong_order.gens == (M("x1", 2), M("x2", 2))
         with pytest.raises(pm.AmbientMismatchError):
             pm.MonomialIdeal(3, (M("x1*x2", 3), M("x1", 2)))
+
+    def test_keeps_the_callers_monomials(self):
+        # G(I) is a subset of the given objects, and localize passes every
+        # generator its substitution leaves alone through unchanged
+        mons = [M("x2^2", 4), M("x1^2*x3", 4), M("x3*x4", 4), M("x1^2", 4), M("x2^2", 4)]
+        ideal = pm.MonomialIdeal(4, mons)
+        assert ideal.gens == (M("x1^2", 4), M("x2^2", 4), M("x3*x4", 4))
+        assert all(any(g is m for m in mons) for g in ideal.gens)
+        local = ideal.localize({4})
+        assert local.gens == (M("x1^2", 4), M("x2^2", 4), M("x3", 4))
+        assert local.gens[0] is ideal.gens[0] and local.gens[1] is ideal.gens[1]
 
 
 class TestConstructorEntries:
@@ -173,74 +188,6 @@ class TestConstructorEntries:
 
     def test_variable_order_accepts_index_objects(self):
         assert pm.VariableOrder((self.Two(), 1)).perm == (2, 1)
-
-
-def pairwise_minimality_error(gens):
-    """Oracle: the minimality test of every ordered pair, in index order,
-    that MonomialIdeal ran before it tested only pairs across degrees."""
-    for g, h in itertools.permutations(gens, 2):
-        if g.divides(h):
-            return f"non-minimal generating set: {g} divides {h}"
-    return None
-
-
-@st.composite
-def canonical_generator_tuples(st_draw):
-    """Distinct monomials of mixed degree in canonical decreasing order.  In
-    about half the draws a multiple of one of them joins the tuple, so that
-    tuple is not minimal."""
-    n, mons = st_draw(monomial_lists(max_len=8, max_exp=3))
-    mons = set(mons)
-    if st_draw(st.booleans()):
-        g = st_draw(st.sampled_from(sorted(mons, key=canonical_key)))
-        t = st_draw(st.integers(1, n))
-        mons.add(g * pm.variable_monomial(t, n))
-    return n, tuple(sorted(mons, key=canonical_key, reverse=True))
-
-
-class TestMinimalityCheck:
-    @given(canonical_generator_tuples())
-    @settings(max_examples=300)
-    def test_agrees_with_pairwise_oracle(self, data):
-        n, gens = data
-        expected = pairwise_minimality_error(gens)
-        if expected is None:
-            assert pm.MonomialIdeal(n, gens).gens == gens
-        else:
-            with pytest.raises(ValueError) as exc:
-                pm.MonomialIdeal(n, gens)
-            assert str(exc.value) == expected
-
-    def test_first_offending_pair_named(self):
-        # x1 divides both x1^2*x2 and x1*x3; the pairwise scan names the first
-        gens = (M("x1^2*x2", 3), M("x1*x3", 3), M("x2^2", 3), M("x1", 3))
-        expected = "non-minimal generating set: x1 divides x1^2*x2"
-        assert pairwise_minimality_error(gens) == expected
-        with pytest.raises(ValueError) as exc:
-            pm.MonomialIdeal(3, gens)
-        assert str(exc.value) == expected
-
-    def test_equigenerated_corpora_test_no_pair(self, monkeypatch):
-        calls = 0
-        divides = pm.Monomial.divides
-
-        def counting(self, other):
-            nonlocal calls
-            calls += 1
-            return divides(self, other)
-
-        monkeypatch.setattr(pm.Monomial, "divides", counting)
-        items = {
-            (n, d): list(pm.enumerate_corpus(pm.CorpusSpec(n=n, d=d))) for n, d in ((3, 3), (4, 2))
-        }
-        assert calls == 0
-        pm.MonomialIdeal(2, (M("x1^2", 2), M("x2", 2)))  # mixed degrees: one pair tested
-        assert calls == 1
-        monkeypatch.undo()
-        for (n, _), corpus in items.items():
-            assert len(corpus) == 1023
-            for item in corpus:
-                assert pm.make_ideal(n, item.ideal.gens) == item.ideal
 
 
 class TestIdealOperations:
@@ -272,7 +219,7 @@ class TestIdealOperations:
     @settings(max_examples=60)
     def test_colon_ideal_contains_generator_colons(self, data):
         n, mons = data
-        ideal = pm.make_ideal(n, mons)
+        ideal = pm.MonomialIdeal(n, mons)
         v = mons[0]
         quotient = colon_ideal(ideal, v)
         for g in ideal.gens:
@@ -299,7 +246,7 @@ class TestIdealOperations:
     def test_localize_matches_substitution_oracle(self, data):
         # substitute into every Monomial, then minimalize by brute force
         n, mons = data
-        ideal = pm.make_ideal(n, mons)
+        ideal = pm.MonomialIdeal(n, mons)
         for bits in range(1 << n):
             off = {t + 1 for t in range(n) if bits >> t & 1}
             substituted = [
@@ -316,7 +263,7 @@ class TestIdealOperations:
         left = I("x1 + x2", 3)
         right = I("x2 + x3", 3)
         assert left * right == I("x1*x2 + x1*x3 + x2^2 + x2*x3")
-        assert I("x1 + x2 + x3") ** 2 == pm.make_ideal(3, pm.monomials_of_degree(3, 2).elems)
+        assert I("x1 + x2 + x3") ** 2 == pm.MonomialIdeal(3, pm.monomials_of_degree(3, 2).elems)
         total = I("x1*x2 + x1*x3") + I("x1^2", 3)
         assert total == I("x1*x2 + x1*x3 + x1^2")
 
@@ -326,13 +273,13 @@ class TestIdealOperations:
     def test_is_equigenerated(self):
         assert I("x1^2 + x1*x2").is_equigenerated() == 2
         assert I("x1 + x2^2").is_equigenerated() is None
-        assert pm.make_ideal(3, pm.monomials_of_degree(3, 2).elems).is_equigenerated() == 2
+        assert pm.MonomialIdeal(3, pm.monomials_of_degree(3, 2).elems).is_equigenerated() == 2
 
     @given(monomial_lists())
     def test_is_equigenerated_agrees_with_every_degree(self, data):
         # it reads only the first and last generator, so check it against all of them
         n, mons = data
-        ideal = pm.make_ideal(n, mons)
+        ideal = pm.MonomialIdeal(n, mons)
         degrees = {g.degree for g in ideal.gens}
         assert ideal.is_equigenerated() == (min(degrees) if len(degrees) == 1 else None)
 

@@ -110,6 +110,16 @@ class TestConjectureSuite:
         for verdict in report.verdicts:
             assert pm.reverify_witness(verdict, 3, 2)
 
+    def test_mask_outside_the_corpus_refused(self):
+        # (3,2) has 6 basis monomials, so its masks are 1 .. 2^6 - 1
+        for mask in (-1, 0, 1 << 6):
+            with pytest.raises(pm.InvalidArgumentError):
+                pm.ideal_from_mask(3, 2, mask)
+        verdict = pm.run_conjecture_search(pm.CorpusSpec(n=3, d=2)).verdicts[-1]
+        verdict["mask"] |= 1 << 40
+        with pytest.raises(pm.InvalidArgumentError):
+            pm.reverify_witness(verdict, 3, 2)
+
     def test_random_mode_records_seed(self):
         spec = pm.CorpusSpec(n=4, d=2, mode="random", m=4, count=20, seed=9)
         report = pm.run_conjecture_search(spec)

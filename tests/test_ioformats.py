@@ -57,7 +57,7 @@ def test_format_round_trip():
 @settings(max_examples=50)
 def test_text_round_trip_random(data):
     n, mons = data
-    ideal = pm.make_ideal(n, mons)
+    ideal = pm.MonomialIdeal(n, mons)
     assert pm.parse_ideal(str(ideal), n) == ideal
 
 
@@ -80,6 +80,13 @@ def test_json_rejects_bad_input():
         pm.ideal_from_json_dict({"n": True, "gens": [[1]]})
     with pytest.raises(pm.ParseError):
         pm.ideal_from_json_dict({"n": 2, "gens": [[True, False]]})
+
+
+def test_load_ideal_text_checks_a_given_n_against_json():
+    text = '{"n": 3, "gens": [[1, 0, 0], [0, 1, 0]]}'
+    assert pm.load_ideal_text(text, 3) == I("x1 + x2", 3)
+    with pytest.raises(pm.ParseError):
+        pm.load_ideal_text(text, 5)
 
 
 def test_load_ideal_text_sniffs_json():

@@ -108,7 +108,7 @@ class TestFinalSegmentIdeal:
 
     def test_bottom_element_gives_whole_layer(self):
         ideal = pm.final_segment_ideal(M("x3^2", 3))
-        assert ideal == pm.make_ideal(3, pm.monomials_of_degree(3, 2).elems)
+        assert ideal == pm.MonomialIdeal(3, pm.monomials_of_degree(3, 2).elems)
 
     def test_sum_decomposition_shape(self):
         # x1*(x2,x3) + x1^2 realizes the final segment ending at x1*x3
@@ -136,5 +136,5 @@ class TestCriterion:
                     for v in layer[i:]:
                         if not pm.is_completely_lexsegment(u, v):
                             continue
-                        ideal = pm.make_ideal(n, pm.lexsegment(u, v).elems)
+                        ideal = pm.MonomialIdeal(n, pm.lexsegment(u, v).elems)
                         assert pm.arnehe_criterion(u, v) == pm.has_linear_resolution(ideal)

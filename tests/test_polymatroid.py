@@ -127,7 +127,7 @@ def test_invariant_under_variable_permutation():
     for ideal in ideals:
         expected = pm.is_polymatroidal(ideal)
         for perm in itertools.permutations(range(ideal.n)):
-            relabeled = pm.make_ideal(
+            relabeled = pm.MonomialIdeal(
                 ideal.n,
                 [pm.Monomial(tuple(g.exponents[p] for p in perm)) for g in ideal.gens],
             )

@@ -112,7 +112,7 @@ class TestHasLinearQuotients:
                 first_bad = None
                 for j in range(1, len(seq)):
                     colons = [pm.colon_monomial(seq[i], seq[j]) for i in range(j)]
-                    prefix_colon = pm.make_ideal(item.ideal.n, colons)
+                    prefix_colon = pm.MonomialIdeal(item.ideal.n, colons)
                     if any(g.degree != 1 for g in prefix_colon.gens):
                         first_bad = j + 1
                         break
@@ -153,7 +153,7 @@ class TestAllOrders:
         past_identity = set()
         for r in range(1, max_removed + 1):
             for removed in itertools.combinations(gens, r):
-                ideal = pm.make_ideal(n, [g for g in gens if g not in removed])
+                ideal = pm.MonomialIdeal(n, [g for g in gens if g not in removed])
                 for kind in ("lex", "revlex"):
                     expected = first_failing_order_brute(ideal, kind)
                     assert pm.lq_all_orders_failure(ideal, kind) == expected, (ideal, kind)
@@ -168,7 +168,7 @@ class TestAllOrders:
             assert pm.lq_all_orders_failure(veronese(8, 2), kind) is None
 
     def test_permutation_guard(self):
-        wide = pm.make_ideal(9, pm.monomials_of_degree(9, 1).elems)
+        wide = pm.MonomialIdeal(9, pm.monomials_of_degree(9, 1).elems)
         with pytest.raises(pm.BoundExceededError):
             pm.has_lq_all_orders(wide, "lex")
         # an ideal failing at the very first permutation keeps the lifted

@@ -83,6 +83,31 @@ def test_factorial_loops_stay_behind_the_permutation_guard():
     assert not found, found
 
 
+def test_every_raise_names_a_toolkit_error():
+    # the CLI turns a PolymatError into exit 2, so a usage error must be one
+    # and an internal fault must not look like one: the only other raises
+    # are the process exit and the replay guard of the all-orders search
+    errors_path = SOURCE / "errors.py"
+    toolkit = {node.name for node in ast.parse(errors_path.read_text()).body
+               if isinstance(node, ast.ClassDef)}
+    allowed = {("cli.py", "entrypoint", "SystemExit"),
+               ("quotients.py", "lq_all_orders_failure", "RuntimeError")}
+    found = []
+
+    def visit(node, path, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                name = ast.unparse(exc).rsplit(".", 1)[-1]
+                if name not in toolkit and (path.name, function, name) not in allowed:
+                    found.append(f"{path.name}:{child.lineno} raise {name} in {function}")
+            is_function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, path, child.name if is_function else function)
+
+    for path in sorted(SOURCE.glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), path, None)
+    assert not found, found
+
 def test_cli_writes_output_only_in_main():
     # handlers return (code, lines, payload) and main writes: the JSON file
     # first, then stdout, so an unwritable --json path leaves stdout empty
