@@ -173,8 +173,9 @@ def lex_key(m: Monomial, order: VariableOrder):
     Total degree decides first; ties scan exponents from the greatest
     variable down, larger exponent winning at the first difference.
     """
-    e = m.exponents
-    return (m.degree, tuple(e[p] for p in order.positions))
+    e, positions = m.exponents, order.positions
+    _check_ambient(len(positions), len(e))
+    return (m.degree, tuple(e[p] for p in positions))
 
 
 def revlex_key(m: Monomial, order: VariableOrder):
@@ -184,8 +185,9 @@ def revlex_key(m: Monomial, order: VariableOrder):
     variable up, with the *smaller* exponent winning at the first
     difference.
     """
-    e = m.exponents
-    return (m.degree, tuple(-e[p] for p in reversed(order.positions)))
+    e, positions = m.exponents, order.positions
+    _check_ambient(len(positions), len(e))
+    return (m.degree, tuple(-e[p] for p in reversed(positions)))
 
 
 def canonical_key(m: Monomial):
@@ -212,7 +214,10 @@ class MonomialIdeal:
     gens: tuple[Monomial, ...]
 
     def __post_init__(self) -> None:
-        by_exps = {g.exponents: g for g in self.gens}
+        try:
+            by_exps = {g.exponents: g for g in self.gens}
+        except AttributeError as e:
+            raise InvalidArgumentError(f"{e.obj!r} is not a Monomial") from None
         if not by_exps:
             raise EmptyIdealError("an ideal needs at least one generator")
         n = self.n

@@ -2,14 +2,17 @@
 
 Everything in this module fixes the identity variable order
 x1 > x2 > ... > xn; for same-degree monomials that order coincides with
-plain tuple comparison of exponent vectors.
+plain tuple comparison of exponent vectors.  MonomialSet(n, d, mons)
+computes the canonical form of any monomials of degree d: it drops repeats,
+keeping one of the caller's objects for each, and sorts them lex-descending.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from math import comb
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .core import Monomial, MonomialIdeal, variable_monomial
 from .errors import InvalidArgumentError
@@ -17,35 +20,30 @@ from .errors import InvalidArgumentError
 
 @dataclass(frozen=True)
 class MonomialSet:
-    """Distinct monomials of one degree, stored lex-descending."""
+    """Distinct monomials of one degree, which the constructor sorts lex-descending."""
 
     n: int
     d: int
     elems: tuple[Monomial, ...]
 
     def __post_init__(self) -> None:
-        for m in self.elems:
+        try:
+            by_exps = {m.exponents: m for m in self.elems}
+        except AttributeError as e:
+            raise InvalidArgumentError(f"{e.obj!r} is not a Monomial") from None
+        for m in by_exps.values():
             if m.n != self.n:
                 raise InvalidArgumentError(f"{m} does not live in {self.n} variables")
             if m.degree != self.d:
                 raise InvalidArgumentError(f"{m} does not have degree {self.d}")
-        vecs = [m.exponents for m in self.elems]
-        if any(a <= b for a, b in zip(vecs, vecs[1:])):
-            raise InvalidArgumentError("elements not strictly lex-descending")
-
-    @classmethod
-    def from_monomials(cls, n: int, d: int, mons: Iterable[Monomial]) -> MonomialSet:
-        elems = sorted(set(mons), key=lambda m: m.exponents, reverse=True)
-        return cls(n, d, tuple(elems))
+        descending = sorted(by_exps, reverse=True)
+        object.__setattr__(self, "elems", tuple(map(by_exps.__getitem__, descending)))
 
     def __len__(self) -> int:
         return len(self.elems)
 
     def __iter__(self) -> Iterator[Monomial]:
         return iter(self.elems)
-
-    def __contains__(self, m: Monomial) -> bool:
-        return m in self.elems
 
     @property
     def top(self) -> Monomial:
@@ -56,21 +54,13 @@ class MonomialSet:
         return self.elems[-1]
 
 
-def _vectors_desc(n: int, d: int) -> Iterator[tuple[int, ...]]:
-    # first coordinate descends, the tail recurses: output is tuple-descending
-    if n == 1:
-        yield (d,)
-        return
-    for first in range(d, -1, -1):
-        for rest in _vectors_desc(n - 1, d - first):
-            yield (first, *rest)
-
-
 def monomials_of_degree(n: int, d: int) -> MonomialSet:
     """All C(n+d-1, d) monomials of degree d, lex-descending."""
     if n < 1 or d < 0:
         raise InvalidArgumentError(f"need n >= 1 and d >= 0, got n={n}, d={d}")
-    return MonomialSet(n, d, tuple(Monomial(v) for v in _vectors_desc(n, d)))
+    # ascending variable multisets give descending exponent vectors: the sort is one pass
+    layer = combinations_with_replacement(range(n), d)
+    return MonomialSet(n, d, (Monomial(tuple(map(c.count, range(n)))) for c in layer))
 
 
 def _check_endpoints(u: Monomial, v: Monomial) -> None:
@@ -98,8 +88,8 @@ def shadow(T: MonomialSet) -> MonomialSet:
     """All products of elements of T with single variables, deduplicated."""
     if not T.elems:
         raise InvalidArgumentError("shadow of an empty set")
-    out = {m * variable_monomial(i, T.n) for m in T.elems for i in range(1, T.n + 1)}
-    return MonomialSet.from_monomials(T.n, T.d + 1, out)
+    out = (m * variable_monomial(i, T.n) for m in T.elems for i in range(1, T.n + 1))
+    return MonomialSet(T.n, T.d + 1, out)
 
 
 def iterated_shadow(T: MonomialSet, depth: int) -> MonomialSet:

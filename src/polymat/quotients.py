@@ -88,9 +88,12 @@ def _ring(seq: Sequence[Monomial]) -> int:
     """The variable count of a non-empty sequence of monomials in one ring."""
     if not seq:
         raise EmptyIdealError("a generator sequence needs at least one monomial")
-    n = seq[0].n
-    if any(m.n != n for m in seq):
-        raise AmbientMismatchError("the sequence mixes monomials of different rings")
+    try:
+        n = seq[0].n
+        if any(m.n != n for m in seq):
+            raise AmbientMismatchError("the sequence mixes monomials of different rings")
+    except AttributeError as e:
+        raise InvalidArgumentError(f"{e.obj!r} is not a Monomial") from None
     return n
 
 

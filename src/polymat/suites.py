@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .betti import has_linear_resolution
-from .core import Monomial, MonomialIdeal, VariableOrder, all_variable_orders
+from .core import Monomial, MonomialIdeal, VariableOrder, _check_perm_guard, all_variable_orders
 from .corpus import CorpusItem, CorpusSpec, enumerate_corpus, ideal_from_mask
 from .errors import InvalidArgumentError
 from .ioformats import dump_json, ideal_to_json_dict
@@ -161,8 +161,10 @@ def run_theorem_suite(spec: CorpusSpec, jobs: int = 1) -> CheckReport:
     """Exchange property versus lex linear quotients for every variable order.
 
     For two-variable corpora the verdict additionally requires agreement
-    with the linear-resolution predicate.
+    with the linear-resolution predicate.  Every verdict visits the n! orders,
+    so the permutation guard is checked before the corpus is built.
     """
+    _check_perm_guard(spec.n)
     return _run_suite("theorem", _theorem_verdict, spec, jobs)
 
 

@@ -85,6 +85,12 @@ class TestOrders:
             if compare(key, u, v, order) > 0 and compare(key, v, w, order) > 0:
                 assert compare(key, u, w, order) > 0
 
+    @pytest.mark.parametrize("perm", [(2, 1), (2, 1, 4, 3)])
+    def test_order_from_another_ring_refused(self, perm):
+        for key in (pm.lex_key, pm.revlex_key):
+            with pytest.raises(pm.AmbientMismatchError):
+                key(M("x1*x2^2*x3^3", 3), pm.VariableOrder(perm))
+
     def test_two_variable_degeneracy(self):
         # in two variables lex and revlex agree on same-degree monomials
         for d in range(7):
@@ -188,6 +194,11 @@ class TestConstructorEntries:
 
     def test_variable_order_accepts_index_objects(self):
         assert pm.VariableOrder((self.Two(), 1)).perm == (2, 1)
+
+    @pytest.mark.parametrize("entry", [(1, 0), [1, 0], "x1"])
+    def test_ideal_refuses_a_non_monomial_entry(self, entry):
+        with pytest.raises(pm.InvalidArgumentError, match="is not a Monomial"):
+            pm.MonomialIdeal(2, iter([M("x2", 2), entry]))
 
 
 class TestIdealOperations:

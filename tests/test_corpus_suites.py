@@ -97,6 +97,15 @@ class TestTheoremSuite:
         assert report.passed
         assert all("linear_resolution" in v for v in report.verdicts)
 
+    def test_guard_checked_before_the_corpus_is_built(self, monkeypatch):
+        # every verdict would hit the n! guard, so above it nothing is enumerated
+        monkeypatch.delenv("POLYMAT_MAX_PERMS", raising=False)
+        built = []
+        monkeypatch.setattr(suites, "enumerate_corpus", lambda spec: built.append(spec) or [])
+        with pytest.raises(pm.BoundExceededError):
+            pm.run_theorem_suite(pm.CorpusSpec(n=9, d=1))
+        assert built == []
+
 
 class TestConjectureSuite:
     def test_exhaustive_n3_d2(self):

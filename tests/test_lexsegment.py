@@ -1,3 +1,4 @@
+import itertools
 from math import comb
 
 import pytest
@@ -26,6 +27,45 @@ class TestMonomialsOfDegree:
         vecs = [m.exponents for m in elems]
         assert vecs == sorted(vecs, reverse=True)
 
+    def test_matches_brute_force_filter(self):
+        for n in range(1, 6):
+            for d in range(6):
+                vecs = [v for v in itertools.product(range(d + 1), repeat=n) if sum(v) == d]
+                got = [m.exponents for m in pm.monomials_of_degree(n, d)]
+                assert got == sorted(vecs, reverse=True)
+
+
+@st.composite
+def layer_picks_with_repeats(st_draw):
+    """Fresh monomials of one degree in any order, some of them repeated."""
+    n = st_draw(st.integers(1, 4))
+    d = st_draw(st.integers(0, 4))
+    vecs = [v for v in itertools.product(range(d + 1), repeat=n) if sum(v) == d]
+    return n, d, [pm.Monomial(v) for v in st_draw(st.lists(st.sampled_from(vecs), max_size=8))]
+
+
+class TestMonomialSetConstruction:
+    """MonomialSet(n, d, mons) stores the distinct monomials lex-descending."""
+
+    @given(layer_picks_with_repeats())
+    @settings(max_examples=200)
+    def test_canonical_form(self, data):
+        n, d, mons = data
+        T = pm.MonomialSet(n, d, iter(mons))
+        assert T.elems == tuple(sorted(set(mons), key=lambda m: m.exponents, reverse=True))
+        assert all(any(e is m for m in mons) for e in T.elems)
+        assert pm.MonomialSet(n, d, reversed(T.elems)) == T
+        if mons:
+            with pytest.raises(pm.InvalidArgumentError, match=f"does not have degree {d + 1}"):
+                pm.MonomialSet(n, d + 1, mons)
+            with pytest.raises(pm.InvalidArgumentError, match=f"does not live in {n + 1}"):
+                pm.MonomialSet(n + 1, d, mons)
+
+    @pytest.mark.parametrize("entry", [(1, 0), [1, 0], "x1"])
+    def test_refuses_a_non_monomial_entry(self, entry):
+        with pytest.raises(pm.InvalidArgumentError, match="is not a Monomial"):
+            pm.MonomialSet(2, 1, (M("x2", 2), entry))
+
 
 class TestLexsegment:
     def test_consecutive(self):
@@ -53,7 +93,7 @@ class TestLexsegment:
 
 class TestShadow:
     def test_single_monomial(self):
-        shad = pm.shadow(pm.MonomialSet.from_monomials(3, 2, [M("x1*x2", 3)]))
+        shad = pm.shadow(pm.MonomialSet(3, 2, [M("x1*x2", 3)]))
         assert [str(m) for m in shad] == ["x1^2*x2", "x1*x2^2", "x1*x2*x3"]
 
     def test_depth_zero_identity(self):
@@ -71,7 +111,7 @@ class TestShadow:
         import random
 
         picks = random.Random(seed).sample(layer, min(size, len(layer)))
-        T = pm.MonomialSet.from_monomials(3, 3, picks)
+        T = pm.MonomialSet(3, 3, picks)
         shad = pm.shadow(T)
         assert len(shad) <= 3 * len(T)
         layer_up = pm.monomials_of_degree(3, 4)
@@ -80,7 +120,7 @@ class TestShadow:
 
 class TestLexsegmentPredicates:
     def test_gap_is_not_lexsegment(self):
-        T = pm.MonomialSet.from_monomials(3, 2, [M("x1^2", 3), M("x1*x3", 3)])
+        T = pm.MonomialSet(3, 2, [M("x1^2", 3), M("x1*x3", 3)])
         assert not pm.is_lexsegment(T)
 
     def test_full_layer_is_lexsegment(self):

@@ -37,7 +37,7 @@ class TestSortGenerators:
             pm.sort_generators(I("x1 + x2^2"), "lex", O.identity(2))
 
     def test_order_must_match_ambient(self):
-        with pytest.raises(pm.AmbientMismatchError):
+        with pytest.raises(pm.AmbientMismatchError, match="variable order 2,1 has 2 variables"):
             pm.sort_generators(I("x1*x3 + x2*x3 + x1*x2"), "lex", O((2, 1)))
 
     def test_unknown_kind(self, remark_ideal):
@@ -68,6 +68,12 @@ class TestFreeFormSequences:
     def test_mixed_rings_refused(self, check):
         with pytest.raises(pm.AmbientMismatchError):
             check((M("x1*x2", 2), M("x1*x3", 3)))
+
+    @pytest.mark.parametrize("check", CHECKS)
+    @pytest.mark.parametrize("seq", [[(1, 0), (0, 1)], [M("x1", 2), [0, 1]]])
+    def test_non_monomial_entry_refused(self, check, seq):
+        with pytest.raises(pm.InvalidArgumentError, match="is not a Monomial"):
+            check(seq)
 
     def test_list_equals_sorted_tuple(self, remark_ideal):
         seq = pm.sort_generators(remark_ideal, "lex", O((3, 2, 1)))
