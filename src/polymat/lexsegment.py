@@ -10,7 +10,7 @@ keeping one of the caller's objects for each, and sorts them lex-descending.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, dropwhile, takewhile
 from math import comb
 from typing import Iterator
 
@@ -73,15 +73,24 @@ def _check_endpoints(u: Monomial, v: Monomial) -> None:
         raise InvalidArgumentError(f"{u} is lex-smaller than {v}")
 
 
+def _multiset(m: Monomial) -> tuple[int, ...]:
+    """The 0-based variable indices of m, ascending, each repeated by its exponent."""
+    return tuple(i for i, e in enumerate(m.exponents) for _ in range(e))
+
+
 def lexsegment(u: Monomial, v: Monomial) -> MonomialSet:
-    """All degree-d monomials w with u >= w >= v in the identity lex order."""
+    """All degree-d monomials w with u >= w >= v in the identity lex order.
+
+    The layer's ascending variable multisets run lex-descending, so the walk
+    passes over the multisets before u's without building their monomials
+    and stops after v's.
+    """
     _check_endpoints(u, v)
-    elems = tuple(
-        w
-        for w in monomials_of_degree(u.n, u.degree)
-        if v.exponents <= w.exponents <= u.exponents
-    )
-    return MonomialSet(u.n, u.degree, elems)
+    n, d = u.n, u.degree
+    top, bottom = _multiset(u), _multiset(v)
+    layer = combinations_with_replacement(range(n), d)
+    walk = takewhile(bottom.__ge__, dropwhile(top.__gt__, layer))
+    return MonomialSet(n, d, (Monomial(tuple(map(c.count, range(n)))) for c in walk))
 
 
 def shadow(T: MonomialSet) -> MonomialSet:

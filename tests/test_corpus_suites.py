@@ -4,7 +4,7 @@ import os
 import pytest
 
 import polymat as pm
-from conftest import veronese
+from conftest import I, veronese
 from polymat import suites
 
 
@@ -179,6 +179,27 @@ class TestRemarkSuite:
         assert all(clause3["combinations"].values())
 
 
+def polymatroidal_ideals(*shapes):
+    """The polymatroidal ideals of the exhaustive (n, d) corpora, in corpus order."""
+    for n, d in shapes:
+        for item in pm.enumerate_corpus(pm.CorpusSpec(n=n, d=d)):
+            if pm.is_polymatroidal(item.ideal):
+                yield item.ideal
+
+
+def substituted(n, mask):
+    """The 1-based variables that `mask` sends to 1, as the suite reads it."""
+    return [i + 1 for i in range(n) if mask >> i & 1]
+
+
+def certified(ideal):
+    """The suite's certificate: equigenerated with identity revlex linear quotients."""
+    if ideal.is_equigenerated() is None:
+        return False
+    seq = pm.sort_generators(ideal, "revlex", pm.VariableOrder.identity(ideal.n))
+    return pm.linear_quotients_failure(seq) is None
+
+
 class TestLocalizationSuite:
     def test_exhaustive_n3_d2(self):
         report = pm.run_localization_probe(pm.CorpusSpec(n=3, d=2))
@@ -192,6 +213,50 @@ class TestLocalizationSuite:
             if len(off) == 3:
                 continue
             assert pm.has_linear_resolution(ideal.localize(off))
+
+    def test_unit_masks_are_the_unit_localizations(self):
+        for ideal in polymatroidal_ideals((3, 2), (4, 2), (3, 3), (2, 4)):
+            unit = suites._unit_masks(ideal)
+            for mask in range((1 << ideal.n) - 1):
+                off = substituted(ideal.n, mask)
+                assert (mask in unit) == ideal.localize(off).is_unit, (ideal, off)
+
+    @pytest.fixture
+    def homology_calls(self, monkeypatch):
+        """Every ideal the suite hands to has_linear_resolution, which still answers."""
+        calls = []
+
+        def recording(L):
+            calls.append(L)
+            return pm.has_linear_resolution(L)
+
+        monkeypatch.setattr(suites, "has_linear_resolution", recording)
+        return calls
+
+    def test_certificate_implies_a_linear_betti_table(self, homology_calls):
+        local = {}
+        for ideal in polymatroidal_ideals((3, 2), (4, 2), (3, 3), (5, 2)):
+            unit = suites._unit_masks(ideal)
+            for mask in range((1 << ideal.n) - 1):
+                if mask not in unit:
+                    local[ideal.localize(substituted(ideal.n, mask))] = None
+        for ideal in local:
+            if certified(ideal):
+                assert pm.graded_betti(ideal).is_linear(ideal.is_equigenerated()), ideal
+            homology_calls.clear()
+            assert suites._is_linear_localization(ideal)
+            assert homology_calls == ([] if certified(ideal) else [ideal])
+
+    @pytest.mark.parametrize("text, linear", [
+        ("x1*x3 + x2^2 + x2*x3", True),
+        ("x1^2 + x2^2", False),
+    ])
+    def test_failed_certificate_returns_the_homology_verdict(self, homology_calls, text, linear):
+        ideal = I(text, 3)
+        assert ideal.is_equigenerated() is not None and not certified(ideal)
+        assert suites._is_linear_localization(ideal) is linear
+        assert homology_calls == [ideal]
+        assert pm.has_linear_resolution(ideal) is linear
 
 
 class TestWorkerPool:

@@ -84,6 +84,15 @@ class TestLexsegment:
         layer = pm.monomials_of_degree(3, 3)
         assert pm.lexsegment(layer.top, layer.bottom).elems == layer.elems
 
+    @pytest.mark.parametrize("n, d", [(2, 4), (3, 3), (4, 2), (3, 4)])
+    def test_every_pair_matches_brute_force_filter(self, n, d):
+        vecs = sorted((v for v in itertools.product(range(d + 1), repeat=n) if sum(v) == d),
+                      reverse=True)
+        for i, top in enumerate(vecs):
+            for bottom in vecs[i:]:
+                got = pm.lexsegment(pm.Monomial(top), pm.Monomial(bottom))
+                assert [m.exponents for m in got] == [v for v in vecs if bottom <= v <= top]
+
     def test_rejects_backwards(self):
         with pytest.raises(ValueError):
             pm.lexsegment(M("x1*x3", 3), M("x1^2", 3))

@@ -64,6 +64,29 @@ def test_betti_arithmetic_is_exact():
     assert not found, found
 
 
+def test_betti_imports_only_core_and_errors():
+    # has_linear_resolution and graded_betti stay homology-only: the Betti
+    # layer cannot reach the linear-quotients certificate of the suites
+    path = SOURCE / "betti.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom):
+            # from .core import ..., from polymat.core import ..., from . import core
+            parts = node.module.split(".") if node.module else []
+            if not node.level:
+                if parts[:1] != ["polymat"]:
+                    continue
+                parts = parts[1:]
+            modules = parts[:1] or [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            dotted = [alias.name.split(".") for alias in node.names]
+            modules = [".".join(d[1:2]) or "polymat" for d in dotted if d[0] == "polymat"]
+        else:
+            continue
+        found += [f"betti.py:{node.lineno} {m}" for m in modules if m not in ("core", "errors")]
+    assert not found, found
+
+
 def test_factorial_loops_stay_behind_the_permutation_guard():
     # every n! enumeration goes through all_variable_orders, which checks the
     # guard first; the guard is the one reader of the environment
