@@ -21,9 +21,7 @@ from .core import (
     VariableOrder,
     all_variable_orders,
     colon_monomial,
-    lex_key,
     monomial_lcm,
-    revlex_key,
     unit_ideal,
     unit_monomial,
     variable_monomial,

@@ -39,12 +39,17 @@ from .core import MonomialIdeal
 from .errors import OracleUnavailableError, UnitIdealError
 
 TAYLOR_GENERATOR_LIMIT = 12
-# Entries kept by the one result cache, on graded_betti.  The localization
-# suite on the exhaustive (5,2) corpus makes no linear-resolution check:
-# 13,320 of its 19,902 proper substitutions leave the unit ideal and the
-# other 6,582 pass its linear-quotients certificate, so only a localization
-# that fails the certificate asks for a table.  The limit keeps a long sweep
-# from growing the cache without end.
+# Entries kept by the one result cache, on graded_betti.  Its traffic is the
+# quotients-with-linear-resolution check over variable orders (`check qwlr
+# --all-orders`, `suite remark`): the sequences of one ideal under its n!
+# orders share most prefix colon ideals.  Over all 2*n! kind/order pairs of
+# the Veronese ideal (4,2) that is 465 hits and 15 misses, 0.024 s against
+# 0.18 s uncached; of (5,2), 3,569 hits and 31 misses, 0.21 s against 2.9 s
+# (raw seconds, one run each).  The betti workload's output check reads the
+# table its timed call cached.  The localization suite asks only for a
+# localization that fails its linear-quotients certificate, none on the
+# exhaustive (5,2) corpus.  The limit keeps a long sweep from growing the
+# cache without end.
 CACHE_SIZE = 4096
 
 

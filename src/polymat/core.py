@@ -101,6 +101,7 @@ def unit_monomial(n: int) -> Monomial:
 
 def variable_monomial(var: int, n: int) -> Monomial:
     """The monomial x<var> in n variables (var is 1-based)."""
+    (var,) = _integers((var,))
     if not 1 <= var <= n:
         raise InvalidArgumentError(f"variable index {var} out of range 1..{n}")
     return Monomial(tuple(1 if i == var - 1 else 0 for i in range(n)))
@@ -167,29 +168,6 @@ def all_variable_orders(n: int) -> Iterator[VariableOrder]:
     return map(VariableOrder, itertools.permutations(range(1, n + 1)))
 
 
-def lex_key(m: Monomial, order: VariableOrder):
-    """Sort key realizing the graded lexicographic order induced by `order`.
-
-    Total degree decides first; ties scan exponents from the greatest
-    variable down, larger exponent winning at the first difference.
-    """
-    e, positions = m.exponents, order.positions
-    _check_ambient(len(positions), len(e))
-    return (m.degree, tuple(e[p] for p in positions))
-
-
-def revlex_key(m: Monomial, order: VariableOrder):
-    """Sort key realizing the graded reverse lexicographic order.
-
-    Total degree decides first; ties scan exponents from the least
-    variable up, with the *smaller* exponent winning at the first
-    difference.
-    """
-    e, positions = m.exponents, order.positions
-    _check_ambient(len(positions), len(e))
-    return (m.degree, tuple(-e[p] for p in reversed(positions)))
-
-
 def canonical_key(m: Monomial):
     """Graded-lex key for the identity variable order; fixes all canonical sorts."""
     return (m.degree, m.exponents)
@@ -252,7 +230,7 @@ class MonomialIdeal:
 
         A generator whose support misses `off` is passed on as the same object.
         """
-        off = set(off)
+        off = set(_integers(off))
         for i in off:
             if not 1 <= i <= self.n:
                 raise InvalidArgumentError(f"variable index {i} out of range 1..{self.n}")

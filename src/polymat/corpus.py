@@ -42,6 +42,11 @@ class CorpusSpec:
     dedupe_isomorphic: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("n", "d", "m", "count", "seed", "start_mask"):
+            value = getattr(self, name)
+            # bool is a subclass of int, so isinstance would let True through
+            if type(value) is not int and not (value is None and name in ("m", "count")):
+                raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
         if self.n < 1 or self.d < 0:
             raise InvalidArgumentError(f"need n >= 1 and d >= 0, got n={self.n}, d={self.d}")
         if self.mode not in ("exhaustive", "random"):

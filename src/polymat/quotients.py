@@ -2,10 +2,9 @@
 
 sort_generators lists the minimal generators as a tuple in strictly
 decreasing order under the lex or revlex order that a variable permutation
-induces (core.lex_key, core.revlex_key), so prefixes are exactly the sets
-of strictly greater generators.  linear_quotients_failure and
-has_quotients_with_linear_resolution test that tuple, or any non-empty
-sequence of monomials in one ring.
+induces, so prefixes are exactly the sets of strictly greater generators.
+linear_quotients_failure and has_quotients_with_linear_resolution test
+that tuple, or any non-empty sequence of monomials in one ring.
 
 The quantified check lq_all_orders_failure covers all n! permutations and
 reports the first failing one in lexicographic permutation order.  It tests
@@ -25,12 +24,15 @@ then searches the other orders:
   that prefix, so it is tested once for the whole subtree, and the first
   failing prefix followed by the remaining variables in ascending order is
   the answer.
-- Revlex mirror.  The revlex sequence under an order is the lex sequence
-  under the reversed order read backwards, so revlex refines from the
-  least variable up, smaller exponents first.  Subtrees then share a
-  suffix and are not met in permutation order: the search keeps the least
-  failing order found so far and prunes every subtree whose least order
-  is not below it.
+- Revlex mirror.  The generators share one degree, so the induced lex
+  order compares their exponents read along the variable order, larger
+  first, and revlex compares them read against it, smaller first; this is
+  the one rule sort_generators applies.  The revlex sequence under an
+  order is thus the lex sequence under the reversed order read backwards,
+  so revlex refines from the least variable up, smaller exponents first.
+  Subtrees then share a suffix and are not met in permutation order: the
+  search keeps the least failing order found so far and prunes every
+  subtree whose least order is not below it.
 
 The order found is replayed through linear_quotients_failure, so the
 reported position and blocker are those of the single-sequence check.
@@ -40,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from typing import Sequence
 
 from .betti import has_linear_resolution
@@ -50,13 +53,9 @@ from .core import (
     _check_perm_guard,
     canonical_key,
     colon_monomial,
-    lex_key,
-    revlex_key,
 )
 from .errors import AmbientMismatchError, EmptyIdealError, InvalidArgumentError
 from .polymatroid import ExchangeWitness, exchange_failure, require_equigenerated
-
-_KEYS = {"lex": lex_key, "revlex": revlex_key}  # the induced order of each kind
 
 
 @dataclass(frozen=True)
@@ -72,16 +71,21 @@ class LQFailure:
 
 
 def sort_generators(I: MonomialIdeal, kind: str, order: VariableOrder) -> tuple[Monomial, ...]:
-    """Generators in strictly decreasing induced order (greatest first)."""
+    """Generators in strictly decreasing induced order (greatest first).
+
+    Lex reads the exponents along the order and puts larger first; revlex
+    reads them against it and puts smaller first.
+    """
     require_equigenerated(I)
     if order.n != I.n:
         raise AmbientMismatchError(
             f"variable order {order} has {order.n} variables, the ideal {I.n}"
         )
-    if kind not in _KEYS:
+    if kind not in ("lex", "revlex"):
         raise InvalidArgumentError(f"unknown order kind {kind!r}")
-    key = _KEYS[kind]
-    return tuple(sorted(I.gens, key=lambda m: key(m, order), reverse=True))
+    lex = kind == "lex"
+    read = itemgetter(*(order.positions if lex else order.positions[::-1]))
+    return tuple(sorted(I.gens, key=lambda m: read(m.exponents), reverse=lex))
 
 
 def _ring(seq: Sequence[Monomial]) -> int:

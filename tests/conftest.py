@@ -37,18 +37,6 @@ def exponent_tuples(st_draw, n=None, max_exp=4):
 
 
 @st.composite
-def monomial_triples_with_order(st_draw):
-    """Three same-ambient monomials plus a variable order."""
-    n = st_draw(st.integers(1, 4))
-    mons = [
-        pm.Monomial(tuple(st_draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))))
-        for _ in range(3)
-    ]
-    perm = st_draw(st.permutations(range(1, n + 1)))
-    return mons, pm.VariableOrder(tuple(perm))
-
-
-@st.composite
 def monomial_lists(st_draw, max_len=8, max_exp=3):
     n = st_draw(st.integers(1, 4))
     vecs = st_draw(

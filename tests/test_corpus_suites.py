@@ -64,6 +64,23 @@ class TestCorpus:
             pm.CorpusSpec(n=3, d=2, **kwargs)
 
     @pytest.mark.parametrize(
+        "field,kwargs",
+        [
+            ("d", {"n": 2, "d": 2.0}),
+            ("start_mask", {"n": 3, "d": 2, "start_mask": "1"}),
+            ("n", {"n": True, "d": 2}),
+            ("d", {"n": 2, "d": None}),
+            ("m", {"n": 3, "d": 2, "mode": "random", "m": 2.0, "count": 3}),
+            ("count", {"n": 3, "d": 2, "mode": "random", "m": 2, "count": True}),
+            ("seed", {"n": 3, "d": 2, "mode": "random", "m": 2, "count": 3, "seed": None}),
+        ],
+    )
+    def test_non_integer_field_refused(self, field, kwargs):
+        # bool is a subclass of int, but True would be written into a report as true
+        with pytest.raises(pm.InvalidArgumentError, match=f"^{field} must be an integer"):
+            pm.CorpusSpec(**kwargs)
+
+    @pytest.mark.parametrize(
         "spec",
         [
             pm.CorpusSpec(n=3, d=2),

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polymat as pm
 from conftest import I, M, small_ideals, veronese
@@ -16,6 +17,22 @@ def first_failing_order_brute(ideal, kind):
         if failure is not None:
             return order, failure
     return None
+
+
+# Textbook graded orders induced by a variable order, whose perm lists the
+# variables greatest first: degree decides, then lex scans from the greatest
+# variable down and the larger exponent wins, while revlex scans from the
+# least variable up and the smaller exponent wins.
+GRADED_KEYS = {
+    "lex": lambda m, order: (m.degree, [m.exponents[v - 1] for v in order.perm]),
+    "revlex": lambda m, order: (m.degree, [-m.exponents[v - 1] for v in order.perm[::-1]]),
+}
+
+
+def graded_sort(ideal, kind, order):
+    """Oracle: the generators, greatest first under the graded key of the kind."""
+    key = GRADED_KEYS[kind]
+    return tuple(sorted(ideal.gens, key=lambda m: key(m, order), reverse=True))
 
 
 class TestSortGenerators:
@@ -44,15 +61,22 @@ class TestSortGenerators:
         with pytest.raises(pm.InvalidArgumentError, match="deglex"):
             pm.sort_generators(remark_ideal, "deglex", O.identity(3))
 
-    @pytest.mark.parametrize("n,d", [(3, 2), (4, 2), (3, 3)])
-    def test_sorts_by_the_core_keys(self, n, d):
-        keys = {"lex": pm.lex_key, "revlex": pm.revlex_key}
+    @pytest.mark.parametrize("n,d", [(3, 2), (4, 2), (3, 3), (2, 4)])
+    def test_matches_the_graded_oracle(self, n, d):
         orders = list(pm.all_variable_orders(n))
         for item in pm.enumerate_corpus(pm.CorpusSpec(n=n, d=d)):
-            for kind, key in keys.items():
+            for kind in GRADED_KEYS:
                 for order in orders:
-                    expected = sorted(item.ideal.gens, key=lambda m: key(m, order), reverse=True)
-                    assert pm.sort_generators(item.ideal, kind, order) == tuple(expected)
+                    assert pm.sort_generators(item.ideal, kind, order) == graded_sort(
+                        item.ideal, kind, order
+                    )
+
+    @given(small_ideals(max_n=5, max_d=3, max_gens=12), st.data())
+    @settings(max_examples=200)
+    def test_matches_the_graded_oracle_on_random_ideals(self, ideal, data):
+        order = O(tuple(data.draw(st.permutations(range(1, ideal.n + 1)))))
+        for kind in GRADED_KEYS:
+            assert pm.sort_generators(ideal, kind, order) == graded_sort(ideal, kind, order)
 
 
 class TestFreeFormSequences:

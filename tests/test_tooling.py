@@ -106,6 +106,22 @@ def test_factorial_loops_stay_behind_the_permutation_guard():
     assert not found, found
 
 
+def test_induced_orders_are_read_in_one_place():
+    # sort_generators is the one rule for the lex and revlex orders that a
+    # variable order induces; the only other reader of the scan order is the
+    # corpus dedupe, which relabels variables and compares no monomials
+    allowed = {("quotients.py", "sort_generators"), ("corpus.py", "corpus_masks")}
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            where = (path.name, getattr(top, "name", None))
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute) and node.attr == "positions":
+                    if where not in allowed:
+                        found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    assert not found, found
+
+
 def test_every_raise_names_a_toolkit_error():
     # the CLI turns a PolymatError into exit 2, so a usage error must be one
     # and an internal fault must not look like one: the only other raises
