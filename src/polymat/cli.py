@@ -15,7 +15,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from .betti import graded_betti
-from .core import all_variable_orders
+from .core import _integers, all_variable_orders
 from .corpus import CorpusSpec
 from .errors import InvalidArgumentError, ParseError, PolymatError
 from .ioformats import (
@@ -33,7 +33,7 @@ from .quotients import (
     lq_all_orders_failure,
     sort_generators,
 )
-from .suites import SUITES, _check_jobs, _order_witness
+from .suites import SUITES, _order_witness
 from .version import __version__
 
 
@@ -208,7 +208,7 @@ def _cmd_suite(args):
         if corpus:
             flags = ", ".join("--" + k.replace("_", "-") for k in corpus)
             raise InvalidArgumentError(f"suite remark takes no corpus options, got {flags}")
-        _check_jobs(args.jobs)
+        _integers((args.jobs,), "jobs", 1)
         report = runner()
     else:
         report = runner(CorpusSpec(**{"n": 3, "d": 2, **corpus}), jobs=args.jobs)

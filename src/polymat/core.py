@@ -32,12 +32,31 @@ def _check_ambient(n: int, m: int) -> None:
         raise AmbientMismatchError(f"ambient variable counts differ: {n} vs {m}")
 
 
-def _integers(entries) -> tuple[int, ...]:
-    """The entries as ints; anything without __index__ (a float, a string) is refused."""
-    try:
-        return tuple(map(operator.index, entries))
-    except TypeError:
-        raise InvalidArgumentError(f"non-integer entry in {entries!r}") from None
+def _integers(
+    entries: Iterable, what: str, least: int | None = None, most: int | None = None
+) -> tuple[int, ...]:
+    """The entries as exact ints, each within whichever of `least` and `most` is given.
+
+    This is the library's one integer rule, applied once to every public
+    integer argument; `what` names the argument in a refusal.  An entry
+    passes when it has __index__ and is not a bool: True is an int to
+    Python but no count, and a report would write it as true.  An entry
+    that already is an exact int costs one type test and one comparison
+    per bound given.
+    """
+    values = tuple(entries)
+    for v in values:
+        if type(v) is not int:
+            # convert once, then apply the bounds to the exact ints
+            for w in values:
+                if isinstance(w, bool) or not hasattr(type(w), "__index__"):
+                    raise InvalidArgumentError(f"{what} must be an integer, got non-integer {w!r}")
+            return _integers(map(operator.index, values), what, least, most)
+        if least is not None and v < least:
+            raise InvalidArgumentError(f"{what} must be at least {least}, got {v}")
+        if most is not None and v > most:
+            raise InvalidArgumentError(f"{what} must be at most {most}, got {v}")
+    return values
 
 
 @dataclass(frozen=True)
@@ -47,11 +66,9 @@ class Monomial:
     exponents: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        exps = _integers(self.exponents)
+        exps = _integers(self.exponents, "exponent", 0)
         if not exps:
             raise InvalidArgumentError("ambient ring needs at least one variable")
-        if any(e < 0 for e in exps):
-            raise InvalidArgumentError(f"negative exponent in {exps}")
         object.__setattr__(self, "exponents", exps)
 
     @property
@@ -96,14 +113,14 @@ class Monomial:
 
 
 def unit_monomial(n: int) -> Monomial:
+    (n,) = _integers((n,), "n", 1)
     return Monomial((0,) * n)
 
 
 def variable_monomial(var: int, n: int) -> Monomial:
     """The monomial x<var> in n variables (var is 1-based)."""
-    (var,) = _integers((var,))
-    if not 1 <= var <= n:
-        raise InvalidArgumentError(f"variable index {var} out of range 1..{n}")
+    (n,) = _integers((n,), "n", 1)
+    (var,) = _integers((var,), "variable index", 1, n)
     return Monomial(tuple(1 if i == var - 1 else 0 for i in range(n)))
 
 
@@ -125,13 +142,14 @@ class VariableOrder:
     perm: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        perm = _integers(self.perm)
+        perm = _integers(self.perm, "permutation entry")
         if not perm or sorted(perm) != list(range(1, len(perm) + 1)):
             raise InvalidArgumentError(f"not a permutation of 1..{len(perm)}: {perm}")
         object.__setattr__(self, "perm", perm)
 
     @classmethod
     def identity(cls, n: int) -> VariableOrder:
+        (n,) = _integers((n,), "n", 1)
         return cls(tuple(range(1, n + 1)))
 
     @property
@@ -164,6 +182,7 @@ def _check_perm_guard(n: int) -> None:
 def all_variable_orders(n: int) -> Iterator[VariableOrder]:
     """All n! variable orders, in lexicographic order of their permutations;
     the permutation guard is checked at the call, before any is enumerated."""
+    (n,) = _integers((n,), "n", 1)
     _check_perm_guard(n)
     return map(VariableOrder, itertools.permutations(range(1, n + 1)))
 
@@ -182,6 +201,7 @@ class MonomialIdeal:
     and multiples of other members are dropped, and the caller's Monomial
     objects are kept in canonical order (decreasing graded-lex under the
     identity variable order), so structural equality is ideal equality.
+    n goes through the integer rule and is stored as an int.
 
     A proper divisor has strictly smaller degree, so in ascending degree
     order each exponent vector is tested only against the kept vectors of
@@ -198,7 +218,7 @@ class MonomialIdeal:
             raise InvalidArgumentError(f"{e.obj!r} is not a Monomial") from None
         if not by_exps:
             raise EmptyIdealError("an ideal needs at least one generator")
-        n = self.n
+        (n,) = _integers((self.n,), "n", 1)
         kept: list[tuple[int, ...]] = []
         degree = lower = 0  # kept[:lower] holds the kept vectors of smaller degree
         for d, e in sorted(zip(map(sum, by_exps), by_exps)):
@@ -209,6 +229,8 @@ class MonomialIdeal:
             if lower and any(all(map(operator.le, k, e)) for k in kept[:lower]):
                 continue
             kept.append(e)
+        if n is not self.n:  # an exact int, the common case, is kept as given
+            object.__setattr__(self, "n", n)
         object.__setattr__(self, "gens", tuple(map(by_exps.__getitem__, reversed(kept))))
 
     @property
@@ -230,10 +252,7 @@ class MonomialIdeal:
 
         A generator whose support misses `off` is passed on as the same object.
         """
-        off = set(_integers(off))
-        for i in off:
-            if not 1 <= i <= self.n:
-                raise InvalidArgumentError(f"variable index {i} out of range 1..{self.n}")
+        off = set(_integers(off, "variable index", 1, self.n))
         keep = tuple(0 if i + 1 in off else 1 for i in range(self.n))
         zeroed: dict[tuple[int, ...], Monomial] = {}
         for g in self.gens:
@@ -249,8 +268,7 @@ class MonomialIdeal:
         return MonomialIdeal(self.n, [g * h for g in self.gens for h in other.gens])
 
     def __pow__(self, e: int) -> MonomialIdeal:
-        if e < 0:
-            raise InvalidArgumentError("exponent must be non-negative")
+        (e,) = _integers((e,), "exponent", 0)
         result = unit_ideal(self.n)
         for _ in range(e):
             result = result * self

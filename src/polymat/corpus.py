@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterator
 
-from .core import Monomial, MonomialIdeal, all_variable_orders
+from .core import Monomial, MonomialIdeal, _integers, all_variable_orders
 from .errors import BoundExceededError, InvalidArgumentError
 from .lexsegment import monomials_of_degree
 
@@ -42,13 +42,14 @@ class CorpusSpec:
     dedupe_isomorphic: bool = False
 
     def __post_init__(self) -> None:
-        for name in ("n", "d", "m", "count", "seed", "start_mask"):
+        for name, least in (("n", 1), ("d", 0), ("m", 1), ("count", 1), ("seed", None),
+                            ("start_mask", 1)):
             value = getattr(self, name)
-            # bool is a subclass of int, so isinstance would let True through
-            if type(value) is not int and not (value is None and name in ("m", "count")):
-                raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
-        if self.n < 1 or self.d < 0:
-            raise InvalidArgumentError(f"need n >= 1 and d >= 0, got n={self.n}, d={self.d}")
+            if value is not None or name not in ("m", "count"):
+                object.__setattr__(self, name, _integers((value,), name, least)[0])
+        # a truthy string such as "no" would otherwise switch the dedupe on
+        if not isinstance(self.dedupe_isomorphic, bool):
+            raise InvalidArgumentError(f"dedupe flag {self.dedupe_isomorphic!r} is not a bool")
         if self.mode not in ("exhaustive", "random"):
             raise InvalidArgumentError(f"unknown corpus mode {self.mode!r}")
         basis = comb(self.n + self.d - 1, self.d)
@@ -61,18 +62,17 @@ class CorpusSpec:
                     f"exhaustive mode needs at most {EXHAUSTIVE_BASIS_LIMIT} degree-{self.d} "
                     f"monomials, but n={self.n}, d={self.d} has {basis}"
                 )
-            if not 1 <= self.start_mask < (1 << basis):
-                raise InvalidArgumentError(f"start mask {self.start_mask} out of range")
+            # the corpus runs the masks start_mask .. 2^basis - 1
+            _integers((self.start_mask,), "start_mask", 1, (1 << basis) - 1)
         else:
             if self.start_mask != 1:
                 raise InvalidArgumentError("a start mask applies only to exhaustive mode")
             # deduping a drawn sample would return fewer ideals than count
             if self.dedupe_isomorphic:
                 raise InvalidArgumentError("isomorphism dedupe applies only to exhaustive mode")
-            if self.m is None or not 1 <= self.m <= basis:
-                raise InvalidArgumentError(f"random mode needs 1 <= m <= {basis}, got {self.m}")
-            if self.count is None or self.count < 1:
-                raise InvalidArgumentError("random mode needs a positive sample count")
+            if self.m is None or self.count is None:
+                raise InvalidArgumentError("random mode needs both m and count")
+            _integers((self.m,), "m", 1, basis)
             if self.count > comb(basis, self.m):
                 raise BoundExceededError(
                     f"only {comb(basis, self.m)} distinct {self.m}-subsets exist, "
@@ -113,8 +113,7 @@ def _decode(basis: tuple[Monomial, ...], mask: int) -> tuple[Monomial, ...]:
 def ideal_from_mask(n: int, d: int, mask: int) -> MonomialIdeal:
     """Rebuild the ideal a bitmask denotes (bit i = i-th lex-descending monomial)."""
     basis = monomials_of_degree(n, d).elems
-    if not 1 <= mask < 1 << len(basis):
-        raise InvalidArgumentError(f"mask {mask} out of range for {len(basis)} basis monomials")
+    (mask,) = _integers((mask,), "mask", 1, (1 << len(basis)) - 1)
     return MonomialIdeal(n, _decode(basis, mask))
 
 

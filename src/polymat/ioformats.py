@@ -15,8 +15,8 @@ from __future__ import annotations
 import json
 import re
 
-from .core import Monomial, MonomialIdeal, VariableOrder
-from .errors import ParseError
+from .core import Monomial, MonomialIdeal, VariableOrder, _integers
+from .errors import InvalidArgumentError, ParseError, PolymatError
 from .version import __version__
 
 SCHEMA_VERSION = 1
@@ -60,13 +60,19 @@ def _build_monomial(pairs: list[tuple[int, int]], n: int, offset: int, line: int
     return Monomial(tuple(exps))
 
 
+def _variable_count(n: int | None, indices: list[int], unit: str) -> int:
+    """A given n through the integer rule, else the largest variable index used."""
+    if n is not None:
+        return _integers((n,), "n", 1)[0]
+    if not indices:
+        raise ParseError(f"cannot infer the variable count of the unit {unit}", 0, 1)
+    return max(indices)
+
+
 def parse_monomial(text: str, n: int | None = None) -> Monomial:
     """Parse a single monomial; n defaults to the largest variable index seen."""
     pairs = _parse_factors(text, 0, 1)
-    if n is None:
-        if not pairs:
-            raise ParseError("cannot infer the variable count of the unit monomial", 0, 1)
-        n = max(var for var, _ in pairs)
+    n = _variable_count(n, [var for var, _ in pairs], "monomial")
     return _build_monomial(pairs, n, 0, 1)
 
 
@@ -83,11 +89,7 @@ def parse_ideal(text: str, n: int | None = None) -> MonomialIdeal:
     if not tokens:
         raise ParseError("no generators given", 0, 1)
     parsed = [(_parse_factors(tok, off, ln), off, ln) for tok, off, ln in tokens]
-    if n is None:
-        indices = [var for pairs, _, _ in parsed for var, _ in pairs]
-        if not indices:
-            raise ParseError("cannot infer the variable count of the unit ideal", 0, 1)
-        n = max(indices)
+    n = _variable_count(n, [var for pairs, _, _ in parsed for var, _ in pairs], "ideal")
     mons = [_build_monomial(pairs, n, off, ln) for pairs, off, ln in parsed]
     return MonomialIdeal(n, mons)
 
@@ -115,24 +117,24 @@ def dump_json(payload: dict) -> str:
 
 
 def ideal_from_json_dict(data: dict) -> MonomialIdeal:
+    """The ideal of a JSON document; "n" and the exponents go through the
+    constructors' integer rule, and every refusal is a ParseError."""
     if not isinstance(data, dict) or "n" not in data or "gens" not in data:
         raise ParseError('ideal JSON needs "n" and "gens" fields', 0, 1)
-    n = data["n"]
-    # bool is a subclass of int, but JSON true/false are not counts
-    if type(n) is not int or n < 1:
-        raise ParseError(f'"n" must be a positive integer, got {n!r}', 0, 1)
-    if not isinstance(data["gens"], list):
-        raise ParseError('"gens" must be a list of exponent vectors', 0, 1)
+    if not isinstance(data["gens"], list) or not data["gens"]:
+        raise ParseError('"gens" must be a non-empty list of exponent vectors', 0, 1)
     mons = []
     for k, vec in enumerate(data["gens"]):
-        if not isinstance(vec, list) or len(vec) != n:
-            raise ParseError(f"generator {k} is not an exponent vector of length {n}", k, 1)
-        if any(type(e) is not int or e < 0 for e in vec):
-            raise ParseError(f"generator {k} has a negative or non-integer exponent", k, 1)
-        mons.append(Monomial(tuple(vec)))
-    if not mons:
-        raise ParseError("no generators given", 0, 1)
-    return MonomialIdeal(n, mons)
+        if not isinstance(vec, list):
+            raise ParseError(f"generator {k} is not an exponent vector", k, 1)
+        try:
+            mons.append(Monomial(tuple(vec)))
+        except InvalidArgumentError as exc:
+            raise ParseError(f"generator {k}: {exc}", k, 1) from None
+    try:
+        return MonomialIdeal(data["n"], mons)
+    except PolymatError as exc:
+        raise ParseError(str(exc), 0, 1) from None
 
 
 def load_ideal_text(text: str, n: int | None = None) -> MonomialIdeal:
@@ -145,7 +147,7 @@ def load_ideal_text(text: str, n: int | None = None) -> MonomialIdeal:
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad JSON: {exc.msg}", exc.colno - 1, exc.lineno) from None
         ideal = ideal_from_json_dict(data)
-        if n is not None and n != ideal.n:
+        if n is not None and _integers((n,), "n", 1) != (ideal.n,):
             raise ParseError(f'n={n} was given, but the JSON says "n": {ideal.n}', 0, 1)
         return ideal
     return parse_ideal(text, n)

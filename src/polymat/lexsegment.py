@@ -14,23 +14,28 @@ from itertools import combinations_with_replacement, dropwhile, takewhile
 from math import comb
 from typing import Iterator
 
-from .core import Monomial, MonomialIdeal, variable_monomial
+from .core import Monomial, MonomialIdeal, _integers, variable_monomial
 from .errors import InvalidArgumentError
 
 
 @dataclass(frozen=True)
 class MonomialSet:
-    """Distinct monomials of one degree, which the constructor sorts lex-descending."""
+    """A non-empty set of monomials of one degree, which the constructor sorts
+    lex-descending."""
 
     n: int
     d: int
     elems: tuple[Monomial, ...]
 
     def __post_init__(self) -> None:
+        for name, least in (("n", 1), ("d", 0)):
+            object.__setattr__(self, name, _integers((getattr(self, name),), name, least)[0])
         try:
             by_exps = {m.exponents: m for m in self.elems}
         except AttributeError as e:
             raise InvalidArgumentError(f"{e.obj!r} is not a Monomial") from None
+        if not by_exps:
+            raise InvalidArgumentError("a monomial set needs at least one monomial")
         for m in by_exps.values():
             if m.n != self.n:
                 raise InvalidArgumentError(f"{m} does not live in {self.n} variables")
@@ -56,8 +61,8 @@ class MonomialSet:
 
 def monomials_of_degree(n: int, d: int) -> MonomialSet:
     """All C(n+d-1, d) monomials of degree d, lex-descending."""
-    if n < 1 or d < 0:
-        raise InvalidArgumentError(f"need n >= 1 and d >= 0, got n={n}, d={d}")
+    (n,) = _integers((n,), "n", 1)
+    (d,) = _integers((d,), "d", 0)
     # ascending variable multisets give descending exponent vectors: the sort is one pass
     layer = combinations_with_replacement(range(n), d)
     return MonomialSet(n, d, (Monomial(tuple(map(c.count, range(n)))) for c in layer))
@@ -95,15 +100,12 @@ def lexsegment(u: Monomial, v: Monomial) -> MonomialSet:
 
 def shadow(T: MonomialSet) -> MonomialSet:
     """All products of elements of T with single variables, deduplicated."""
-    if not T.elems:
-        raise InvalidArgumentError("shadow of an empty set")
     out = (m * variable_monomial(i, T.n) for m in T.elems for i in range(1, T.n + 1))
     return MonomialSet(T.n, T.d + 1, out)
 
 
 def iterated_shadow(T: MonomialSet, depth: int) -> MonomialSet:
-    if depth < 0:
-        raise InvalidArgumentError("shadow depth must be non-negative")
+    (depth,) = _integers((depth,), "shadow depth", 0)
     for _ in range(depth):
         T = shadow(T)
     return T
@@ -111,8 +113,6 @@ def iterated_shadow(T: MonomialSet, depth: int) -> MonomialSet:
 
 def is_lexsegment(T: MonomialSet) -> bool:
     """Whether T is exactly the lex interval between its top and bottom."""
-    if not T.elems:
-        raise InvalidArgumentError("empty set")
     return T.elems == lexsegment(T.top, T.bottom).elems
 
 
@@ -123,11 +123,10 @@ def is_completely_lexsegment(u: Monomial, v: Monomial, bound: int | None = None)
     shadow fills a whole degree layer all later shadows stay full, so the
     scan exits early in that case.
     """
-    T = lexsegment(u, v)
     if bound is None:
         bound = max(1, u.n * u.degree)
-    if bound < 1:
-        raise InvalidArgumentError("shadow depth bound must be at least 1")
+    (bound,) = _integers((bound,), "shadow depth bound", 1)
+    T = lexsegment(u, v)
     for _ in range(bound):
         T = shadow(T)
         if not is_lexsegment(T):

@@ -16,9 +16,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .betti import has_linear_resolution
-from .core import Monomial, MonomialIdeal, VariableOrder, _check_perm_guard, all_variable_orders
+from .core import (
+    Monomial, MonomialIdeal, VariableOrder, _check_perm_guard, _integers, all_variable_orders
+)
 from .corpus import CorpusItem, CorpusSpec, enumerate_corpus, ideal_from_mask
-from .errors import InvalidArgumentError
 from .ioformats import dump_json, ideal_to_json_dict
 from .polymatroid import exchange_failure, is_polymatroidal
 from .quotients import (
@@ -109,11 +110,6 @@ def _order_witness(kind: str, order: VariableOrder, failure: LQFailure) -> dict:
     return {"kind": kind, "order": list(order.perm), **failure.to_json_dict()}
 
 
-def _check_jobs(jobs: int) -> None:
-    if jobs < 1:
-        raise InvalidArgumentError(f"need at least one job, got {jobs}")
-
-
 def _run_suite(
     name: str, verdict_fn: Callable[[CorpusItem], dict], spec: CorpusSpec, jobs: int
 ) -> CheckReport:
@@ -123,7 +119,7 @@ def _run_suite(
     gets at most one per CPU; where that leaves one, the map runs in this
     process.
     """
-    _check_jobs(jobs)
+    (jobs,) = _integers((jobs,), "jobs", 1)
     start = time.perf_counter()
     items = list(enumerate_corpus(spec))
     workers = min(jobs, os.cpu_count() or 1)

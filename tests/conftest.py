@@ -1,9 +1,35 @@
 import random
+import signal
 
 import pytest
 from hypothesis import strategies as st
 
 import polymat as pm
+
+# a wall-clock limit per test, far above the slowest test (a few seconds),
+# so that a looping regression fails its test instead of stalling the run;
+# pool workers forked by a suite do not inherit the interval timer
+TEST_TIME_LIMIT = 120.0
+
+
+class TimeLimitExceeded(BaseException):
+    """A BaseException, so that neither an `except Exception` in the code under
+    test nor hypothesis, which would replay a failing example, catches it."""
+
+
+def _expired(signum, frame):
+    raise TimeLimitExceeded(f"test exceeded the {TEST_TIME_LIMIT:.0f} s wall-clock limit")
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_protocol(item, nextitem):
+    previous = signal.signal(signal.SIGALRM, _expired)
+    signal.setitimer(signal.ITIMER_REAL, TEST_TIME_LIMIT)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def M(text, n=None):

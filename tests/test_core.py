@@ -155,13 +155,13 @@ class TestConstructorEntries:
         def __index__(self):
             return 2
 
-    @pytest.mark.parametrize("entries", [(1.9, 0), ("2", 1), (), (1, -1)])
+    @pytest.mark.parametrize("entries", [(1.9, 0), ("2", 1), (), (1, -1), (True, 0), (2, False)])
     def test_monomial_refuses(self, entries):
         with pytest.raises(pm.InvalidArgumentError):
             pm.Monomial(entries)
 
     def test_monomial_accepts_index_objects(self):
-        m = pm.Monomial((self.Two(), True))
+        m = pm.Monomial((self.Two(), 1))
         assert m.exponents == (2, 1)
         assert type(m.exponents[0]) is int and type(m.exponents[1]) is int
 

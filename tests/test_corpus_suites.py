@@ -80,6 +80,13 @@ class TestCorpus:
         with pytest.raises(pm.InvalidArgumentError, match=f"^{field} must be an integer"):
             pm.CorpusSpec(**kwargs)
 
+    @pytest.mark.parametrize("flag", ["no", "", 1, 0, None])
+    def test_dedupe_flag_must_be_a_bool(self, flag):
+        # a truthy "no" would enumerate the 19 orbit representatives, not the 63 ideals
+        with pytest.raises(pm.InvalidArgumentError, match="not a bool"):
+            pm.CorpusSpec(n=3, d=2, dedupe_isomorphic=flag)
+        assert pm.CorpusSpec(n=3, d=2, dedupe_isomorphic=False).size() == 63
+
     @pytest.mark.parametrize(
         "spec",
         [

@@ -37,11 +37,12 @@ class TestMonomialsOfDegree:
 
 @st.composite
 def layer_picks_with_repeats(st_draw):
-    """Fresh monomials of one degree in any order, some of them repeated."""
+    """Fresh monomials of one degree in any order, at least one, some of them repeated."""
     n = st_draw(st.integers(1, 4))
     d = st_draw(st.integers(0, 4))
     vecs = [v for v in itertools.product(range(d + 1), repeat=n) if sum(v) == d]
-    return n, d, [pm.Monomial(v) for v in st_draw(st.lists(st.sampled_from(vecs), max_size=8))]
+    picks = st_draw(st.lists(st.sampled_from(vecs), min_size=1, max_size=8))
+    return n, d, [pm.Monomial(v) for v in picks]
 
 
 class TestMonomialSetConstruction:
@@ -55,11 +56,16 @@ class TestMonomialSetConstruction:
         assert T.elems == tuple(sorted(set(mons), key=lambda m: m.exponents, reverse=True))
         assert all(any(e is m for m in mons) for e in T.elems)
         assert pm.MonomialSet(n, d, reversed(T.elems)) == T
-        if mons:
-            with pytest.raises(pm.InvalidArgumentError, match=f"does not have degree {d + 1}"):
-                pm.MonomialSet(n, d + 1, mons)
-            with pytest.raises(pm.InvalidArgumentError, match=f"does not live in {n + 1}"):
-                pm.MonomialSet(n + 1, d, mons)
+        with pytest.raises(pm.InvalidArgumentError, match=f"does not have degree {d + 1}"):
+            pm.MonomialSet(n, d + 1, mons)
+        with pytest.raises(pm.InvalidArgumentError, match=f"does not live in {n + 1}"):
+            pm.MonomialSet(n + 1, d, mons)
+
+    @pytest.mark.parametrize("mons", [(), iter(()), []])
+    def test_refuses_an_empty_set(self, mons):
+        # an empty set has no top or bottom to bound a segment or a shadow
+        with pytest.raises(pm.InvalidArgumentError, match="at least one monomial"):
+            pm.MonomialSet(2, 1, mons)
 
     @pytest.mark.parametrize("entry", [(1, 0), [1, 0], "x1"])
     def test_refuses_a_non_monomial_entry(self, entry):

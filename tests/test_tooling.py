@@ -122,6 +122,29 @@ def test_induced_orders_are_read_in_one_place():
     assert not found, found
 
 
+def test_integers_are_decided_in_one_place():
+    # core._integers is the one integer rule: a second predicate would let True
+    # or an __index__ object through in one place and refuse it in another
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            if (path.name, getattr(top, "name", None)) == ("core.py", "_integers"):
+                continue
+            for node in ast.walk(top):
+                if isinstance(node, ast.ImportFrom) and node.module == "operator":
+                    if {a.name for a in node.names} & {"index", "*"}:
+                        found.append(f"{path.name}:{node.lineno} from operator import")
+                elif isinstance(node, ast.Attribute) and ast.unparse(node) == "operator.index":
+                    found.append(f"{path.name}:{node.lineno} operator.index")
+                elif isinstance(node, ast.Compare) and any(
+                    isinstance(op, (ast.Is, ast.IsNot, ast.Eq, ast.NotEq)) for op in node.ops
+                ):
+                    sides = {ast.unparse(side) for side in [node.left, *node.comparators]}
+                    if "int" in sides and any(side.startswith("type(") for side in sides):
+                        found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    assert not found, found
+
+
 def test_every_raise_names_a_toolkit_error():
     # the CLI turns a PolymatError into exit 2, so a usage error must be one
     # and an internal fault must not look like one: the only other raises
