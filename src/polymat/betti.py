@@ -35,7 +35,7 @@ from itertools import compress
 from math import gcd
 from operator import and_
 
-from .core import MonomialIdeal
+from .core import MonomialIdeal, _integers
 from .errors import OracleUnavailableError, UnitIdealError
 
 TAYLOR_GENERATOR_LIMIT = 12
@@ -139,7 +139,7 @@ class BettiTable:
         return {(i, j): v for i, j, v in self.entries}
 
     def get(self, i: int, j: int) -> int:
-        return self.as_dict().get((i, j), 0)
+        return self.as_dict().get(_integers((i, j), "Betti index", 0), 0)
 
     @property
     def generator_count(self) -> int:
@@ -147,6 +147,7 @@ class BettiTable:
 
     def is_linear(self, d: int) -> bool:
         """Whether every non-zero entry sits on the strand j = i + d."""
+        (d,) = _integers((d,), "strand degree", 0)
         return all(j == i + d for i, j, _ in self.entries)
 
     def to_json_dict(self) -> dict:

@@ -20,16 +20,12 @@ from __future__ import annotations
 import itertools
 import operator
 import os
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import AmbientMismatchError, BoundExceededError, EmptyIdealError, InvalidArgumentError
-
-
-def _check_ambient(n: int, m: int) -> None:
-    if n != m:
-        raise AmbientMismatchError(f"ambient variable counts differ: {n} vs {m}")
 
 
 def _integers(
@@ -93,11 +89,11 @@ class Monomial:
         return all(e <= 1 for e in self.exponents)
 
     def divides(self, other: Monomial) -> bool:
-        _check_ambient(self.n, other.n)
+        _monomials((self, other), "the operands")
         return all(a <= b for a, b in zip(self.exponents, other.exponents))
 
     def __mul__(self, other: Monomial) -> Monomial:
-        _check_ambient(self.n, other.n)
+        _monomials((self, other), "the operands")
         return Monomial(tuple(a + b for a, b in zip(self.exponents, other.exponents)))
 
     def __str__(self) -> str:
@@ -112,26 +108,49 @@ class Monomial:
         return "*".join(parts)
 
 
+def _monomials(entries: Iterable, what: str, n: int | None = None) -> tuple[Monomial, ...]:
+    """The entries as a non-empty tuple of Monomials in one ring, of n
+    variables when n is given.
+
+    This is the library's one monomial rule, applied once to every public
+    monomial argument; `what` names the argument in a refusal.  An entry
+    that is no Monomial would skip the integer rule of its exponents.
+    """
+    if not hasattr(entries, "__iter__"):
+        raise InvalidArgumentError(f"{what}: {entries!r} is not a Monomial")
+    mons = tuple(entries)
+    if not mons:
+        raise EmptyIdealError(f"{what} needs at least one monomial")
+    for m in mons:
+        if not isinstance(m, Monomial):
+            raise InvalidArgumentError(f"{what}: {m!r} is not a Monomial")
+        if n is None:
+            n = len(m.exponents)
+        elif len(m.exponents) != n:
+            raise AmbientMismatchError(f"ambient variable counts differ: {n} vs {m.n}")
+    return mons
+
+
 def unit_monomial(n: int) -> Monomial:
-    (n,) = _integers((n,), "n", 1)
+    (n,) = _integers((n,), "n", 1, sys.maxsize)
     return Monomial((0,) * n)
 
 
 def variable_monomial(var: int, n: int) -> Monomial:
     """The monomial x<var> in n variables (var is 1-based)."""
-    (n,) = _integers((n,), "n", 1)
+    (n,) = _integers((n,), "n", 1, sys.maxsize)
     (var,) = _integers((var,), "variable index", 1, n)
     return Monomial(tuple(1 if i == var - 1 else 0 for i in range(n)))
 
 
 def monomial_lcm(u: Monomial, v: Monomial) -> Monomial:
-    _check_ambient(u.n, v.n)
+    _monomials((u, v), "the operands")
     return Monomial(tuple(max(a, b) for a, b in zip(u.exponents, v.exponents)))
 
 
 def colon_monomial(u: Monomial, v: Monomial) -> Monomial:
     """u : v = u / gcd(u, v), i.e. coordinatewise max(a_i - b_i, 0)."""
-    _check_ambient(u.n, v.n)
+    _monomials((u, v), "the operands")
     return Monomial(tuple(a - b if a > b else 0 for a, b in zip(u.exponents, v.exponents)))
 
 
@@ -149,7 +168,7 @@ class VariableOrder:
 
     @classmethod
     def identity(cls, n: int) -> VariableOrder:
-        (n,) = _integers((n,), "n", 1)
+        (n,) = _integers((n,), "n", 1, sys.maxsize)
         return cls(tuple(range(1, n + 1)))
 
     @property
@@ -201,7 +220,8 @@ class MonomialIdeal:
     and multiples of other members are dropped, and the caller's Monomial
     objects are kept in canonical order (decreasing graded-lex under the
     identity variable order), so structural equality is ideal equality.
-    n goes through the integer rule and is stored as an int.
+    n goes through the integer rule and is stored as an int; gens go
+    through the monomial rule.
 
     A proper divisor has strictly smaller degree, so in ascending degree
     order each exponent vector is tested only against the kept vectors of
@@ -212,18 +232,11 @@ class MonomialIdeal:
     gens: tuple[Monomial, ...]
 
     def __post_init__(self) -> None:
-        try:
-            by_exps = {g.exponents: g for g in self.gens}
-        except AttributeError as e:
-            raise InvalidArgumentError(f"{e.obj!r} is not a Monomial") from None
-        if not by_exps:
-            raise EmptyIdealError("an ideal needs at least one generator")
         (n,) = _integers((self.n,), "n", 1)
+        by_exps = {g.exponents: g for g in _monomials(self.gens, "an ideal", n)}
         kept: list[tuple[int, ...]] = []
         degree = lower = 0  # kept[:lower] holds the kept vectors of smaller degree
         for d, e in sorted(zip(map(sum, by_exps), by_exps)):
-            if len(e) != n:
-                _check_ambient(n, len(e))
             if d != degree:
                 degree, lower = d, len(kept)
             if lower and any(all(map(operator.le, k, e)) for k in kept[:lower]):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 
 from .core import Monomial, MonomialIdeal, VariableOrder, _integers
 from .errors import InvalidArgumentError, ParseError, PolymatError
@@ -60,10 +61,17 @@ def _build_monomial(pairs: list[tuple[int, int]], n: int, offset: int, line: int
     return Monomial(tuple(exps))
 
 
+def _text(text: str) -> str:
+    """The text a parser was given, refused unless it is a str."""
+    if not isinstance(text, str):
+        raise InvalidArgumentError(f"text must be a str, got {text!r}")
+    return text
+
+
 def _variable_count(n: int | None, indices: list[int], unit: str) -> int:
     """A given n through the integer rule, else the largest variable index used."""
     if n is not None:
-        return _integers((n,), "n", 1)[0]
+        return _integers((n,), "n", 1, sys.maxsize)[0]
     if not indices:
         raise ParseError(f"cannot infer the variable count of the unit {unit}", 0, 1)
     return max(indices)
@@ -71,7 +79,7 @@ def _variable_count(n: int | None, indices: list[int], unit: str) -> int:
 
 def parse_monomial(text: str, n: int | None = None) -> Monomial:
     """Parse a single monomial; n defaults to the largest variable index seen."""
-    pairs = _parse_factors(text, 0, 1)
+    pairs = _parse_factors(_text(text), 0, 1)
     n = _variable_count(n, [var for var, _ in pairs], "monomial")
     return _build_monomial(pairs, n, 0, 1)
 
@@ -79,7 +87,7 @@ def parse_monomial(text: str, n: int | None = None) -> Monomial:
 def parse_ideal(text: str, n: int | None = None) -> MonomialIdeal:
     """Parse an ideal from `+`-joined and/or line-separated generators."""
     tokens: list[tuple[str, int, int]] = []
-    for lineno, raw_line in enumerate(text.splitlines(), start=1):
+    for lineno, raw_line in enumerate(_text(text).splitlines(), start=1):
         if not raw_line.strip():
             continue
         offset = 0
@@ -96,8 +104,9 @@ def parse_ideal(text: str, n: int | None = None) -> MonomialIdeal:
 
 def parse_variable_order(text: str) -> VariableOrder:
     """Parse a comma-separated permutation such as `3,2,1`."""
+    pieces = _text(text).split(",")
     try:
-        perm = tuple(int(p) for p in text.split(","))
+        perm = tuple(int(p) for p in pieces)
     except ValueError:
         raise ParseError(f"malformed permutation {text!r}", 0, 1) from None
     try:
@@ -140,8 +149,7 @@ def ideal_from_json_dict(data: dict) -> MonomialIdeal:
 def load_ideal_text(text: str, n: int | None = None) -> MonomialIdeal:
     """Parse an ideal from either the text format or the JSON form; a given
     n must agree with the "n" of a JSON document."""
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if _text(text).lstrip().startswith("{"):
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:

@@ -9,12 +9,13 @@ keeping one of the caller's objects for each, and sorts them lex-descending.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, dropwhile, takewhile
 from math import comb
 from typing import Iterator
 
-from .core import Monomial, MonomialIdeal, _integers, variable_monomial
+from .core import Monomial, MonomialIdeal, _integers, _monomials, variable_monomial
 from .errors import InvalidArgumentError
 
 
@@ -30,15 +31,8 @@ class MonomialSet:
     def __post_init__(self) -> None:
         for name, least in (("n", 1), ("d", 0)):
             object.__setattr__(self, name, _integers((getattr(self, name),), name, least)[0])
-        try:
-            by_exps = {m.exponents: m for m in self.elems}
-        except AttributeError as e:
-            raise InvalidArgumentError(f"{e.obj!r} is not a Monomial") from None
-        if not by_exps:
-            raise InvalidArgumentError("a monomial set needs at least one monomial")
+        by_exps = {m.exponents: m for m in _monomials(self.elems, "a monomial set", self.n)}
         for m in by_exps.values():
-            if m.n != self.n:
-                raise InvalidArgumentError(f"{m} does not live in {self.n} variables")
             if m.degree != self.d:
                 raise InvalidArgumentError(f"{m} does not have degree {self.d}")
         descending = sorted(by_exps, reverse=True)
@@ -61,8 +55,8 @@ class MonomialSet:
 
 def monomials_of_degree(n: int, d: int) -> MonomialSet:
     """All C(n+d-1, d) monomials of degree d, lex-descending."""
-    (n,) = _integers((n,), "n", 1)
-    (d,) = _integers((d,), "d", 0)
+    (n,) = _integers((n,), "n", 1, sys.maxsize)
+    (d,) = _integers((d,), "d", 0, sys.maxsize)
     # ascending variable multisets give descending exponent vectors: the sort is one pass
     layer = combinations_with_replacement(range(n), d)
     return MonomialSet(n, d, (Monomial(tuple(map(c.count, range(n)))) for c in layer))
@@ -70,8 +64,7 @@ def monomials_of_degree(n: int, d: int) -> MonomialSet:
 
 def _check_endpoints(u: Monomial, v: Monomial) -> None:
     """Reject a pair that does not bound a lexsegment u >= v of one degree."""
-    if u.n != v.n:
-        raise InvalidArgumentError(f"{u} and {v} live in different rings")
+    _monomials((u, v), "the segment endpoints")
     if u.degree != v.degree:
         raise InvalidArgumentError(f"{u} and {v} have different degrees")
     if u.exponents < v.exponents:
@@ -123,10 +116,10 @@ def is_completely_lexsegment(u: Monomial, v: Monomial, bound: int | None = None)
     shadow fills a whole degree layer all later shadows stay full, so the
     scan exits early in that case.
     """
-    if bound is None:
-        bound = max(1, u.n * u.degree)
-    (bound,) = _integers((bound,), "shadow depth bound", 1)
     T = lexsegment(u, v)
+    if bound is None:
+        bound = max(1, T.n * T.d)
+    (bound,) = _integers((bound,), "shadow depth bound", 1)
     for _ in range(bound):
         T = shadow(T)
         if not is_lexsegment(T):
@@ -138,6 +131,7 @@ def is_completely_lexsegment(u: Monomial, v: Monomial, bound: int | None = None)
 
 def final_segment_ideal(v: Monomial) -> MonomialIdeal:
     """The ideal generated by all degree-d monomials lex-greater-or-equal to v."""
+    _monomials((v,), "the segment endpoint")
     d = v.degree
     top = Monomial((d,) + (0,) * (v.n - 1))
     return MonomialIdeal(v.n, lexsegment(top, v).elems)

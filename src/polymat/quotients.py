@@ -51,10 +51,11 @@ from .core import (
     MonomialIdeal,
     VariableOrder,
     _check_perm_guard,
+    _monomials,
     canonical_key,
     colon_monomial,
 )
-from .errors import AmbientMismatchError, EmptyIdealError, InvalidArgumentError
+from .errors import AmbientMismatchError, InvalidArgumentError
 from .polymatroid import ExchangeWitness, exchange_failure, require_equigenerated
 
 
@@ -77,6 +78,8 @@ def sort_generators(I: MonomialIdeal, kind: str, order: VariableOrder) -> tuple[
     reads them against it and puts smaller first.
     """
     require_equigenerated(I)
+    if not isinstance(order, VariableOrder):
+        raise InvalidArgumentError(f"{order!r} is not a VariableOrder")
     if order.n != I.n:
         raise AmbientMismatchError(
             f"variable order {order} has {order.n} variables, the ideal {I.n}"
@@ -88,19 +91,6 @@ def sort_generators(I: MonomialIdeal, kind: str, order: VariableOrder) -> tuple[
     return tuple(sorted(I.gens, key=lambda m: read(m.exponents), reverse=lex))
 
 
-def _ring(seq: Sequence[Monomial]) -> int:
-    """The variable count of a non-empty sequence of monomials in one ring."""
-    if not seq:
-        raise EmptyIdealError("a generator sequence needs at least one monomial")
-    try:
-        n = seq[0].n
-        if any(m.n != n for m in seq):
-            raise AmbientMismatchError("the sequence mixes monomials of different rings")
-    except AttributeError as e:
-        raise InvalidArgumentError(f"{e.obj!r} is not a Monomial") from None
-    return n
-
-
 def linear_quotients_failure(seq: Sequence[Monomial]) -> LQFailure | None:
     """First position where a prefix colon ideal is not variable-generated.
 
@@ -108,7 +98,7 @@ def linear_quotients_failure(seq: Sequence[Monomial]) -> LQFailure | None:
     colons u_i : u_j; it is variable-generated exactly when every such
     colon is divisible by one of the degree-1 colons.
     """
-    _ring(seq)
+    seq = _monomials(seq, "a generator sequence")
     exps = [m.exponents for m in seq]
     for j in range(1, len(seq)):
         uj = exps[j]
@@ -327,7 +317,8 @@ def has_quotients_with_linear_resolution(seq: Sequence[Monomial]) -> bool:
     colon ideals pass trivially.  A unit prefix colon, which a free-form
     sequence has where a monomial divides a later one, counts as linear.
     """
-    I = MonomialIdeal(_ring(seq), seq)
+    seq = _monomials(seq, "a generator sequence")
+    I = MonomialIdeal(seq[0].n, seq)
     if not has_linear_resolution(I):
         return False
     for j in range(1, len(seq)):

@@ -191,6 +191,10 @@ UNWRITABLE_JSON = "<a --json path in a directory that does not exist>"
         ["suite", "remark", "--json", UNWRITABLE_JSON],
         # a variable count that contradicts the "n" of an ideal JSON document
         ["check", "poly", '{"n": 3, "gens": [[1, 0, 0], [0, 1, 0]]}', "--n", "5"],
+        # a variable count too large to index
+        ["check", "poly", "x1", "--n", str(2**70)],
+        ["lexsegment", "--u", "x1", "--v", "x1", "--n", str(2**70)],
+        ["betti", "x1", "--n", str(2**70)],
     ],
 )
 def test_error_contract_exits_2(argv, capsys, tmp_path):

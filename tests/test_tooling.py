@@ -145,6 +145,35 @@ def test_integers_are_decided_in_one_place():
     assert not found, found
 
 
+def test_monomials_are_decided_in_one_place():
+    # core._monomials is the one monomial rule: a duck-typed entry or a ring
+    # check of its own elsewhere would let a stand-in through in one place and
+    # give one fault two error types.  A ring check compares a variable count
+    # with another count, not with a constant; the one outside the rule is
+    # sort_generators', which compares an order's ring with its ideal's
+    allowed = {("core.py", "_monomials"), ("quotients.py", "sort_generators")}
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            if (path.name, getattr(top, "name", None)) in allowed:
+                continue
+            for node in ast.walk(top):
+                if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                    if "AttributeError" in ast.unparse(node.type):
+                        found.append(f"{path.name}:{node.lineno} except AttributeError")
+                elif isinstance(node, ast.Raise) and node.exc is not None:
+                    if "AmbientMismatchError" in ast.unparse(node.exc):
+                        found.append(f"{path.name}:{node.lineno} raise AmbientMismatchError")
+                elif isinstance(node, ast.Compare) and any(
+                    isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops
+                ):
+                    sides = [node.left, *node.comparators]
+                    if any(isinstance(side, ast.Attribute) and side.attr == "n" for side in sides) \
+                            and not any(isinstance(side, ast.Constant) for side in sides):
+                        found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    assert not found, found
+
+
 def test_every_raise_names_a_toolkit_error():
     # the CLI turns a PolymatError into exit 2, so a usage error must be one
     # and an internal fault must not look like one: the only other raises
