@@ -12,7 +12,6 @@ from .betti import (
     BettiTable,
     graded_betti,
     has_linear_resolution,
-    integer_rank,
     taylor_strand_betti,
 )
 from .core import (

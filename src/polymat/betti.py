@@ -20,18 +20,21 @@ exactly when a_t >= g_t, and no borrow crosses a field (Warren, Hacker's
 Delight, ch. 2).  Face masks sit on the guard bits; bit t -> t*w + w - 1
 is monotone, so faces sort, and boundaries take signs, as variable masks.
 
-Homology ranks come from integer row reduction of the sparse +-1
-boundary matrices: unit pivots eliminate with one integer multiple, and
-any other pivot with a fraction-free combination of the two rows.  There
-is no floating point and no modular arithmetic anywhere in this module,
-so the ranks are exact over Q and agreement between the two routes is
-exact or not at all.
+Homology ranks come from integer row reduction of the +-1 boundary maps,
+one sparse row per face: the row of a face of card (size) c holds its
+boundary over the faces of card c-1, at most c entries, so each map is
+ranked as its transpose.  The cards are reduced from the top down with
+clearing, so the faces that would add no rank are never built into rows.
+Unit pivots eliminate with one integer multiple, and any other pivot
+with a fraction-free combination of the two rows.  There is no floating
+point and no modular arithmetic anywhere in this module, so the ranks
+are exact over Q and agreement between the two routes is exact or not
+at all.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import compress
 from math import gcd
 from operator import and_
 
@@ -53,22 +56,28 @@ TAYLOR_GENERATOR_LIMIT = 12
 CACHE_SIZE = 4096
 
 
-def integer_rank(rows: list[list[int]]) -> int:
-    """Matrix rank over the rationals by integer row reduction.
+def integer_rank(rows: list[dict[int, int]]) -> dict[int, dict[int, int]]:
+    """The pivot rows of a matrix over the rationals, keyed by leading column.
 
-    Each row, stored sparsely as {column: value}, is reduced against the
-    pivot rows found so far, which are keyed by their leading (here: last
-    non-zero) column; on boundary matrices whose faces are listed in
-    increasing order that runs about 1.7x faster than eliminating from
-    the first column (squarefree Veronese ideal, n=10, d=3).  A
-    +-1 pivot clears the leading entry with one integer multiple; another
-    pivot b clears an entry a by the fraction-free combination
-    (b/g)*row - (a/g)*pivot, g = gcd(a, b).  A row that keeps a non-zero
-    entry becomes a pivot, and the rank is the number of pivots.
+    Each sparse row {column: value} is reduced in place against the pivot
+    rows found so far, which are keyed by their leading (here: last
+    non-zero) column.  A +-1 pivot clears the leading entry with one
+    integer multiple; another pivot b clears an entry a by the
+    fraction-free combination (b/g)*row - (a/g)*pivot, g = gcd(a, b).  A
+    row that keeps a non-zero entry becomes a pivot, so the rank is the
+    number of keys.
+
+    `_ranks_by_card` passes one row per face, the face's boundary, card by
+    card from the top down, and leaves out every face that leads a pivot
+    of the card above (clearing: Chen-Kerber, Persistent homology
+    computation with a twist, 2011; Bauer-Kerber-Reininghaus, Clear and
+    Compress, 2014).  That pivot is a combination of boundaries, so a
+    cycle, and its leading entry writes the left-out face's boundary as a
+    combination of earlier faces' boundaries, which by induction lie in
+    the span of the rows passed: leaving it out keeps the rank.
     """
     pivots: dict[int, dict[int, int]] = {}
-    for dense in rows:
-        row = dict(zip(compress(range(len(dense)), dense), filter(None, dense)))
+    for row in rows:
         while row:
             lead = max(row)
             pivot = pivots.get(lead)
@@ -88,27 +97,29 @@ def integer_rank(rows: list[list[int]]) -> int:
                     row[j] = w
                 else:
                     del row[j]
-    return len(pivots)
+    return pivots
 
 
 def _ranks_by_card(faces_by_card: dict[int, list[int]]) -> dict[int, int]:
-    """Ranks of the boundary maps card -> card-1 between face masks grouped by card."""
+    """Ranks of the boundary maps card -> card-1 between face masks grouped by
+    card, each from one boundary row per face, top card first, with clearing."""
     ranks: dict[int, int] = {}
-    for card, cols in faces_by_card.items():
-        if card == 0:
-            continue
-        rows = faces_by_card.get(card - 1, [])
-        if not rows or not cols:
-            ranks[card] = 0
-            continue
-        row_index = {f: i for i, f in enumerate(rows)}
-        mat = [[0] * len(cols) for _ in rows]
-        for ci, face in enumerate(cols):
+    cleared: dict[int, dict[int, int]] = {}  # the pivots of the card above
+    for card in range(max(faces_by_card, default=0), 0, -1):
+        index = {f: i for i, f in enumerate(faces_by_card.get(card - 1, ()))}
+        rows = []
+        for i, face in enumerate(faces_by_card.get(card, ())):
+            if i in cleared:
+                continue
+            row = {}
             for t, target in enumerate(_mask_boundary(face)):
-                ri = row_index.get(target)
-                if ri is not None:
-                    mat[ri][ci] = -1 if t % 2 else 1
-        ranks[card] = integer_rank(mat)
+                j = index.get(target)
+                if j is not None:
+                    row[j] = -1 if t % 2 else 1
+            rows.append(row)
+        pivots = integer_rank(rows)
+        ranks[card] = len(pivots)
+        cleared = pivots
     return ranks
 
 

@@ -80,6 +80,56 @@ def bareiss_rank(rows: list[list[int]]) -> int:
     return r
 
 
+def sparse_rows(mat: list[list[int]]) -> list[dict[int, int]]:
+    """The rows of a dense matrix as the {column: value} rows integer_rank takes."""
+    return [{j: v for j, v in enumerate(row) if v} for row in mat]
+
+
+def dense(rows: list[dict[int, int]]) -> list[list[int]]:
+    """Sparse rows as a dense matrix, one column up to the last one used."""
+    width = max((max(row) + 1 for row in rows if row), default=0)
+    return [[row.get(j, 0) for j in range(width)] for row in rows]
+
+
+# the rank routine itself, which the ranked fixture leaves unpatched here
+integer_rank = betti.integer_rank
+
+
+def rank(mat: list[list[int]]) -> int:
+    """integer_rank of a dense matrix: its number of pivot rows."""
+    return len(integer_rank(sparse_rows(mat)))
+
+
+def boundary_matrix(faces_by_card: dict[int, list[int]], card: int) -> list[list[int]]:
+    """The whole boundary matrix card -> card-1, without clearing: rows the
+    faces of card-1, columns those of card, +-1 where _mask_boundary says."""
+    index = {f: i for i, f in enumerate(faces_by_card.get(card - 1, []))}
+    cols = faces_by_card.get(card, [])
+    mat = [[0] * len(cols) for _ in index]
+    for c, face in enumerate(cols):
+        for t, target in enumerate(betti._mask_boundary(face)):
+            if target in index:
+                mat[index[target]][c] = -1 if t % 2 else 1
+    return mat
+
+
+def taylor_strands(ideal: pm.MonomialIdeal) -> list[list[int]]:
+    """The non-empty subsets of the generators, as masks, grouped by their lcm."""
+    exps = [g.exponents for g in ideal.gens]
+    strands: dict[tuple[int, ...], list[int]] = {}
+    for mask in range(1, 1 << len(exps)):
+        chosen = [e for t, e in enumerate(exps) if mask >> t & 1]
+        strands.setdefault(tuple(map(max, zip(*chosen))), []).append(mask)
+    return list(strands.values())
+
+
+def koszul_facets(ideal: pm.MonomialIdeal) -> list[list[int]]:
+    """The facets of K^alpha at every lcm-lattice point, cones included."""
+    gens, guards, width = betti._packed([g.exponents for g in ideal.gens])
+    return [betti._koszul_facets(gens, alpha, guards, width)
+            for alpha in betti.lcm_lattice(gens, guards, width)]
+
+
 def brute_force_faces(gens, alpha) -> set[int]:
     """Faces of K^alpha by testing every squarefree mask on supp(alpha) against
     every generator (the former production enumerator), as variable bitmasks."""
@@ -203,23 +253,26 @@ def gcd_calls(monkeypatch):
 
 @pytest.fixture
 def ranked(monkeypatch):
-    """Every matrix the library passes to integer_rank while the test runs;
-    pm.integer_rank stays the unpatched routine."""
+    """A copy of every list of rows the library passes to integer_rank while
+    the test runs, taken before the rows are reduced in place."""
     seen = []
-    rank = betti.integer_rank
-    monkeypatch.setattr(betti, "integer_rank", lambda rows: seen.append(rows) or rank(rows))
+    monkeypatch.setattr(
+        betti, "integer_rank",
+        lambda rows: seen.append([dict(r) for r in rows]) or integer_rank(rows),
+    )
     return seen
 
 
 class TestIntegerRank:
     def test_empty(self):
-        assert pm.integer_rank([]) == 0
+        assert integer_rank([]) == {}
+        assert "integer_rank" not in pm.__all__
 
     def test_identity(self):
-        assert pm.integer_rank([[1, 0], [0, 1]]) == 2
+        assert integer_rank(sparse_rows([[1, 0], [0, 1]])) == {0: {0: 1}, 1: {1: 1}}
 
     def test_dependent_rows(self):
-        assert pm.integer_rank([[1, 2, 3], [2, 4, 6], [1, 1, 1]]) == 2
+        assert rank([[1, 2, 3], [2, 4, 6], [1, 1, 1]]) == 2
 
     def test_agrees_with_fractions(self):
         rng = random.Random(3)
@@ -227,24 +280,31 @@ class TestIntegerRank:
             rows = rng.randint(1, 6)
             cols = rng.randint(1, 6)
             mat = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
-            assert pm.integer_rank(mat) == fraction_rank(mat) == bareiss_rank(mat)
+            assert rank(mat) == fraction_rank(mat) == bareiss_rank(mat)
 
     def test_low_rank_products_agree_with_fractions(self, gcd_calls):
         # unit pivots run out on these, so the fraction-free branch must carry them
         rng = random.Random(5)
         for _ in range(300):
             mat = low_rank_product(rng)
-            assert pm.integer_rank(mat) == fraction_rank(mat)
+            assert rank(mat) == fraction_rank(mat)
         assert gcd_calls
 
     def test_projective_plane_boundaries(self, gcd_calls, ranked):
         assert homology_ranks(RP2_FACETS) == [0, 0, 0, 0]
-        assert [(len(m), len(m[0])) for m in ranked] == [(1, 6), (6, 15), (15, 10)]
-        assert gcd_calls
-        for mat in ranked:
+        # one row per face, top card first; clearing leaves 5 of the 15 edges
+        # and 1 of the 6 vertices
+        assert [(len(rows), len(dense(rows)[0])) for rows in ranked] == [
+            (10, 15), (5, 6), (1, 1)
+        ]
+        for rows in ranked:
+            mat = dense(rows)
             transposed = [list(col) for col in zip(*mat)]
-            assert pm.integer_rank(mat) == fraction_rank(mat) == fraction_rank(transposed)
-            assert pm.integer_rank(transposed) == fraction_rank(mat)
+            assert rank(mat) == fraction_rank(mat) == fraction_rank(transposed)
+            assert rank(transposed) == fraction_rank(mat)
+        # the divisor 2 shows only in the transposed orientation: there the
+        # top boundary meets a pivot that is not +-1
+        assert gcd_calls
 
     def test_agrees_with_bareiss_on_koszul_boundaries(self, ranked):
         rng = random.Random(9)
@@ -252,8 +312,38 @@ class TestIntegerRank:
             betti.graded_betti.__wrapped__(random_mixed_ideal(rng))
         betti.graded_betti.__wrapped__(veronese(4, 2))
         assert len(ranked) > 100
-        for mat in ranked:
-            assert pm.integer_rank(mat) == bareiss_rank(mat)
+        for rows in ranked:
+            assert len(integer_rank(rows)) == bareiss_rank(dense(rows))
+
+
+class TestClearing:
+    """Ranks from the top card down with clearing against the whole boundary
+    matrices, built here without it."""
+
+    def test_ranks_match_whole_boundary_matrices(self):
+        rng = random.Random(9)
+        ideals = [random_mixed_ideal(rng) for _ in range(40)]
+        complexes = [betti._faces_of(facets) for ideal in ideals + [veronese(4, 2)]
+                     for facets in koszul_facets(ideal)]
+        complexes += [
+            betti._faces_of([sum(1 << v for v in facet) for facet in facets])
+            for facets in (RP2_FACETS, list(itertools.combinations(range(4), 3)))
+        ]
+        strands = [masks for ideal in ideals for masks in taylor_strands(ideal)]
+        for masks in complexes + strands:
+            by_card = betti._by_card(masks)
+            top = max(by_card, default=0)
+            assert betti._ranks_by_card(by_card) == {
+                card: bareiss_rank(boundary_matrix(by_card, card)) for card in range(1, top + 1)
+            }
+
+    def test_cleared_faces_are_not_ranked(self, ranked):
+        ideal = veronese(4, 2)
+        betti.graded_betti.__wrapped__(ideal)
+        # the non-empty faces of every K^alpha that is not a cone
+        faces = sum(len(betti._faces_of(facets)) - 1 for facets in koszul_facets(ideal)
+                    if not reduce(and_, facets))
+        assert 0 < sum(map(len, ranked)) < faces
 
 
 class TestKoszulFaces:

@@ -137,7 +137,6 @@ NOT_BOUNDARIES = {
     "LQFailure": "a record the linear-quotients test builds",
     "TheoremCheck": "a record theorem_equivalence builds",
     "ParseError": "an exception that carries a text position",
-    "integer_rank": "takes matrix rows; the rank layer is to take internal sparse rows instead",
 }
 
 NON_INTEGERS = st.one_of(
