@@ -65,16 +65,8 @@ def integer_rank(rows: list[dict[int, int]]) -> dict[int, dict[int, int]]:
     integer multiple; another pivot b clears an entry a by the
     fraction-free combination (b/g)*row - (a/g)*pivot, g = gcd(a, b).  A
     row that keeps a non-zero entry becomes a pivot, so the rank is the
-    number of keys.
-
-    `_ranks_by_card` passes one row per face, the face's boundary, card by
-    card from the top down, and leaves out every face that leads a pivot
-    of the card above (clearing: Chen-Kerber, Persistent homology
-    computation with a twist, 2011; Bauer-Kerber-Reininghaus, Clear and
-    Compress, 2014).  That pivot is a combination of boundaries, so a
-    cycle, and its leading entry writes the left-out face's boundary as a
-    combination of earlier faces' boundaries, which by induction lie in
-    the span of the rows passed: leaving it out keeps the rank.
+    number of keys.  Every given row ends either empty or as the pivot
+    stored under its leading column.
     """
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
@@ -90,7 +82,8 @@ def integer_rank(rows: list[dict[int, int]]) -> dict[int, dict[int, int]]:
             else:
                 g = gcd(a, b)
                 k, scale = a // g, b // g
-                row = {j: scale * v for j, v in row.items()}
+                for j in row:
+                    row[j] *= scale
             for j, v in pivot.items():
                 w = row.get(j, 0) - k * v
                 if w:
@@ -102,7 +95,17 @@ def integer_rank(rows: list[dict[int, int]]) -> dict[int, dict[int, int]]:
 
 def _ranks_by_card(faces_by_card: dict[int, list[int]]) -> dict[int, int]:
     """Ranks of the boundary maps card -> card-1 between face masks grouped by
-    card, each from one boundary row per face, top card first, with clearing."""
+    card, each from one boundary row per face, top card first, with clearing.
+
+    Each face of card c becomes the row of its boundary over the faces of
+    card c-1, and every face that leads a pivot of the card above is left
+    out (clearing: Chen-Kerber, Persistent homology computation with a
+    twist, 2011; Bauer-Kerber-Reininghaus, Clear and Compress, 2014).
+    That pivot is a combination of boundaries, so a cycle, and its leading
+    entry writes the left-out face's boundary as a combination of earlier
+    faces' boundaries, which by induction lie in the span of the rows
+    ranked: leaving it out keeps the rank.
+    """
     ranks: dict[int, int] = {}
     cleared: dict[int, dict[int, int]] = {}  # the pivots of the card above
     for card in range(max(faces_by_card, default=0), 0, -1):
