@@ -34,7 +34,7 @@ at all.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from math import gcd
 from operator import and_
 
@@ -42,18 +42,6 @@ from .core import MonomialIdeal, _integers
 from .errors import OracleUnavailableError, UnitIdealError
 
 TAYLOR_GENERATOR_LIMIT = 12
-# Entries kept by the one result cache, on graded_betti.  Its traffic is the
-# quotients-with-linear-resolution check over variable orders (`check qwlr
-# --all-orders`, `suite remark`): the sequences of one ideal under its n!
-# orders share most prefix colon ideals.  Over all 2*n! kind/order pairs of
-# the Veronese ideal (4,2) that is 465 hits and 15 misses, 0.024 s against
-# 0.18 s uncached; of (5,2), 3,569 hits and 31 misses, 0.21 s against 2.9 s
-# (raw seconds, one run each).  The betti workload's output check reads the
-# table its timed call cached.  The localization suite asks only for a
-# localization that fails its linear-quotients certificate, none on the
-# exhaustive (5,2) corpus.  The limit keeps a long sweep from growing the
-# cache without end.
-CACHE_SIZE = 4096
 
 
 def integer_rank(rows: list[dict[int, int]]) -> dict[int, dict[int, int]]:
@@ -272,7 +260,6 @@ def _by_card(masks) -> dict[int, list[int]]:
     return by_card
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def graded_betti(I: MonomialIdeal) -> BettiTable:
     """Graded Betti numbers via homology of upper-Koszul complexes over the lcm lattice."""
     if I.is_unit:

@@ -28,9 +28,9 @@ from .ioformats import (
 from .lexsegment import arnehe_criterion, is_completely_lexsegment, lexsegment, shadow
 from .polymatroid import exchange_failure
 from .quotients import (
-    has_quotients_with_linear_resolution,
     linear_quotients_failure,
     lq_all_orders_failure,
+    qwlr_by_order,
     sort_generators,
 )
 from .suites import SUITES, _order_witness
@@ -112,14 +112,8 @@ def _cmd_check_lq(args):
 
 def _cmd_check_qwlr(args):
     I = _load_ideal(args)
-    if args.all_orders:
-        orders = list(all_variable_orders(I.n))
-    else:
-        orders = [parse_variable_order(args.order)]
-    results = {}
-    for order in orders:
-        seq = sort_generators(I, args.kind, order)
-        results[str(order)] = has_quotients_with_linear_resolution(seq)
+    orders = all_variable_orders(I.n) if args.all_orders else [parse_variable_order(args.order)]
+    results = {str(order): holds for order, holds in qwlr_by_order(I, args.kind, orders).items()}
     ok = all(results.values())
     lines = [
         f"quotients with linear resolution ({args.kind}, order {name}): "

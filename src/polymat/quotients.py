@@ -5,6 +5,10 @@ decreasing order under the lex or revlex order that a variable permutation
 induces, so prefixes are exactly the sets of strictly greater generators.
 linear_quotients_failure and has_quotients_with_linear_resolution test
 that tuple, or any non-empty sequence of monomials in one ring.
+qwlr_by_order runs the latter on the sequence that each of several
+orders induces.  Those sequences share most prefix colon ideals, so it
+memoizes the linear-resolution verdict of each ideal in a dict that lives
+for that one call; the library keeps no cache between calls.
 
 The quantified check lq_all_orders_failure covers all n! permutations and
 reports the first failing one in lexicographic permutation order.  It tests
@@ -43,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .betti import has_linear_resolution
 from .core import (
@@ -308,6 +312,15 @@ def conjecture_probe(I: MonomialIdeal) -> ConjectureProbe:
     return ConjectureProbe(ConjectureOutcome.COUNTEREXAMPLE, witness, None, None)
 
 
+def _qwlr(seq: tuple[Monomial, ...], linear) -> bool:
+    """Whether linear(J) holds for the ideal J of seq and then for each
+    prefix colon ideal in turn, stopping at the first that fails."""
+    n = seq[0].n
+    colons = (MonomialIdeal(n, [colon_monomial(u, v) for u in seq[:j]])
+              for j, v in enumerate(seq[1:], 1))
+    return linear(MonomialIdeal(n, seq)) and all(map(linear, colons))
+
+
 def has_quotients_with_linear_resolution(seq: Sequence[Monomial]) -> bool:
     """The ideal of the sequence and every prefix colon ideal have linear
     resolutions.
@@ -317,12 +330,21 @@ def has_quotients_with_linear_resolution(seq: Sequence[Monomial]) -> bool:
     colon ideals pass trivially.  A unit prefix colon, which a free-form
     sequence has where a monomial divides a later one, counts as linear.
     """
-    seq = _monomials(seq, "a generator sequence")
-    I = MonomialIdeal(seq[0].n, seq)
-    if not has_linear_resolution(I):
-        return False
-    for j in range(1, len(seq)):
-        prefix_colon = MonomialIdeal(I.n, [colon_monomial(seq[i], seq[j]) for i in range(j)])
-        if not has_linear_resolution(prefix_colon):
-            return False
-    return True
+    return _qwlr(_monomials(seq, "a generator sequence"), has_linear_resolution)
+
+
+def qwlr_by_order(
+    I: MonomialIdeal, kind: str, orders: Iterable[VariableOrder]
+) -> dict[VariableOrder, bool]:
+    """has_quotients_with_linear_resolution of the sequence that each order
+    induces, with each ideal's linear-resolution verdict computed once for
+    the whole call: the sequences of one ideal share most prefix colons."""
+    known: dict[MonomialIdeal, bool] = {}
+
+    def linear(J: MonomialIdeal) -> bool:
+        holds = known.get(J)
+        if holds is None:
+            holds = known[J] = has_linear_resolution(J)
+        return holds
+
+    return {order: _qwlr(sort_generators(I, kind, order), linear) for order in orders}

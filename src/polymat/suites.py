@@ -26,8 +26,8 @@ from .quotients import (
     ConjectureOutcome,
     LQFailure,
     conjecture_probe,
-    has_quotients_with_linear_resolution,
     linear_quotients_failure,
+    qwlr_by_order,
     sort_generators,
     theorem_equivalence,
 )
@@ -281,11 +281,11 @@ def reproduce_remark() -> CheckReport:
         }
     )
 
-    qwlr = {}
-    for kind in ("lex", "revlex"):
-        for order in all_variable_orders(3):
-            seq = sort_generators(I, kind, order)
-            qwlr[f"{kind}:{order}"] = has_quotients_with_linear_resolution(seq)
+    qwlr = {
+        f"{kind}:{order}": holds
+        for kind in ("lex", "revlex")
+        for order, holds in qwlr_by_order(I, kind, all_variable_orders(3)).items()
+    }
     verdicts.append(
         {
             "clause": 3,

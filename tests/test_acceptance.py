@@ -10,6 +10,7 @@ import random
 import pytest
 
 import polymat as pm
+from polymat.quotients import qwlr_by_order
 
 CORPORA = ((3, 2), (3, 3), (4, 2))
 
@@ -120,9 +121,11 @@ def test_criterion_6_lq_implies_linear_resolution_and_qwlr(lq_survey):
             continue
         ideals_with_lq += 1
         assert pm.has_linear_resolution(ideal), ideal
-        for kind, order, seq in hits:
-            assert pm.has_quotients_with_linear_resolution(seq), (ideal, kind, order)
-            sequences += 1
+        for kind in ("lex", "revlex"):
+            orders = [order for k, order, _ in hits if k == kind]
+            for order, holds in qwlr_by_order(ideal, kind, orders).items():
+                assert holds, (ideal, kind, order)
+                sequences += 1
     print(
         f"ACCEPTANCE 6 LQ => linear resolution and QWLR: PASS "
         f"({ideals_with_lq} ideals, {sequences} sequences, 0 violations)"

@@ -309,8 +309,8 @@ class TestIntegerRank:
     def test_agrees_with_bareiss_on_koszul_boundaries(self, ranked):
         rng = random.Random(9)
         for _ in range(40):
-            betti.graded_betti.__wrapped__(random_mixed_ideal(rng))
-        betti.graded_betti.__wrapped__(veronese(4, 2))
+            betti.graded_betti(random_mixed_ideal(rng))
+        betti.graded_betti(veronese(4, 2))
         assert len(ranked) > 100
         for rows in ranked:
             expected = bareiss_rank(dense(rows))  # before integer_rank reduces the rows
@@ -340,7 +340,7 @@ class TestClearing:
 
     def test_cleared_faces_are_not_ranked(self, ranked):
         ideal = veronese(4, 2)
-        betti.graded_betti.__wrapped__(ideal)
+        betti.graded_betti(ideal)
         # the non-empty faces of every K^alpha that is not a cone
         faces = sum(len(betti._faces_of(facets)) - 1 for facets in koszul_facets(ideal)
                     if not reduce(and_, facets))
@@ -441,6 +441,15 @@ class TestGradedBetti:
 
     def test_principal(self):
         assert pm.graded_betti(I("x1^2*x2", 3)).as_dict() == {(0, 3): 1}
+
+    def test_no_result_cache(self, ranked):
+        # a second call on the same ideal ranks its complexes again
+        ideal = veronese(3, 2)
+        table = pm.graded_betti(ideal)
+        first = len(ranked)
+        assert first > 0
+        assert pm.graded_betti(ideal) == table
+        assert len(ranked) == 2 * first
 
 
 class TestTaylorOracle:

@@ -15,6 +15,8 @@ from polymat.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 REMARK = "x1*x3^2 + x1^2*x3 + x1*x2*x3 + x2^2*x3"
 SQUAREFREE = "x1*x2 + x1*x3 + x2*x3"
+# lex quotients with linear resolution hold for five of its six orders, not 3,2,1
+MIXED = "x1^2*x2 + x1^2*x3 + x1*x2^2 + x2^3"
 
 CASES = {
     "suite-remark": (["suite", "remark"], 0),
@@ -25,6 +27,8 @@ CASES = {
     "check-lq-all-fail": (["check", "lq", REMARK, "--kind", "revlex", "--all-orders"], 1),
     "check-lq-all-pass": (["check", "lq", SQUAREFREE, "--kind", "lex", "--all-orders"], 0),
     "check-qwlr-all": (["check", "qwlr", REMARK, "--kind", "revlex", "--all-orders"], 0),
+    "check-qwlr-all-mixed": (["check", "qwlr", MIXED, "--kind", "lex", "--all-orders"], 1),
+    "check-qwlr-order": (["check", "qwlr", MIXED, "--kind", "lex", "--order", "3,2,1"], 1),
     "betti-remark": (["betti", REMARK], 0),
     "lexsegment": (["lexsegment", "--u", "x1^2", "--v", "x1*x3", "--n", "3"], 0),
     "localize-remark": (["localize", REMARK, "--at", "3"], 0),

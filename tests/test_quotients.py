@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import polymat as pm
 from conftest import I, M, small_ideals, veronese
+from polymat import quotients
 
 O = pm.VariableOrder
 
@@ -261,6 +262,19 @@ def test_polymatroidal_has_lq_both_kinds_all_orders():
                 assert pm.has_lq_all_orders(item.ideal, "revlex"), item.ideal
 
 
+# lex quotients with linear resolution hold for five of its six orders, not 3,2,1
+MIXED = "x1^2*x2 + x1^2*x3 + x1*x2^2 + x2^3"
+
+
+@pytest.fixture
+def linear_calls(monkeypatch):
+    """Every ideal the quotients layer asks has_linear_resolution about."""
+    seen = []
+    real = quotients.has_linear_resolution
+    monkeypatch.setattr(quotients, "has_linear_resolution", lambda J: seen.append(J) or real(J))
+    return seen
+
+
 class TestQuotientsWithLinearResolution:
     def test_remark_all_twelve(self, remark_ideal):
         for kind in ("lex", "revlex"):
@@ -282,8 +296,30 @@ class TestQuotientsWithLinearResolution:
                 if pm.has_linear_quotients(seq):
                     assert pm.has_quotients_with_linear_resolution(seq)
 
-    def test_multidegree_colon_blocks(self):
+    def test_multidegree_colon_blocks(self, linear_calls):
         # (x1^2, x2^2): the colon of the second by the first is x2^2, not
-        # linear, but worse: the full ideal has no linear resolution
+        # linear, but worse: the full ideal has no linear resolution, so the
+        # check stops there
         seq = pm.sort_generators(I("x1^2 + x2^2"), "lex", O.identity(2))
         assert not pm.has_quotients_with_linear_resolution(seq)
+        assert len(linear_calls) == 1
+
+    def test_by_order_matches_each_sequence(self, remark_ideal):
+        cases = [(remark_ideal, "lex"), (remark_ideal, "revlex"),
+                 (veronese(4, 2), "lex"), (veronese(4, 2), "revlex"), (I(MIXED), "lex")]
+        for ideal, kind in cases:
+            orders = list(pm.all_variable_orders(ideal.n))
+            expected = {
+                order: pm.has_quotients_with_linear_resolution(
+                    pm.sort_generators(ideal, kind, order))
+                for order in orders
+            }
+            assert quotients.qwlr_by_order(ideal, kind, orders) == expected, (ideal, kind)
+        held = quotients.qwlr_by_order(I(MIXED), "lex", pm.all_variable_orders(3))
+        assert [order for order, holds in held.items() if not holds] == [O((3, 2, 1))]
+
+    def test_by_order_checks_each_ideal_once(self, linear_calls):
+        held = quotients.qwlr_by_order(veronese(4, 2), "lex", pm.all_variable_orders(4))
+        assert len(held) == 24 and all(held.values())
+        # the ideal and its distinct prefix colon ideals over all 24 orders
+        assert len(linear_calls) == len(set(linear_calls)) == 15
