@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from math import comb
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .core import Monomial, MonomialIdeal, _integers, all_variable_orders
 from .errors import BoundExceededError, InvalidArgumentError
@@ -162,7 +162,17 @@ def _is_orbit_representative(
     return True
 
 
+def decode_masks(n: int, d: int, masks: Iterable[int], start: int = 0) -> Iterator[CorpusItem]:
+    """The corpus items that degree-d masks in n variables denote, indexed from start.
+
+    The basis is built once per call and each item is built as it is
+    consumed, so suite workers can decode their share of a corpus from
+    plain ints.
+    """
+    basis = monomials_of_degree(n, d).elems
+    for index, mask in enumerate(masks, start):
+        yield CorpusItem(index, mask, MonomialIdeal(n, _decode(basis, mask)))
+
+
 def enumerate_corpus(spec: CorpusSpec) -> Iterator[CorpusItem]:
-    basis = monomials_of_degree(spec.n, spec.d).elems
-    for index, mask in enumerate(corpus_masks(spec)):
-        yield CorpusItem(index, mask, MonomialIdeal(spec.n, _decode(basis, mask)))
+    yield from decode_masks(spec.n, spec.d, corpus_masks(spec))

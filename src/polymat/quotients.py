@@ -57,7 +57,6 @@ from .core import (
     _check_perm_guard,
     _monomials,
     canonical_key,
-    colon_monomial,
 )
 from .errors import AmbientMismatchError, InvalidArgumentError
 from .polymatroid import ExchangeWitness, exchange_failure, require_equigenerated
@@ -313,12 +312,21 @@ def conjecture_probe(I: MonomialIdeal) -> ConjectureProbe:
 
 
 def _qwlr(seq: tuple[Monomial, ...], linear) -> bool:
-    """Whether linear(J) holds for the ideal J of seq and then for each
-    prefix colon ideal in turn, stopping at the first that fails."""
-    n = seq[0].n
-    colons = (MonomialIdeal(n, [colon_monomial(u, v) for u in seq[:j]])
-              for j, v in enumerate(seq[1:], 1))
-    return linear(MonomialIdeal(n, seq)) and all(map(linear, colons))
+    """Whether linear holds for the ideal of seq and then for each prefix
+    colon ideal in turn, stopping at the first that fails.
+
+    linear gets each ideal as the frozenset of the exponent vectors that
+    generate it, the colons u_i : u_j of a prefix, so a memo keyed by them
+    answers a repeat without building a monomial.
+    """
+    exps = [m.exponents for m in seq]
+    colons = (frozenset(tuple(a - b if a > b else 0 for a, b in zip(u, v)) for u in exps[:j])
+              for j, v in enumerate(exps[1:], 1))
+    return linear(frozenset(exps)) and all(map(linear, colons))
+
+
+def _ideal(n: int, vectors: frozenset[tuple[int, ...]]) -> MonomialIdeal:
+    return MonomialIdeal(n, map(Monomial, vectors))
 
 
 def has_quotients_with_linear_resolution(seq: Sequence[Monomial]) -> bool:
@@ -330,7 +338,9 @@ def has_quotients_with_linear_resolution(seq: Sequence[Monomial]) -> bool:
     colon ideals pass trivially.  A unit prefix colon, which a free-form
     sequence has where a monomial divides a later one, counts as linear.
     """
-    return _qwlr(_monomials(seq, "a generator sequence"), has_linear_resolution)
+    seq = _monomials(seq, "a generator sequence")
+    n = seq[0].n
+    return _qwlr(seq, lambda vectors: has_linear_resolution(_ideal(n, vectors)))
 
 
 def qwlr_by_order(
@@ -338,13 +348,23 @@ def qwlr_by_order(
 ) -> dict[VariableOrder, bool]:
     """has_quotients_with_linear_resolution of the sequence that each order
     induces, with each ideal's linear-resolution verdict computed once for
-    the whole call: the sequences of one ideal share most prefix colons."""
-    known: dict[MonomialIdeal, bool] = {}
+    the whole call: the sequences of one ideal share most prefix colons.
 
-    def linear(J: MonomialIdeal) -> bool:
-        holds = known.get(J)
+    The memo is asked first by the generating vectors, which a repeated
+    prefix colon repeats exactly, and on a miss by the ideal they
+    generate, which other generating sets of the same ideal share.
+    """
+    by_vectors: dict[frozenset[tuple[int, ...]], bool] = {}
+    by_ideal: dict[MonomialIdeal, bool] = {}
+
+    def linear(vectors: frozenset[tuple[int, ...]]) -> bool:
+        holds = by_vectors.get(vectors)
         if holds is None:
-            holds = known[J] = has_linear_resolution(J)
+            J = _ideal(I.n, vectors)
+            holds = by_ideal.get(J)
+            if holds is None:
+                holds = by_ideal[J] = has_linear_resolution(J)
+            by_vectors[vectors] = holds
         return holds
 
     return {order: _qwlr(sort_generators(I, kind, order), linear) for order in orders}

@@ -4,6 +4,10 @@ Each suite maps a checker over a corpus and assembles a CheckReport whose
 JSON rendering is byte-identical across runs and worker counts: verdicts
 are keyed by corpus index, keys are sorted, and timing lives only on the
 in-memory report, never in the JSON.
+
+On several workers the parent ships (corpus index, masks) chunks, plain
+ints, and each worker decodes its own masks into ideals; on one, the
+suite streams the corpus and holds no list of built ideals.
 """
 
 from __future__ import annotations
@@ -19,7 +23,9 @@ from .betti import has_linear_resolution
 from .core import (
     Monomial, MonomialIdeal, VariableOrder, _check_perm_guard, _integers, all_variable_orders
 )
-from .corpus import CorpusItem, CorpusSpec, enumerate_corpus, ideal_from_mask
+from .corpus import (
+    CorpusItem, CorpusSpec, corpus_masks, decode_masks, enumerate_corpus, ideal_from_mask
+)
 from .ioformats import dump_json, ideal_to_json_dict
 from .polymatroid import exchange_failure, is_polymatroidal
 from .quotients import (
@@ -110,6 +116,16 @@ def _order_witness(kind: str, order: VariableOrder, failure: LQFailure) -> dict:
     return {"kind": kind, "order": list(order.perm), **failure.to_json_dict()}
 
 
+def _verdict_chunk(task: tuple) -> list[dict]:
+    """Decode one chunk of corpus masks and map verdict_fn over it, in a worker.
+
+    A task is (verdict_fn, n, d, index of its first mask, masks): plain
+    ints and a module-level function, so no built ideal is pickled.
+    """
+    verdict_fn, n, d, start, masks = task
+    return [verdict_fn(item) for item in decode_masks(n, d, masks, start)]
+
+
 def _run_suite(
     name: str, verdict_fn: Callable[[CorpusItem], dict], spec: CorpusSpec, jobs: int
 ) -> CheckReport:
@@ -117,18 +133,23 @@ def _run_suite(
 
     Under fork the pool starts all its workers at the first submit, so it
     gets at most one per CPU; where that leaves one, the map runs in this
-    process.
+    process and consumes the corpus as it is decoded.  Otherwise the
+    parent draws only the corpus masks and ships them in workers * 8
+    chunks, each with the corpus index of its first mask; every worker
+    decodes its own chunks.
     """
     (jobs,) = _integers((jobs,), "jobs", 1)
     start = time.perf_counter()
-    items = list(enumerate_corpus(spec))
     workers = min(jobs, os.cpu_count() or 1)
     if workers == 1:
-        verdicts = [verdict_fn(item) for item in items]
+        verdicts = [verdict_fn(item) for item in enumerate_corpus(spec)]
     else:
-        chunk = max(1, len(items) // (workers * 8))
+        masks = corpus_masks(spec)
+        size = max(1, len(masks) // (workers * 8))
+        tasks = [(verdict_fn, spec.n, spec.d, i, masks[i : i + size])
+                 for i in range(0, len(masks), size)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            verdicts = list(pool.map(verdict_fn, items, chunksize=chunk))
+            verdicts = [v for chunk in pool.map(_verdict_chunk, tasks) for v in chunk]
     return CheckReport(name, spec.to_json_dict(), verdicts, time.perf_counter() - start)
 
 

@@ -1,11 +1,13 @@
 import json
 import os
+import pickle
 
 import pytest
 
 import polymat as pm
 from conftest import I, veronese
 from polymat import suites
+from polymat.corpus import corpus_masks
 
 
 class TestCorpus:
@@ -286,10 +288,10 @@ class TestLocalizationSuite:
 class TestWorkerPool:
     @pytest.fixture
     def pools(self, monkeypatch):
-        """(max_workers, chunksize) of every pool the suites start.
+        """(max_workers, tasks) of every pool the suites start.
 
         A real pool forks every worker at its first submit, so this one only
-        records its size and chunking and maps in-process.
+        records its size and tasks and maps in-process over pickled copies.
         """
         calls = []
 
@@ -303,9 +305,10 @@ class TestWorkerPool:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items, chunksize):
-                calls.append((self.max_workers, chunksize))
-                return map(fn, items)
+            def map(self, fn, tasks, chunksize=1):
+                tasks = list(tasks)
+                calls.append((self.max_workers, tasks))
+                return map(fn, [pickle.loads(pickle.dumps(task)) for task in tasks])
 
         monkeypatch.setattr(suites, "ProcessPoolExecutor", RecordingPool)
         return calls
@@ -328,17 +331,63 @@ class TestWorkerPool:
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         spec = pm.CorpusSpec(n=3, d=2)
         pm.run_theorem_suite(spec, jobs=10**6)
-        assert pools == [(2, spec.size() // 16)]
+        ((_, tasks),) = pools
+        masks = corpus_masks(spec)
+        size = len(masks) // 16
+        assert [task[1:] for task in tasks] == [
+            (3, 2, i, masks[i : i + size]) for i in range(0, len(masks), size)
+        ]
+
+    def test_tasks_hold_ints_and_the_verdict_only(self, monkeypatch, pools):
+        # the parent ships masks, never a built ideal, for workers to decode
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        pm.run_theorem_suite(pm.CorpusSpec(n=2, d=2), jobs=2)
+
+        def leaves(obj):
+            if type(obj) in (tuple, list):
+                for entry in obj:
+                    yield from leaves(entry)
+            else:
+                yield obj
+
+        ((_, tasks),) = pools
+        shipped = list(leaves(tasks))
+        assert all(type(x) is int or x is suites._theorem_verdict for x in shipped)
+        assert suites._theorem_verdict in shipped
+
+    def test_one_worker_streams_the_corpus(self, monkeypatch):
+        events = []
+        enumerate_corpus, verdict = suites.enumerate_corpus, suites._theorem_verdict
+
+        def decoding(spec):
+            for item in enumerate_corpus(spec):
+                events.append(("decoded", item.index))
+                yield item
+
+        def judging(item):
+            events.append(("verdict", item.index))
+            return verdict(item)
+
+        monkeypatch.setattr(suites, "enumerate_corpus", decoding)
+        monkeypatch.setattr(suites, "_theorem_verdict", judging)
+        pm.run_theorem_suite(pm.CorpusSpec(n=2, d=2), jobs=1)
+        assert events[:3] == [("decoded", 0), ("verdict", 0), ("decoded", 1)]
 
 
 class TestReportDeterminism:
-    def test_byte_identical_across_runs_and_jobs(self):
-        spec = pm.CorpusSpec(n=3, d=2)
-        blobs = {
-            pm.run_theorem_suite(spec, jobs=jobs).to_json()
-            for jobs in (1, 2, 1)
-        }
-        assert len(blobs) == 1
+    def test_byte_identical_across_runs_and_jobs(self, monkeypatch):
+        # two CPUs, so that jobs=2 runs a real pool on any host
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        cases = [
+            (pm.run_theorem_suite, pm.CorpusSpec(n=3, d=2)),
+            (pm.run_conjecture_search,
+             pm.CorpusSpec(n=4, d=2, mode="random", m=4, count=60, seed=5)),
+            (pm.run_theorem_suite, pm.CorpusSpec(n=3, d=3, dedupe_isomorphic=True)),
+            (pm.run_localization_probe, pm.CorpusSpec(n=4, d=2)),
+        ]
+        for runner, spec in cases:
+            blobs = {runner(spec, jobs=jobs).to_json() for jobs in (1, 2, 1)}
+            assert len(blobs) == 1, spec
 
     def test_schema_fields(self):
         report = pm.run_theorem_suite(pm.CorpusSpec(n=2, d=2))

@@ -323,3 +323,16 @@ class TestQuotientsWithLinearResolution:
         assert len(held) == 24 and all(held.values())
         # the ideal and its distinct prefix colon ideals over all 24 orders
         assert len(linear_calls) == len(set(linear_calls)) == 15
+
+    def test_memo_hit_builds_no_ideal(self, monkeypatch):
+        built = []
+        post_init = pm.MonomialIdeal.__post_init__
+        monkeypatch.setattr(pm.MonomialIdeal, "__post_init__",
+                            lambda J: built.append(J) or post_init(J))
+        identity = O.identity(4)
+        quotients.qwlr_by_order(veronese(4, 2), "lex", [identity])
+        once = len(built)
+        built.clear()
+        # the second pass over the same order asks only what the first answered
+        quotients.qwlr_by_order(veronese(4, 2), "lex", [identity, identity])
+        assert len(built) == once
