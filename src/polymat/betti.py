@@ -6,11 +6,15 @@ takes reduced simplicial homology of the upper-Koszul complex
 K^a = {squarefree b on supp(a) : x^(a-b) in the ideal}; the rank of
 reduced homology in dimension i-1 there is the Betti number in
 homological index i at multidegree a (Miller-Sturmfels, Thm 1.34).  K^a
-is built from its facets, the maximal slack masks {t : a_t > g_t} of the
-generators g dividing x^a.  When one vertex lies in every facet, K^a is a
-cone and contributes nothing, so that point is skipped.  The oracle route
-reads the same numbers off the multigraded strands of the Taylor complex
-on the generators, which costs 2^|G| and is gated accordingly.
+is closed from the slack masks {t : a_t > g_t} of the generators g
+dividing x^a, card (number of bits) by card from the top down: each face
+adds its one-bit-smaller masks to the card below, so each face is
+expanded once.  The facets come from the same walk, as the slack masks
+that no face of the card above produced, and so does the cone test: when
+one vertex lies in every facet, K^a is a cone and contributes nothing,
+so that point is skipped.  The oracle route reads the same numbers off
+the multigraded strands of the Taylor complex on the generators, which
+costs 2^|G| and is gated accordingly.
 
 The default route packs an exponent vector into one int: variable t takes
 the w bits from bit t*w, with w one more than the bit length of the largest
@@ -34,9 +38,7 @@ at all.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from math import gcd
-from operator import and_
 
 from .core import MonomialIdeal, _integers
 from .errors import OracleUnavailableError, UnitIdealError
@@ -81,12 +83,13 @@ def integer_rank(rows: list[dict[int, int]]) -> dict[int, dict[int, int]]:
     return pivots
 
 
-def _ranks_by_card(faces_by_card: dict[int, list[int]]) -> dict[int, int]:
+def _ranks_by_card(faces_by_card: dict[int, set[int]]) -> dict[int, int]:
     """Ranks of the boundary maps card -> card-1 between face masks grouped by
     card, each from one boundary row per face, top card first, with clearing.
 
     Each face of card c becomes the row of its boundary over the faces of
-    card c-1, and every face that leads a pivot of the card above is left
+    card c-1, keyed by those faces' masks, and the rows go in increasing
+    mask order.  Every face that leads a pivot of the card above is left
     out (clearing: Chen-Kerber, Persistent homology computation with a
     twist, 2011; Bauer-Kerber-Reininghaus, Clear and Compress, 2014).
     That pivot is a combination of boundaries, so a cycle, and its leading
@@ -97,16 +100,15 @@ def _ranks_by_card(faces_by_card: dict[int, list[int]]) -> dict[int, int]:
     ranks: dict[int, int] = {}
     cleared: dict[int, dict[int, int]] = {}  # the pivots of the card above
     for card in range(max(faces_by_card, default=0), 0, -1):
-        index = {f: i for i, f in enumerate(faces_by_card.get(card - 1, ()))}
+        below = faces_by_card.get(card - 1, ())
         rows = []
-        for i, face in enumerate(faces_by_card.get(card, ())):
-            if i in cleared:
+        for face in sorted(faces_by_card.get(card, ())):
+            if face in cleared:
                 continue
             row = {}
             for t, target in enumerate(_mask_boundary(face)):
-                j = index.get(target)
-                if j is not None:
-                    row[j] = -1 if t % 2 else 1
+                if target in below:
+                    row[target] = -1 if t % 2 else 1
             rows.append(row)
         pivots = integer_rank(rows)
         ranks[card] = len(pivots)
@@ -114,7 +116,7 @@ def _ranks_by_card(faces_by_card: dict[int, list[int]]) -> dict[int, int]:
     return ranks
 
 
-def _reduced_ranks(faces_by_card: dict[int, list[int]]) -> list[int]:
+def _reduced_ranks(faces_by_card: dict[int, set[int]]) -> list[int]:
     """Reduced homology ranks indexed from dimension -1 upward."""
     if not faces_by_card:
         return []
@@ -122,7 +124,7 @@ def _reduced_ranks(faces_by_card: dict[int, list[int]]) -> list[int]:
     top = max(faces_by_card)
     out = []
     for card in range(top + 1):
-        count = len(faces_by_card.get(card, []))
+        count = len(faces_by_card.get(card, ()))
         out.append(count - ranks.get(card, 0) - ranks.get(card + 1, 0))
     return out
 
@@ -205,40 +207,17 @@ def lcm_lattice(gens: list[int], guards: int, width: int) -> set[int]:
     return lattice
 
 
-def _koszul_facets(gens: list[int], alpha: int, guards: int, width: int) -> list[int]:
-    """Facets of K^alpha as masks of guard bits, largest first.
+def _koszul_slack(gens: list[int], alpha: int, guards: int, width: int) -> set[int]:
+    """The slack masks of K^alpha, as masks of guard bits.
 
     A squarefree b on supp(alpha) is a face exactly when some generator g
     divides x^(alpha-b): when g <= alpha (every guard bit of (alpha | H) - g
     survives) and b lies in the slack mask {t : alpha_t > g_t} (the guard
-    bits that also survive one more from each field).  The facets are the
-    maximal slack masks.
+    bits that also survive one more from each field).
     """
     ones = guards >> (width - 1)
     differences = ((alpha | guards) - g for g in gens)
-    slack = {(d - ones) & guards for d in differences if d & guards == guards}
-    facets: list[int] = []
-    wider: list[int] = []  # the facets with more bits than the current mask
-    size = None
-    # distinct masks of one size never contain each other
-    for mask in sorted(slack, key=int.bit_count, reverse=True):
-        if mask.bit_count() != size:
-            size, wider = mask.bit_count(), facets[:]
-        if all(mask & f != mask for f in wider):
-            facets.append(mask)
-    return facets
-
-
-def _faces_of(facets: list[int]) -> set[int]:
-    """Every submask of some facet, the empty mask included."""
-    faces = set()
-    for f in facets:
-        s = f
-        while s:
-            faces.add(s)
-            s = (s - 1) & f
-    faces.add(0)
-    return faces
+    return {(d - ones) & guards for d in differences if d & guards == guards}
 
 
 def _mask_boundary(mask: int) -> list[int]:
@@ -252,12 +231,38 @@ def _mask_boundary(mask: int) -> list[int]:
     return out
 
 
-def _by_card(masks) -> dict[int, list[int]]:
-    """Masks grouped by their number of bits, each group in increasing order."""
-    by_card: dict[int, list[int]] = {}
-    for mask in sorted(masks):
-        by_card.setdefault(mask.bit_count(), []).append(mask)
+def _by_card(masks) -> dict[int, set[int]]:
+    """Masks grouped by their number of bits."""
+    by_card: dict[int, set[int]] = {}
+    for mask in masks:
+        by_card.setdefault(mask.bit_count(), set()).add(mask)
     return by_card
+
+
+def _closure(masks) -> tuple[dict[int, set[int]], int]:
+    """Every submask of the given masks grouped by card, and the AND of the
+    facets, the maximal given masks (-1 when no mask is given).
+
+    The walk goes from the top card down: every face of card c adds its
+    one-bit-smaller masks to card c-1, so each face is expanded once, and a
+    given mask that no face of the card above produced is a facet.
+    """
+    faces = _by_card(masks)
+    apex = -1
+    below: set[int] = set()  # the masks the faces of the card above produced
+    for card in range(max(faces, default=-1), -1, -1):
+        layer = faces.setdefault(card, set())
+        for facet in layer - below:
+            apex &= facet
+        layer |= below
+        below = set()
+        for face in layer:
+            rest = face
+            while rest:
+                low = rest & -rest
+                below.add(face ^ low)
+                rest ^= low
+    return faces, apex
 
 
 def graded_betti(I: MonomialIdeal) -> BettiTable:
@@ -269,10 +274,10 @@ def graded_betti(I: MonomialIdeal) -> BettiTable:
     table: dict[tuple[int, int], int] = {}
     for alpha in lcm_lattice(gens, guards, width):
         # alpha is a multiple of some generator, so there is at least one facet
-        facets = _koszul_facets(gens, alpha, guards, width)
-        if reduce(and_, facets):
+        faces, apex = _closure(_koszul_slack(gens, alpha, guards, width))
+        if apex:
             continue  # a vertex in every facet: K^alpha is a cone
-        homology = _reduced_ranks(_by_card(_faces_of(facets)))
+        homology = _reduced_ranks(faces)
         deg = sum(alpha >> s & field for s in range(0, I.n * width, width))
         for i, h in enumerate(homology):
             if h:

@@ -24,13 +24,42 @@ RP2_FACETS = [
 ]
 
 
+def vertex_masks(facets) -> list[int]:
+    """Facets given as vertex tuples, as masks over the vertices."""
+    return [sum(1 << v for v in facet) for facet in facets]
+
+
 def homology_ranks(facets) -> list[int]:
     """Reduced homology ranks of the complex with these facets (index k is
     dimension k-1), through the mask route graded_betti takes; no facets
     at all give the void complex."""
-    masks = [sum(1 << v for v in facet) for facet in facets]
-    faces = betti._faces_of(masks) if masks else set()
-    return betti._reduced_ranks(betti._by_card(faces))
+    faces, _ = betti._closure(vertex_masks(facets))
+    return betti._reduced_ranks(faces)
+
+
+def faces_of(masks) -> set[int]:
+    """Every submask of some given mask, the empty mask included when any
+    mask is given: one submask walk per mask (the former production
+    enumerator), so shared faces are visited again."""
+    faces = set()
+    for f in masks:
+        s = f
+        while s:
+            faces.add(s)
+            s = (s - 1) & f
+        faces.add(0)
+    return faces
+
+
+def maximal(masks) -> set[int]:
+    """The given masks that lie in no other given mask."""
+    masks = set(masks)
+    return {f for f in masks if not any(f != h and f & h == f for h in masks)}
+
+
+def all_faces(faces_by_card: dict[int, set[int]]) -> set[int]:
+    """The faces of a complex grouped by card, as one set."""
+    return set().union(*faces_by_card.values())
 
 
 def fraction_rank(rows: list[list[int]]) -> int:
@@ -86,9 +115,9 @@ def sparse_rows(mat: list[list[int]]) -> list[dict[int, int]]:
 
 
 def dense(rows: list[dict[int, int]]) -> list[list[int]]:
-    """Sparse rows as a dense matrix, one column up to the last one used."""
-    width = max((max(row) + 1 for row in rows if row), default=0)
-    return [[row.get(j, 0) for j in range(width)] for row in rows]
+    """Sparse rows as a dense matrix, one column per key used, in key order."""
+    keys = sorted(set().union(*rows))
+    return [[row.get(j, 0) for j in keys] for row in rows]
 
 
 # the rank routine itself, which the ranked fixture leaves unpatched here
@@ -100,11 +129,12 @@ def rank(mat: list[list[int]]) -> int:
     return len(integer_rank(sparse_rows(mat)))
 
 
-def boundary_matrix(faces_by_card: dict[int, list[int]], card: int) -> list[list[int]]:
+def boundary_matrix(faces_by_card: dict[int, set[int]], card: int) -> list[list[int]]:
     """The whole boundary matrix card -> card-1, without clearing: rows the
-    faces of card-1, columns those of card, +-1 where _mask_boundary says."""
-    index = {f: i for i, f in enumerate(faces_by_card.get(card - 1, []))}
-    cols = faces_by_card.get(card, [])
+    faces of card-1, columns those of card, each in increasing order, +-1
+    where _mask_boundary says."""
+    index = {f: i for i, f in enumerate(sorted(faces_by_card.get(card - 1, ())))}
+    cols = sorted(faces_by_card.get(card, ()))
     mat = [[0] * len(cols) for _ in index]
     for c, face in enumerate(cols):
         for t, target in enumerate(betti._mask_boundary(face)):
@@ -123,10 +153,11 @@ def taylor_strands(ideal: pm.MonomialIdeal) -> list[list[int]]:
     return list(strands.values())
 
 
-def koszul_facets(ideal: pm.MonomialIdeal) -> list[list[int]]:
-    """The facets of K^alpha at every lcm-lattice point, cones included."""
+def koszul_closures(ideal: pm.MonomialIdeal) -> list[tuple[dict[int, set[int]], int]]:
+    """The faces of K^alpha by card and its apex at every lcm-lattice point,
+    cones included."""
     gens, guards, width = betti._packed([g.exponents for g in ideal.gens])
-    return [betti._koszul_facets(gens, alpha, guards, width)
+    return [betti._closure(betti._koszul_slack(gens, alpha, guards, width))
             for alpha in betti.lcm_lattice(gens, guards, width)]
 
 
@@ -177,6 +208,9 @@ boundary_exponents = st.one_of(
     st.integers(0, 3),
     st.builds(lambda k, below: 2**k - below, st.integers(1, 9), st.sampled_from([0, 1])),
 )
+
+
+six_bit_masks = st.integers(0, 2**6 - 1)
 
 
 @st.composite
@@ -324,15 +358,14 @@ class TestClearing:
     def test_ranks_match_whole_boundary_matrices(self):
         rng = random.Random(9)
         ideals = [random_mixed_ideal(rng) for _ in range(40)]
-        complexes = [betti._faces_of(facets) for ideal in ideals + [veronese(4, 2)]
-                     for facets in koszul_facets(ideal)]
+        complexes = [faces for ideal in ideals + [veronese(4, 2)]
+                     for faces, _ in koszul_closures(ideal)]
         complexes += [
-            betti._faces_of([sum(1 << v for v in facet) for facet in facets])
+            betti._closure(vertex_masks(facets))[0]
             for facets in (RP2_FACETS, list(itertools.combinations(range(4), 3)))
         ]
-        strands = [masks for ideal in ideals for masks in taylor_strands(ideal)]
-        for masks in complexes + strands:
-            by_card = betti._by_card(masks)
+        strands = [betti._by_card(masks) for ideal in ideals for masks in taylor_strands(ideal)]
+        for by_card in complexes + strands:
             top = max(by_card, default=0)
             assert betti._ranks_by_card(by_card) == {
                 card: bareiss_rank(boundary_matrix(by_card, card)) for card in range(1, top + 1)
@@ -342,8 +375,8 @@ class TestClearing:
         ideal = veronese(4, 2)
         betti.graded_betti(ideal)
         # the non-empty faces of every K^alpha that is not a cone
-        faces = sum(len(betti._faces_of(facets)) - 1 for facets in koszul_facets(ideal)
-                    if not reduce(and_, facets))
+        faces = sum(len(all_faces(faces)) - 1 for faces, apex in koszul_closures(ideal)
+                    if not apex)
         assert 0 < sum(map(len, ranked)) < faces
 
 
@@ -353,7 +386,7 @@ class TestKoszulFaces:
         # packed points and guard-bit facets are read back as tuples and
         # masks over the variables
         rng = random.Random(11)
-        cones = points = 0
+        cones = nested = points = 0
         for _ in range(150):
             ideal = random_mixed_ideal(rng)
             exps = [g.exponents for g in ideal.gens]
@@ -362,16 +395,19 @@ class TestKoszulFaces:
             assert {unpack(a, ideal.n, width) for a in lattice} == tuple_lcm_lattice(exps)
             for packed_alpha in lattice:
                 alpha = unpack(packed_alpha, ideal.n, width)
-                facets = betti._koszul_facets(gens, packed_alpha, guards, width)
+                slack = betti._koszul_slack(gens, packed_alpha, guards, width)
+                closure, apex = betti._closure(slack)
                 faces = brute_force_faces(exps, alpha)
-                assert {variable_bits(f, width) for f in betti._faces_of(facets)} == faces
-                assert {variable_bits(f, width) for f in facets} == {
-                    f for f in faces if not any(f != h and f & h == f for h in faces)
-                }
+                assert {variable_bits(f, width) for f in all_faces(closure)} == faces
+                assert {variable_bits(f, width) for f in maximal(slack)} == maximal(faces)
                 cone = brute_force_is_cone(faces, alpha)
-                assert bool(reduce(and_, facets)) == cone
+                assert bool(apex) == cone
                 cones += cone
+                nested += len(slack - maximal(slack))
                 points += 1
+        # both branches the benchmark ideals never take: a slack mask inside
+        # another one, and a cone
+        assert nested > 0
         assert 0 < cones < points
 
     @given(exponent_pairs())
@@ -383,14 +419,31 @@ class TestKoszulFaces:
         assert width == max(joined).bit_length() + 1
         # the closure of {a, g} under the packed join adds exactly max(a, g)
         assert betti.lcm_lattice([pa, pg], guards, width) == {pa, pg, pj}
-        # one generator leaves one facet, its slack mask, exactly when g <= alpha
+        # one generator leaves one slack mask exactly when g <= alpha
         bits = [1 << t for t in range(len(a))]
         for alpha, gen, p_alpha, p_gen in ((a, g, pa, pg), (g, a, pg, pa)):
-            facets = betti._koszul_facets([p_gen], p_alpha, guards, width)
-            expected = [sum(compress(bits, map(gt, alpha, gen)))]
-            assert [variable_bits(f, width) for f in facets] == (
-                expected if all(map(le, gen, alpha)) else []
+            slack = betti._koszul_slack([p_gen], p_alpha, guards, width)
+            expected = {sum(compress(bits, map(gt, alpha, gen)))}
+            assert {variable_bits(f, width) for f in slack} == (
+                expected if all(map(le, gen, alpha)) else set()
             )
+
+    @given(st.lists(six_bit_masks, max_size=8), st.lists(six_bit_masks, max_size=8), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_closure_matches_submask_oracle(self, masks, cuts, with_empty):
+        # nested masks (each mask cut down by another), repeats and the empty mask
+        masks = masks + [m & c for m, c in zip(masks, cuts)] + masks[:2] + [0] * with_empty
+        faces, apex = betti._closure(masks)
+        assert all_faces(faces) == faces_of(masks)
+        assert all(f.bit_count() == card for card, layer in faces.items() for f in layer)
+        assert apex == reduce(and_, maximal(masks), -1)
+
+    def test_closure_takes_only_maximal_masks_as_facets(self):
+        # the masks inside 0b111 would leave no vertex common to all of them
+        assert betti._closure([0b111, 0b011, 0b100])[1] == 0b111
+        assert betti._closure([0b110, 0b011, 0b010])[1] == 0b010
+        assert betti._closure([0b1, 0b10, 0]) == ({1: {0b1, 0b10}, 0: {0}}, 0)
+        assert betti._closure([]) == ({}, -1)
 
 
 class TestReducedHomology:
@@ -416,7 +469,8 @@ class TestReducedHomology:
     def test_closure_validation(self):
         # faces are built from facets, so they must come out closed under subsets
         for facets in (RP2_FACETS, list(itertools.combinations(range(4), 3)), [(1, 2), (3,)]):
-            faces = betti._faces_of([sum(1 << v for v in facet) for facet in facets])
+            faces = all_faces(betti._closure(vertex_masks(facets))[0])
+            assert faces == faces_of(vertex_masks(facets))
             assert 0 in faces
             assert all(set(betti._mask_boundary(f)) <= faces for f in faces)
 
@@ -467,6 +521,10 @@ class TestTaylorOracle:
             table = pm.taylor_strand_betti(ideal)
             assert table == pm.graded_betti(ideal)
             assert max(i for i, _, _ in table.entries) == 2
+
+    def test_unit_ideal_rejected(self):
+        with pytest.raises(pm.UnitIdealError):
+            pm.taylor_strand_betti(pm.unit_ideal(2))
 
     def test_gate(self):
         wide = pm.MonomialIdeal(13, pm.monomials_of_degree(13, 1).elems)
@@ -570,6 +628,10 @@ class TestTableProperties:
         lines = art.splitlines()
         assert lines[1].lstrip().startswith("total:")
         assert "4" in art and "1" in art
+
+    def test_empty_table_triangle(self):
+        # no library call returns an empty table, but a caller can build one
+        assert pm.BettiTable(()).triangle() == "(empty)"
 
     def test_json_shape(self):
         data = pm.graded_betti(I("x1 + x2")).to_json_dict()

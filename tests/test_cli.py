@@ -60,6 +60,12 @@ def test_betti_triangle(capsys):
     assert "linear resolution: yes" in out
 
 
+def test_betti_not_equigenerated(capsys):
+    assert main(["betti", "x1 + x2^2"]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[-1] == "not equigenerated; no linear resolution"
+
+
 def test_betti_json(tmp_path, capsys):
     path = tmp_path / "betti.json"
     assert main(["betti", "x1 + x2", "--json", str(path)]) == 0
@@ -195,6 +201,8 @@ UNWRITABLE_JSON = "<a --json path in a directory that does not exist>"
         ["check", "poly", "x1", "--n", str(2**70)],
         ["lexsegment", "--u", "x1", "--v", "x1", "--n", str(2**70)],
         ["betti", "x1", "--n", str(2**70)],
+        # ideal JSON cut short
+        ["check", "poly", '{"n": 2,'],
     ],
 )
 def test_error_contract_exits_2(argv, capsys, tmp_path):

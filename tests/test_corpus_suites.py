@@ -191,6 +191,17 @@ class TestReverifyLexWitness:
         verdict["lq_witness"].update(position=99, blocker=[9, 9, 9])
         assert not pm.reverify_witness(verdict, 3, 2)
 
+    def test_changed_exchange_witness_refused(self, monkeypatch):
+        verdict = forced_theorem_mismatch(monkeypatch, with_exchange=True)
+        verdict["exchange_witness"]["variable"] += 1
+        assert not pm.reverify_witness(verdict, 3, 2)
+
+    def test_mismatched_gens_refused(self, monkeypatch):
+        # the witnesses still replay on the ideal of the mask
+        verdict = forced_theorem_mismatch(monkeypatch, with_exchange=True)
+        verdict["gens"] = verdict["gens"][1:]
+        assert not pm.reverify_witness(verdict, 3, 2)
+
 
 class TestRemarkSuite:
     def test_all_clauses_pass(self):

@@ -82,6 +82,24 @@ def test_json_rejects_bad_input():
         pm.ideal_from_json_dict({"n": 2, "gens": [[True, False]]})
 
 
+@pytest.mark.parametrize(
+    "parse, message, position",
+    [
+        (lambda: pm.parse_ideal("x1 + "), "empty monomial", 5),
+        (lambda: pm.parse_ideal(" \n "), "no generators given", 0),
+        (lambda: pm.ideal_from_json_dict({"n": 2, "gens": [[1, 0], 3]}),
+         "generator 1 is not an exponent vector", 1),
+        (lambda: pm.load_ideal_text('{"n": 2,'), "bad JSON: ", 8),
+    ],
+    ids=["empty monomial", "no generators", "not a vector", "bad JSON"],
+)
+def test_parser_refusals(parse, message, position):
+    with pytest.raises(pm.ParseError) as exc:
+        parse()
+    assert str(exc.value).startswith(message)
+    assert exc.value.position == position
+
+
 def test_load_ideal_text_checks_a_given_n_against_json():
     text = '{"n": 3, "gens": [[1, 0, 0], [0, 1, 0]]}'
     assert pm.load_ideal_text(text, 3) == I("x1 + x2", 3)
