@@ -6,6 +6,10 @@ represented as bitmasks over the lex-descending list of degree-d
 monomials.  Exhaustive corpora run masks in ascending order; random
 corpora draw distinct m-subsets from a seeded generator.  Both are fully
 reproducible from the corpus parameters.
+
+corpus_masks gives the masks alone, which is all the suites draw: they
+decide each verdict on the mask.  decode_masks and enumerate_corpus build
+the ideal of each mask, for callers that want CorpusItems.
 """
 
 from __future__ import annotations
@@ -165,13 +169,14 @@ def _is_orbit_representative(
 def decode_masks(n: int, d: int, masks: Iterable[int], start: int = 0) -> Iterator[CorpusItem]:
     """The corpus items that degree-d masks in n variables denote, indexed from start.
 
-    The basis is built once per call and each item is built as it is
-    consumed, so suite workers can decode their share of a corpus from
-    plain ints.
+    Every mask is checked at the call, as ideal_from_mask checks one: a
+    mask outside 1 .. 2^basis - 1 names no corpus ideal.  The basis is
+    built once per call and each item is built as it is consumed.
     """
     basis = monomials_of_degree(n, d).elems
-    for index, mask in enumerate(masks, start):
-        yield CorpusItem(index, mask, MonomialIdeal(n, _decode(basis, mask)))
+    masks = _integers(masks, "mask", 1, (1 << len(basis)) - 1)
+    return (CorpusItem(index, mask, MonomialIdeal(n, _decode(basis, mask)))
+            for index, mask in enumerate(masks, start))
 
 
 def enumerate_corpus(spec: CorpusSpec) -> Iterator[CorpusItem]:

@@ -11,23 +11,32 @@ memoizes the linear-resolution verdict of each ideal in a dict that lives
 for that one call; the library keeps no cache between calls.
 
 The quantified check lq_all_orders_failure covers all n! permutations and
-reports the first failing one in lexicographic permutation order.  It tests
-the identity order first, where most failing ideals already fail, and only
-then searches the other orders:
+reports the first failing one in lexicographic permutation order.  It runs
+on the colon tables of a polymatroid._Layer: the generators of one ideal
+with every bit set, or, for the corpus suites, every monomial of one
+degree, each corpus ideal being a mask S over them.  It tests the identity
+order first, where most failing ideals already fail, and only then
+searches the other orders:
 
-- Tables.  The generators are numbered and each is one bit.  For generator
-  g and variable t, one bitset holds the generators with a larger exponent
-  at t than g, and one the generators u with u : g = x_t.  The linear
-  quotients test of g against a bitset P of predecessors ORs the first
-  bitsets of the variables whose second bitset meets P; it fails when a
-  predecessor is left uncovered.  That is O(n) integer operations.
+- Tables.  For layer element g and variable t, one bitset holds the
+  elements with a larger exponent at t than g, and one the elements u
+  with u : g = x_t.  The linear quotients test of g against a bitset P of
+  predecessors ORs the first bitsets of the variables whose second bitset
+  meets P; it fails when a predecessor is left uncovered.  That is O(n)
+  integer operations, and a generator's tables are built when it is
+  first tested.
+- Identity order.  The layer is lex-descending, so the lex sequence of S
+  is its bit order and the revlex one sorts its bits by the exponents
+  read from the last variable.  Each generator is tested against the bits
+  before it; the first that fails gives the position, and its lowest
+  uncovered bit, the greatest by canonical_key, the blocker.
 - Lex search.  Choosing variables from the greatest down refines an
-  ordered partition of the generators: each choice splits every block by
-  exponent, larger first.  A generator that becomes a singleton block has
-  the union of the earlier blocks as predecessors in every order below
-  that prefix, so it is tested once for the whole subtree, and the first
-  failing prefix followed by the remaining variables in ascending order is
-  the answer.
+  ordered partition of S: each choice splits every block by exponent,
+  larger first.  A generator that becomes a singleton block has the union
+  of the earlier blocks as predecessors in every order below that prefix,
+  so it is tested once for the whole subtree, and the first failing
+  prefix followed by the remaining variables in ascending order is the
+  answer.
 - Revlex mirror.  The generators share one degree, so the induced lex
   order compares their exponents read along the variable order, larger
   first, and revlex compares them read against it, smaller first; this is
@@ -38,16 +47,18 @@ then searches the other orders:
   search keeps the least failing order found so far and prunes every
   subtree whose least order is not below it.
 
-The order found is replayed through linear_quotients_failure, so the
-reported position and blocker are those of the single-sequence check.
+An order found past the identity is replayed through
+linear_quotients_failure on the ideal, so the reported position and
+blocker are those of the single-sequence check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from operator import itemgetter
-from typing import Iterable, Sequence
+from functools import reduce
+from operator import itemgetter, or_
+from typing import Callable, Iterable, Sequence
 
 from .betti import has_linear_resolution
 from .core import (
@@ -59,7 +70,9 @@ from .core import (
     canonical_key,
 )
 from .errors import AmbientMismatchError, InvalidArgumentError
-from .polymatroid import ExchangeWitness, exchange_failure, require_equigenerated
+from .polymatroid import (
+    ExchangeWitness, _bits, _Built, _Layer, exchange_failure, require_equigenerated
+)
 
 
 @dataclass(frozen=True)
@@ -72,6 +85,11 @@ class LQFailure:
 
     def to_json_dict(self) -> dict:
         return {"position": self.position, "blocker": list(self.blocker.exponents)}
+
+
+def _check_kind(kind: str) -> None:
+    if kind not in ("lex", "revlex"):
+        raise InvalidArgumentError(f"unknown order kind {kind!r}")
 
 
 def sort_generators(I: MonomialIdeal, kind: str, order: VariableOrder) -> tuple[Monomial, ...]:
@@ -87,8 +105,7 @@ def sort_generators(I: MonomialIdeal, kind: str, order: VariableOrder) -> tuple[
         raise AmbientMismatchError(
             f"variable order {order} has {order.n} variables, the ideal {I.n}"
         )
-    if kind not in ("lex", "revlex"):
-        raise InvalidArgumentError(f"unknown order kind {kind!r}")
+    _check_kind(kind)
     lex = kind == "lex"
     read = itemgetter(*(order.positions if lex else order.positions[::-1]))
     return tuple(sorted(I.gens, key=lambda m: read(m.exponents), reverse=lex))
@@ -123,58 +140,84 @@ def has_linear_quotients(seq: Sequence[Monomial]) -> bool:
     return linear_quotients_failure(seq) is None
 
 
-class _ColonTables:
-    """Bitset tables of one equigenerated ideal for the all-orders search.
+# where first_failure finds the first failing order: a 0-based permutation,
+# with the (position, blocker bit) of identity_failure when it is the identity
+_Found = tuple[tuple[int, ...], tuple[int, int] | None]
 
-    Generator i is bit i.  tests[g] lists, for each variable t with a
-    generator u such that u : g = x_t, the pair (those u, the generators
-    with a larger exponent at t than g).  levels[t] lists the generators
-    grouped by their exponent at t, in the order the induced sequences
-    put them: descending for lex, ascending for revlex.
+
+class _ColonTables:
+    """Bitset tables of one _Layer for one order kind.
+
+    Layer element i is bit i, and a generating set is a mask S.  tests[g]
+    lists, for each variable t with an element u such that u : g = x_t,
+    the pair (those u, the elements with a larger exponent at t than g);
+    it is built when g is first tested.  levels[t] lists the elements
+    grouped by their exponent at t, in the order the induced sequences put
+    them: descending for lex, ascending for revlex.
     """
 
-    def __init__(self, I: MonomialIdeal, kind: str) -> None:
-        exps = [g.exponents for g in I.gens]
-        n = I.n
-        index = {e: i for i, e in enumerate(exps)}
+    def __init__(self, layer: _Layer, kind: str) -> None:
+        exps = layer.exps
+        self.layer = layer
+        self.lex = kind == "lex"
         self.levels: list[list[int]] = []
-        above: list[dict[int, int]] = []  # above[t][a]: exponent at t larger than a
-        for t in range(n):
+        self.above: list[dict[int, int]] = []  # above[t][a]: exponent at t larger than a
+        for t in range(layer.n):
             by_exp: dict[int, int] = {}
             for i, e in enumerate(exps):
                 by_exp[e[t]] = by_exp.get(e[t], 0) | 1 << i
-            values = sorted(by_exp, reverse=kind == "lex")
+            values = sorted(by_exp, reverse=self.lex)
             self.levels.append([by_exp[a] for a in values])
             greater, mask = {}, 0
             for a in sorted(by_exp, reverse=True):
                 greater[a] = mask
                 mask |= by_exp[a]
-            above.append(greater)
-        self.tests: list[list[tuple[int, int]]] = []
-        for e in exps:
-            pairs = []
-            for t in range(n):
-                # for u of the same degree, u : g = x_t means u = g * x_t / x_s
-                deg1 = 0
-                for s in range(n):
-                    if s != t and e[s]:
-                        u = list(e)
-                        u[t] += 1
-                        u[s] -= 1
-                        i = index.get(tuple(u))
-                        if i is not None:
-                            deg1 |= 1 << i
-                if deg1:
-                    pairs.append((deg1, above[t][e[t]]))
-            self.tests.append(pairs)
+            self.above.append(greater)
+        self.tests = _Built(self._tests)
+        # the identity order's revlex sequence reads the exponents from the
+        # last variable, smaller first; its lex sequence is the bit order
+        self.rank = [0] * len(exps)
+        if not self.lex:
+            for r, g in enumerate(sorted(range(len(exps)), key=lambda g: exps[g][::-1])):
+                self.rank[g] = r
 
-    def fails(self, g: int, preds: int) -> bool:
-        """Whether (preds) : g is not generated by variables."""
+    def _tests(self, g: int) -> list[tuple[int, int]]:
+        # for u of the same degree, u : g = x_t means u = g * x_t / x_s
+        e, swaps = self.layer.exps[g], self.layer.swaps[g]
+        pairs = []
+        for t in range(self.layer.n):
+            deg1 = reduce(or_, [row[t] for row in swaps], 0)
+            if deg1:
+                pairs.append((deg1, self.above[t][e[t]]))
+        return pairs
+
+    def uncovered(self, g: int, preds: int) -> int:
+        """The predecessors whose colon with g no variable of (preds) : g
+        divides; 0 exactly when (preds) : g is generated by variables."""
         covered = 0
         for deg1, cov in self.tests[g]:
             if deg1 & preds:
                 covered |= cov
-        return bool(preds & ~covered)
+        return preds & ~covered
+
+    def identity_failure(self, S: int) -> tuple[int, int] | None:
+        """Where the sequence that the identity order induces on S first
+        fails linear quotients: (1-based position, blocker bit), as
+        linear_quotients_failure reports them; or None.
+
+        The layer is lex-descending, so the lowest uncovered bit is the
+        uncovered generator greatest by canonical_key.
+        """
+        members = _bits(S)
+        if not self.lex:
+            members.sort(key=self.rank.__getitem__)
+        preds = 1 << members[0]
+        for position, g in enumerate(members[1:], 2):
+            uncovered = self.uncovered(g, preds)
+            if uncovered:
+                return position, (uncovered & -uncovered).bit_length() - 1
+            preds |= 1 << g
+        return None
 
     def refine(self, partition: list[tuple[int, int]], t: int) -> list[tuple[int, int]] | None:
         """Split every block by exponent at variable t; None if a generator
@@ -192,23 +235,32 @@ class _ColonTables:
                     continue
                 if part & (part - 1):
                     refined.append((part, before))
-                elif self.fails(part.bit_length() - 1, before):
+                elif self.uncovered(part.bit_length() - 1, before):
                     return None
                 before |= part
         return refined
 
+    def first_failure(self, S: int) -> _Found | None:
+        """The first of the n! orders whose sequence of S fails, as a 0-based
+        permutation, with identity_failure's (position, blocker bit) when it
+        is the identity and None past it; or None if every order passes."""
+        at_identity = self.identity_failure(S)
+        if at_identity is not None:
+            return tuple(range(self.layer.n)), at_identity
+        perm = _first_failing_perm(self, S)
+        return None if perm is None else (perm, None)
 
-def _first_failing_perm(I: MonomialIdeal, kind: str) -> tuple[int, ...] | None:
+
+def _first_failing_perm(tables: _ColonTables, S: int) -> tuple[int, ...] | None:
     """Least 0-based permutation, in lexicographic order, whose induced
-    sequence fails linear quotients.
+    sequence of the generating set S fails linear quotients.
 
     Lex chooses variables from the greatest position on, so subtrees come
     in permutation order; revlex chooses from the least position back.
     In both, a subtree's least permutation is compared against the best
     failure so far, and siblings are visited in increasing order of it.
     """
-    tables = _ColonTables(I, kind)
-    lex = kind == "lex"
+    lex = tables.lex
     best: tuple[int, ...] | None = None
 
     def visit(partition, chosen: tuple[int, ...], remaining: tuple[int, ...]) -> None:
@@ -225,36 +277,50 @@ def _first_failing_perm(I: MonomialIdeal, kind: str) -> tuple[int, ...] | None:
             if refined:
                 visit(refined, chosen + (t,) if lex else (t,) + chosen, rest)
 
-    visit([((1 << len(I.gens)) - 1, 0)], (), tuple(range(I.n)))
+    visit([(S, 0)], (), tuple(range(tables.layer.n)))
     return best
+
+
+def _lq_witness(
+    found: _Found, kind: str, gens: Sequence[Monomial], ideal: Callable[[], MonomialIdeal]
+) -> tuple[VariableOrder, LQFailure]:
+    """The order and failure that first_failure found, gens being the
+    layer's monomials by bit.
+
+    At the identity the tables give the position and blocker.  Past it
+    the ideal is built and its sequence replayed through
+    linear_quotients_failure, which must fail.
+    """
+    perm, at_identity = found
+    order = VariableOrder(tuple(p + 1 for p in perm))
+    if at_identity is not None:
+        position, blocker = at_identity
+        return order, LQFailure(position, gens[blocker])
+    failure = linear_quotients_failure(sort_generators(ideal(), kind, order))
+    if failure is None:
+        raise RuntimeError(f"all-orders search reported order {order}, which passes")
+    return order, failure
 
 
 def lq_all_orders_failure(I: MonomialIdeal, kind: str) -> tuple[VariableOrder, LQFailure] | None:
     """The first of the n! variable orders, in lexicographic permutation
     order, whose induced sequence fails linear quotients; or None.
 
-    The identity order is tested directly.  Past it, the search of the
-    module docstring finds the first failing order from the bitset
-    tables, and linear_quotients_failure on that order gives the reported
-    position and blocker.
+    The tables of the module docstring are built over the generators of
+    I, every bit set: the identity order is tested first, then the search
+    runs, and an order found past the identity is replayed through
+    linear_quotients_failure for the reported position and blocker.
 
     Refuses outright when n exceeds the permutation guard (default 8,
     overridable via the POLYMAT_MAX_PERMS environment variable).
     """
     require_equigenerated(I)
     _check_perm_guard(I.n)
-    identity = VariableOrder.identity(I.n)
-    failure = linear_quotients_failure(sort_generators(I, kind, identity))
-    if failure is not None:
-        return identity, failure
-    perm = _first_failing_perm(I, kind)
-    if perm is None:
-        return None
-    order = VariableOrder(tuple(p + 1 for p in perm))
-    failure = linear_quotients_failure(sort_generators(I, kind, order))
-    if failure is None:
-        raise RuntimeError(f"all-orders search reported order {order}, which passes")
-    return order, failure
+    _check_kind(kind)
+    gens = I.gens
+    tables = _ColonTables(_Layer([g.exponents for g in gens]), kind)
+    found = tables.first_failure((1 << len(gens)) - 1)
+    return None if found is None else _lq_witness(found, kind, gens, lambda: I)
 
 
 def has_lq_all_orders(I: MonomialIdeal, kind: str) -> bool:

@@ -5,9 +5,16 @@ JSON rendering is byte-identical across runs and worker counts: verdicts
 are keyed by corpus index, keys are sorted, and timing lives only on the
 in-memory report, never in the JSON.
 
-On several workers the parent ships (corpus index, masks) chunks, plain
-ints, and each worker decodes its own masks into ideals; on one, the
-suite streams the corpus and holds no list of built ideals.
+The parent draws only the corpus masks and cuts them into (corpus index,
+masks) chunks of plain ints; pool workers, or this process where one
+worker is all there is, map the same chunk function over them.  A chunk
+builds one _CorpusLayer, the tables of the degree layer, and decides each
+verdict from its mask S: the exchange scan and the identity-order and
+all-orders linear-quotients tests are integer operations on S.  A
+MonomialIdeal is built only where a verdict needs one: the homology of a
+two-variable theorem verdict, the localizations of a polymatroidal mask,
+the replay of a failure at an order other than the identity, and the
+witnesses of a MISMATCH or COUNTEREXAMPLE.
 """
 
 from __future__ import annotations
@@ -23,19 +30,22 @@ from .betti import has_linear_resolution
 from .core import (
     Monomial, MonomialIdeal, VariableOrder, _check_perm_guard, _integers, all_variable_orders
 )
-from .corpus import (
-    CorpusItem, CorpusSpec, corpus_masks, decode_masks, enumerate_corpus, ideal_from_mask
-)
+from .corpus import CorpusSpec, corpus_masks, ideal_from_mask
+from .corpus import enumerate_corpus  # noqa: F401  not called here; perfbench's corpus.build hook
+from .errors import InvalidArgumentError
 from .ioformats import dump_json, ideal_to_json_dict
-from .polymatroid import exchange_failure, is_polymatroidal
+from .lexsegment import monomials_of_degree
+from .polymatroid import _bits, _Built, _Layer, exchange_failure
 from .quotients import (
     ConjectureOutcome,
     LQFailure,
-    conjecture_probe,
+    _ColonTables,
+    _Found,
+    _lq_witness,
     linear_quotients_failure,
+    lq_all_orders_failure,
     qwlr_by_order,
     sort_generators,
-    theorem_equivalence,
 )
 
 REMARK_GENS = ((1, 0, 2), (2, 0, 1), (1, 1, 1), (0, 2, 1))
@@ -106,9 +116,34 @@ class CheckReport:
         )
 
 
-def _item_fields(item: CorpusItem) -> dict:
-    """The fields every corpus verdict starts with; reverify_witness reads mask and gens."""
-    return {"index": item.index, "mask": item.mask, "gens": ideal_to_json_dict(item.ideal)["gens"]}
+class _CorpusLayer(_Layer):
+    """The degree-d layer of a corpus and every table its mask verdicts
+    read: the monomials and their JSON rows by bit, the exchange rows and
+    the colon tables of each order kind.  It lives for one chunk, and each
+    table is built when a verdict first needs it."""
+
+    def __init__(self, n: int, d: int) -> None:
+        self.monomials = monomials_of_degree(n, d).elems
+        super().__init__([m.exponents for m in self.monomials])
+        self.gens_rows = [list(m.exponents) for m in self.monomials]
+        self.colon = _Built(self._colon)
+
+    def _colon(self, kind: str) -> _ColonTables:
+        # the tables exist for the n! search
+        _check_perm_guard(self.n)
+        return _ColonTables(self, kind)
+
+    def fields(self, index: int, mask: int) -> dict:
+        """The fields every corpus verdict starts with; reverify_witness reads mask and gens."""
+        return {"index": index, "mask": mask, "gens": [self.gens_rows[b] for b in _bits(mask)]}
+
+    def ideal(self, mask: int) -> MonomialIdeal:
+        return MonomialIdeal(self.n, [self.monomials[b] for b in _bits(mask)])
+
+    def search(self, kind: str, mask: int) -> _Found | None:
+        """The first failing order of the n! for the ideal of mask, as
+        _ColonTables.first_failure gives it; or None."""
+        return self.colon[kind].first_failure(mask)
 
 
 def _order_witness(kind: str, order: VariableOrder, failure: LQFailure) -> dict:
@@ -117,60 +152,74 @@ def _order_witness(kind: str, order: VariableOrder, failure: LQFailure) -> dict:
 
 
 def _verdict_chunk(task: tuple) -> list[dict]:
-    """Decode one chunk of corpus masks and map verdict_fn over it, in a worker.
+    """Map verdict_fn over one chunk of corpus masks on one layer's tables.
 
     A task is (verdict_fn, n, d, index of its first mask, masks): plain
     ints and a module-level function, so no built ideal is pickled.
     """
     verdict_fn, n, d, start, masks = task
-    return [verdict_fn(item) for item in decode_masks(n, d, masks, start)]
+    layer = _CorpusLayer(n, d)
+    return [verdict_fn(layer, index, mask) for index, mask in enumerate(masks, start)]
+
+
+def _corpus_spec(spec: CorpusSpec) -> CorpusSpec:
+    """spec, refused unless it is a CorpusSpec, whose constructor validated it."""
+    if not isinstance(spec, CorpusSpec):
+        raise InvalidArgumentError(f"{spec!r} is not a CorpusSpec")
+    return spec
 
 
 def _run_suite(
-    name: str, verdict_fn: Callable[[CorpusItem], dict], spec: CorpusSpec, jobs: int
+    name: str, verdict_fn: Callable[[_CorpusLayer, int, int], dict], spec: CorpusSpec, jobs: int
 ) -> CheckReport:
     """Map verdict_fn over the corpus on up to `jobs` processes and tally a report.
 
-    Under fork the pool starts all its workers at the first submit, so it
-    gets at most one per CPU; where that leaves one, the map runs in this
-    process and consumes the corpus as it is decoded.  Otherwise the
-    parent draws only the corpus masks and ships them in workers * 8
-    chunks, each with the corpus index of its first mask; every worker
-    decodes its own chunks.
+    The parent draws only the corpus masks and cuts them into workers * 8
+    chunks, each with the corpus index of its first mask.  Under fork the
+    pool starts all its workers at the first submit, so it gets at most
+    one per CPU; where that leaves one, this process maps the chunks
+    itself, through the same chunk function.
     """
+    spec = _corpus_spec(spec)
     (jobs,) = _integers((jobs,), "jobs", 1)
     start = time.perf_counter()
     workers = min(jobs, os.cpu_count() or 1)
+    masks = corpus_masks(spec)
+    size = max(1, len(masks) // (workers * 8))
+    tasks = [(verdict_fn, spec.n, spec.d, i, masks[i : i + size])
+             for i in range(0, len(masks), size)]
     if workers == 1:
-        verdicts = [verdict_fn(item) for item in enumerate_corpus(spec)]
+        chunks = list(map(_verdict_chunk, tasks))
     else:
-        masks = corpus_masks(spec)
-        size = max(1, len(masks) // (workers * 8))
-        tasks = [(verdict_fn, spec.n, spec.d, i, masks[i : i + size])
-                 for i in range(0, len(masks), size)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            verdicts = [v for chunk in pool.map(_verdict_chunk, tasks) for v in chunk]
+            chunks = list(pool.map(_verdict_chunk, tasks))
+    verdicts = [v for chunk in chunks for v in chunk]
     return CheckReport(name, spec.to_json_dict(), verdicts, time.perf_counter() - start)
 
 
-def _theorem_verdict(item: CorpusItem) -> dict:
-    check = theorem_equivalence(item.ideal)
+def _theorem_verdict(layer: _CorpusLayer, index: int, mask: int) -> dict:
+    polymatroidal = layer.exchange_failure(mask) is None
+    lex_all_orders = layer.search("lex", mask) is None
     out = {
-        **_item_fields(item),
-        "polymatroidal": check.polymatroidal,
-        "lex_all_orders": check.lex_all_orders,
+        **layer.fields(index, mask),
+        "polymatroidal": polymatroidal,
+        "lex_all_orders": lex_all_orders,
     }
-    consistent = check.consistent
-    if item.ideal.n == 2:
-        linear = has_linear_resolution(item.ideal)
+    consistent = polymatroidal == lex_all_orders
+    if layer.n == 2:
+        linear = has_linear_resolution(layer.ideal(mask))
         out["linear_resolution"] = linear
-        consistent = consistent and linear == check.polymatroidal
+        consistent = consistent and linear == polymatroidal
     out["verdict"] = "consistent" if consistent else "MISMATCH"
     if not consistent:
-        if check.exchange_witness is not None:
-            out["exchange_witness"] = check.exchange_witness.to_json_dict()
-        if check.lq_witness is not None:
-            out["lq_witness"] = _order_witness("lex", *check.lq_witness)
+        # headline event: record every witness the ideal has, as the public checks find them
+        I = layer.ideal(mask)
+        witness = exchange_failure(I)
+        if witness is not None:
+            out["exchange_witness"] = witness.to_json_dict()
+        lq_witness = lq_all_orders_failure(I, "lex")
+        if lq_witness is not None:
+            out["lq_witness"] = _order_witness("lex", *lq_witness)
     return out
 
 
@@ -179,23 +228,28 @@ def run_theorem_suite(spec: CorpusSpec, jobs: int = 1) -> CheckReport:
 
     For two-variable corpora the verdict additionally requires agreement
     with the linear-resolution predicate.  Every verdict visits the n! orders,
-    so the permutation guard is checked before the corpus is built.
+    so the permutation guard is checked before the corpus is drawn.
     """
-    _check_perm_guard(spec.n)
+    _check_perm_guard(_corpus_spec(spec).n)
     return _run_suite("theorem", _theorem_verdict, spec, jobs)
 
 
-def _conjecture_verdict(item: CorpusItem) -> dict:
-    probe = conjecture_probe(item.ideal)
-    out = {**_item_fields(item), "verdict": probe.outcome.value}
-    if probe.outcome is ConjectureOutcome.REFUTED:
-        out["refuting_order"] = _order_witness("revlex", probe.refuting_order, probe.lq_failure)
-    if probe.outcome is ConjectureOutcome.COUNTEREXAMPLE:
-        # headline event: serialize everything needed to re-verify
-        out["exchange_witness"] = probe.exchange_witness.to_json_dict()
-        out["revlex_orders_checked"] = [
-            list(o.perm) for o in all_variable_orders(item.ideal.n)
-        ]
+def _conjecture_verdict(layer: _CorpusLayer, index: int, mask: int) -> dict:
+    out = layer.fields(index, mask)
+    if layer.exchange_failure(mask) is None:
+        out["verdict"] = ConjectureOutcome.POLYMATROIDAL.value
+        return out
+    found = layer.search("revlex", mask)
+    if found is not None:
+        # only an order past the identity builds the ideal, to replay it
+        witness = _lq_witness(found, "revlex", layer.monomials, lambda: layer.ideal(mask))
+        out["verdict"] = ConjectureOutcome.REFUTED.value
+        out["refuting_order"] = _order_witness("revlex", *witness)
+        return out
+    # headline event: serialize everything needed to re-verify
+    out["verdict"] = ConjectureOutcome.COUNTEREXAMPLE.value
+    out["exchange_witness"] = exchange_failure(layer.ideal(mask)).to_json_dict()
+    out["revlex_orders_checked"] = [list(o.perm) for o in all_variable_orders(layer.n)]
     return out
 
 
@@ -232,12 +286,12 @@ def _is_linear_localization(L: MonomialIdeal) -> bool:
     return has_linear_resolution(L)
 
 
-def _localization_verdict(item: CorpusItem) -> dict:
-    I = item.ideal
-    out = _item_fields(item)
-    if not is_polymatroidal(I):
+def _localization_verdict(layer: _CorpusLayer, index: int, mask: int) -> dict:
+    out = layer.fields(index, mask)
+    if layer.exchange_failure(mask) is not None:
         out["verdict"] = "not_polymatroidal"
         return out
+    I = layer.ideal(mask)
     # every mask but the last, which substitutes all variables away and leaves the unit ideal
     proper = (1 << I.n) - 1
     unit = _unit_masks(I)  # the unit ideal counts as linear

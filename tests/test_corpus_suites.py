@@ -1,13 +1,47 @@
+import itertools
 import json
 import os
 import pickle
+import random
+from types import SimpleNamespace
 
 import pytest
 
 import polymat as pm
 from conftest import I, veronese
 from polymat import suites
-from polymat.corpus import corpus_masks
+from polymat.corpus import corpus_masks, decode_masks
+
+
+def burnside_orbits(n, d):
+    """(1/n!) * sum over sigma of 2^c(sigma), less the empty set: the orbits
+    of non-empty masks under the variable permutations sigma, where
+    c(sigma) counts the cycles sigma induces on the degree-d layer."""
+    layer = [m.exponents for m in pm.monomials_of_degree(n, d)]
+    position = {e: i for i, e in enumerate(layer)}
+    perms = list(itertools.permutations(range(n)))
+    total = 0
+    for perm in perms:
+        image = [position[tuple(e[p] for p in perm)] for e in layer]
+        seen, cycles = set(), 0
+        for first in range(len(layer)):
+            if first not in seen:
+                cycles += 1
+                i = first
+                while i not in seen:
+                    seen.add(i)
+                    i = image[i]
+        total += 2**cycles
+    assert total % len(perms) == 0
+    return total // len(perms) - 1
+
+
+def relabeling(n, d, perm):
+    """The map on (n, d) masks that the variable permutation perm induces."""
+    layer = [m.exponents for m in pm.monomials_of_degree(n, d)]
+    position = {e: i for i, e in enumerate(layer)}
+    image = [position[tuple(e[p] for p in perm)] for e in layer]
+    return lambda mask: sum(1 << image[i] for i in range(len(layer)) if mask >> i & 1)
 
 
 class TestCorpus:
@@ -102,14 +136,25 @@ class TestCorpus:
     def test_size_counts_the_corpus(self, spec):
         assert spec.size() == sum(1 for _ in pm.enumerate_corpus(spec))
 
-    def test_dedupe_isomorphic_orbit_count(self):
-        # Burnside over S_3 acting on the 6 degree-2 monomials:
+    @pytest.mark.parametrize("n, d, orbits", [
+        (2, 2, 5), (3, 2, 19), (4, 2, 89), (3, 3, 207), (2, 4, 19), (3, 4, 5727),
+    ])
+    def test_dedupe_isomorphic_orbit_count(self, n, d, orbits):
+        # one representative per orbit: Burnside's count, e.g. for (3,2)
         # (2^6 + 3*2^4 + 2*2^2) / 6 = 20 orbits, 19 without the empty set
-        spec = pm.CorpusSpec(n=3, d=2, dedupe_isomorphic=True)
-        items = list(pm.enumerate_corpus(spec))
-        assert len(items) == 19
-        plain = {item.mask for item in pm.enumerate_corpus(pm.CorpusSpec(n=3, d=2))}
-        assert {item.mask for item in items} <= plain
+        assert burnside_orbits(n, d) == orbits
+        spec = pm.CorpusSpec(n=n, d=d, dedupe_isomorphic=True)
+        assert spec.size() == orbits
+        # each representative is the least mask of its orbit
+        relabelings = [relabeling(n, d, perm) for perm in itertools.permutations(range(n))]
+        assert all(r(mask) >= mask for mask in corpus_masks(spec) for r in relabelings)
+
+    @pytest.mark.parametrize("masks", [[1 | 1 << 10], [-1], [0], [1, 2, 1 << 3], [True]])
+    def test_decode_masks_refuses_a_mask_outside_the_layer(self, masks):
+        # (2,2) has 3 monomials, so its masks are 1 .. 7; the refusal comes at the call
+        with pytest.raises(pm.InvalidArgumentError, match="mask"):
+            decode_masks(2, 2, masks)
+        assert [item.mask for item in decode_masks(2, 2, [1, 7])] == [1, 7]
 
 
 class TestTheoremSuite:
@@ -127,10 +172,23 @@ class TestTheoremSuite:
         # every verdict would hit the n! guard, so above it nothing is enumerated
         monkeypatch.delenv("POLYMAT_MAX_PERMS", raising=False)
         built = []
-        monkeypatch.setattr(suites, "enumerate_corpus", lambda spec: built.append(spec) or [])
+        monkeypatch.setattr(suites, "corpus_masks", lambda spec: built.append(spec) or [])
         with pytest.raises(pm.BoundExceededError):
             pm.run_theorem_suite(pm.CorpusSpec(n=9, d=1))
         assert built == []
+
+    @pytest.mark.parametrize("runner", [
+        pm.run_theorem_suite, pm.run_conjecture_search, pm.run_localization_probe,
+    ])
+    @pytest.mark.parametrize("spec", [
+        None,
+        SimpleNamespace(n=2, d=2, mode="exhaustive", m=None, count=None, seed=0, start_mask=1,
+                        dedupe_isomorphic=False, to_json_dict=lambda: {"n": 2, "d": 2}),
+        I("x1^2 + x2^2"),
+    ])
+    def test_only_a_corpus_spec_gets_a_report(self, runner, spec):
+        with pytest.raises(pm.InvalidArgumentError, match="is not a CorpusSpec"):
+            runner(spec)
 
 
 class TestConjectureSuite:
@@ -164,17 +222,13 @@ class TestConjectureSuite:
 
 def forced_theorem_mismatch(monkeypatch, with_exchange: bool) -> dict:
     """A theorem MISMATCH verdict carrying genuine witnesses.  No real corpus
-    yields one (the theorem holds), so the check is forced to misreport a
-    non-polymatroidal (3,2) ideal as polymatroidal."""
-
-    def forced(I):
-        exchange = pm.exchange_failure(I) if with_exchange else None
-        return pm.TheoremCheck(True, False, exchange, pm.lq_all_orders_failure(I, "lex"))
-
-    monkeypatch.setattr(suites, "theorem_equivalence", forced)
-    corpus = pm.enumerate_corpus(pm.CorpusSpec(n=3, d=2))
-    item = next(it for it in corpus if not pm.is_polymatroidal(it.ideal))
-    return suites._theorem_verdict(item)
+    yields one (the theorem holds), so the suite's exchange kernel is forced
+    to misreport a non-polymatroidal (3,2) ideal as polymatroidal."""
+    mask = next(m for m in range(1, 64) if not pm.is_polymatroidal(pm.ideal_from_mask(3, 2, m)))
+    monkeypatch.setattr(suites._CorpusLayer, "exchange_failure", lambda layer, mask: None)
+    if not with_exchange:
+        monkeypatch.setattr(suites, "exchange_failure", lambda ideal: None)
+    return suites._theorem_verdict(suites._CorpusLayer(3, 2), 0, mask)
 
 
 class TestReverifyLexWitness:
@@ -366,23 +420,59 @@ class TestWorkerPool:
         assert all(type(x) is int or x is suites._theorem_verdict for x in shipped)
         assert suites._theorem_verdict in shipped
 
-    def test_one_worker_streams_the_corpus(self, monkeypatch):
+    def test_one_worker_streams_the_corpus(self, monkeypatch, pools):
+        # the pool's chunk function, chunk after chunk, and no pool
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        spec = pm.CorpusSpec(n=2, d=2)
+        pooled = pm.run_theorem_suite(spec, jobs=2).to_json()
         events = []
-        enumerate_corpus, verdict = suites.enumerate_corpus, suites._theorem_verdict
+        chunk, verdict = suites._verdict_chunk, suites._theorem_verdict
 
-        def decoding(spec):
-            for item in enumerate_corpus(spec):
-                events.append(("decoded", item.index))
-                yield item
+        def mapping(task):
+            events.append(("chunk", task[3]))
+            return chunk(task)
 
-        def judging(item):
-            events.append(("verdict", item.index))
-            return verdict(item)
+        def judging(layer, index, mask):
+            events.append(("verdict", index))
+            return verdict(layer, index, mask)
 
-        monkeypatch.setattr(suites, "enumerate_corpus", decoding)
+        monkeypatch.setattr(suites, "_verdict_chunk", mapping)
         monkeypatch.setattr(suites, "_theorem_verdict", judging)
-        pm.run_theorem_suite(pm.CorpusSpec(n=2, d=2), jobs=1)
-        assert events[:3] == [("decoded", 0), ("verdict", 0), ("decoded", 1)]
+        report = pm.run_theorem_suite(spec, jobs=1)
+        assert len(pools) == 1  # the jobs=2 run's
+        assert events[:3] == [("chunk", 0), ("verdict", 0), ("chunk", 1)]
+        assert report.to_json() == pooled
+
+    def test_layer_rows_are_built_only_for_the_masks_met(self):
+        # a random (8,5) layer has 792 monomials, about 626,000 ordered pairs
+        spec = pm.CorpusSpec(n=8, d=5, mode="random", m=6, count=20, seed=1)
+        layer = suites._CorpusLayer(8, 5)
+        verdicts = [suites._conjecture_verdict(layer, i, mask)
+                    for i, mask in enumerate(corpus_masks(spec))]
+        assert len(layer.exps) == 792
+        assert 0 < len(layer.rows) <= 20 * 6 * 5
+        assert 0 < len(layer.swaps) <= 20 * 6
+        assert len(layer.colon["revlex"].tests) <= 20 * 6
+        assert verdicts == pm.run_conjecture_search(spec).verdicts
+
+
+class TestEquivariance:
+    """Every verdict class is invariant under relabeling the variables: the
+    soundness basis of --dedupe-isomorphic and of deciding on masks."""
+
+    @pytest.mark.parametrize("n, d", [(3, 2), (4, 2), (3, 3)])
+    @pytest.mark.parametrize("runner", [
+        pm.run_theorem_suite, pm.run_conjecture_search, pm.run_localization_probe,
+    ])
+    def test_relabeled_masks_get_the_same_verdict(self, n, d, runner):
+        rng = random.Random(f"{n},{d}")
+        verdicts = {v["mask"]: v for v in runner(pm.CorpusSpec(n=n, d=d)).verdicts}
+        for _ in range(3):
+            relabel = relabeling(n, d, rng.sample(range(n), n))
+            for mask, verdict in verdicts.items():
+                assert verdicts[relabel(mask)]["verdict"] == verdict["verdict"], mask
+        # the relabelings are bijections, so these are the witnesses of every sigma(I)
+        assert all(pm.reverify_witness(v, n, d) for v in verdicts.values())
 
 
 class TestReportDeterminism:

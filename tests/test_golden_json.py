@@ -58,52 +58,49 @@ def test_cli_json_matches_golden(name, tmp_path, capsys):
 
 # Verdicts no real corpus produces (the theorem holds and no counterexample
 # to the conjecture is known), forced through the suite workers so that
-# their witness shapes are pinned as well.
+# their witness shapes are pinned as well.  The forcing makes one mask
+# kernel of the suite's layer misreport; the witnesses come from the checks.
 REMARK_GENS = [[2, 0, 1], [1, 1, 1], [1, 0, 2], [0, 2, 1]]
+REMARK_MASK = 180  # bits 2, 4, 5 and 7 of the (3,3) layer
 EXCHANGE = {"u": [1, 0, 2], "v": [0, 2, 1], "variable": 1}
 
 
-def test_theorem_mismatch_verdict_shape(monkeypatch):
-    def forced(I):
-        lq_witness = pm.lq_all_orders_failure(I, "lex")
-        return pm.TheoremCheck(True, False, pm.exchange_failure(I), lq_witness)
+def remark_verdict(verdict_fn) -> dict:
+    layer = suites._CorpusLayer(3, 3)
+    assert layer.ideal(REMARK_MASK) == suites.remark_ideal()
+    return verdict_fn(layer, 7, REMARK_MASK)
 
-    monkeypatch.setattr(suites, "theorem_equivalence", forced)
-    item = pm.CorpusItem(7, 42, suites.remark_ideal())
-    assert suites._theorem_verdict(item) == {
+
+def test_theorem_mismatch_verdict_shape(monkeypatch):
+    monkeypatch.setattr(suites._CorpusLayer, "exchange_failure", lambda layer, mask: None)
+    assert remark_verdict(suites._theorem_verdict) == {
         "exchange_witness": EXCHANGE,
         "gens": REMARK_GENS,
         "index": 7,
         "lex_all_orders": False,
         "lq_witness": {"blocker": [1, 0, 2], "kind": "lex", "order": [3, 2, 1], "position": 2},
-        "mask": 42,
+        "mask": REMARK_MASK,
         "polymatroidal": True,
         "verdict": "MISMATCH",
     }
 
 
 def test_conjecture_counterexample_verdict_shape(monkeypatch):
-    def forced(I):
-        outcome = pm.ConjectureOutcome.COUNTEREXAMPLE
-        return pm.ConjectureProbe(outcome, pm.exchange_failure(I), None, None)
-
-    monkeypatch.setattr(suites, "conjecture_probe", forced)
-    item = pm.CorpusItem(7, 42, suites.remark_ideal())
-    assert suites._conjecture_verdict(item) == {
+    monkeypatch.setattr(suites._CorpusLayer, "search", lambda layer, kind, mask: None)
+    assert remark_verdict(suites._conjecture_verdict) == {
         "exchange_witness": EXCHANGE,
         "gens": REMARK_GENS,
         "index": 7,
-        "mask": 42,
+        "mask": REMARK_MASK,
         "revlex_orders_checked": [list(o.perm) for o in pm.all_variable_orders(3)],
         "verdict": "COUNTEREXAMPLE",
     }
 
 
 def test_suite_prints_failing_verdicts(monkeypatch, capsys):
-    def forced(I):
-        return pm.TheoremCheck(True, False, None, None)
-
-    monkeypatch.setattr(suites, "theorem_equivalence", forced)
+    # polymatroidal, yet some order is said to fail: no witness exists to record
+    monkeypatch.setattr(suites._CorpusLayer, "exchange_failure", lambda layer, mask: None)
+    monkeypatch.setattr(suites._CorpusLayer, "search", lambda layer, kind, mask: ((1, 0), None))
     assert main(["suite", "theorem", "--n", "2", "--d", "1", "--jobs", "1"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("suite theorem: FAIL (MISMATCH=3)")

@@ -2,9 +2,95 @@ import itertools
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polymat as pm
 from conftest import I, M, contains, veronese
+from polymat.polymatroid import _Layer
+
+
+def _exchange_scan(I, symmetric):
+    """Oracle: the exchange scan on exponent tuples, which the mask kernel
+    replaced.  The first ordered generator pair (u, v) in canonical order
+    and the first i at which exchange fails: with a = u, b = v (direct) or
+    a = v, b = u (symmetric), every giver i with a[i] > b[i] needs a taker
+    j with a[j] < b[j] such that u with x_i and x_j stepped in opposite
+    directions is a generator: x_i down and x_j up in the direct form, the
+    reverse in the symmetric one."""
+    members = {g.exponents for g in I.gens}
+    step = 1 if symmetric else -1
+    for u in I.gens:
+        ue = u.exponents
+        for v in I.gens:
+            if u is v:
+                continue
+            a, b = (v.exponents, ue) if symmetric else (ue, v.exponents)
+            takers = [j for j in range(I.n) if a[j] < b[j]]
+            for i in range(I.n):
+                if a[i] <= b[i]:
+                    continue
+                swapped = list(ue)
+                swapped[i] += step
+                for j in takers:
+                    swapped[j] -= step
+                    if tuple(swapped) in members:
+                        break
+                    swapped[j] += step
+                else:
+                    return pm.ExchangeWitness(u, v, i + 1)
+    return None
+
+
+def layer_of(n, d):
+    monomials = pm.monomials_of_degree(n, d).elems
+    return monomials, _Layer([m.exponents for m in monomials])
+
+
+def mask_witness(monomials, layer, mask, symmetric):
+    """The mask kernel's answer as a witness over the layer's monomials."""
+    found = layer.exchange_failure(mask, symmetric)
+    if found is None:
+        return None
+    u, v, i = found
+    return pm.ExchangeWitness(monomials[u], monomials[v], i + 1)
+
+
+CHECKS = {False: pm.exchange_failure, True: pm.symmetric_exchange_failure}
+
+
+@pytest.mark.parametrize("n, d", [(3, 2), (4, 2), (3, 3), (2, 4)])
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_mask_kernel_agrees_with_the_tuple_scanner(n, d, symmetric):
+    # on a corpus layer and, through the public checks, on each ideal's own generators
+    monomials, layer = layer_of(n, d)
+    failing = 0
+    for mask in range(1, 1 << len(monomials)):
+        ideal = pm.ideal_from_mask(n, d, mask)
+        expected = _exchange_scan(ideal, symmetric)
+        assert mask_witness(monomials, layer, mask, symmetric) == expected, mask
+        assert CHECKS[symmetric](ideal) == expected, mask
+        failing += expected is not None
+    assert 0 < failing < (1 << len(monomials)) - 1
+
+
+@st.composite
+def layer_masks(draw):
+    """A random-mode layer up to (8,5), 792 monomials, and a mask over it."""
+    n = draw(st.integers(1, 8))
+    d = draw(st.integers(1, 5))
+    size = len(pm.monomials_of_degree(n, d))
+    bits = draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=12, unique=True))
+    return n, d, sum(1 << b for b in bits)
+
+
+@given(layer_masks(), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_mask_kernel_agrees_with_the_tuple_scanner_on_large_layers(case, symmetric):
+    n, d, mask = case
+    monomials, layer = layer_of(n, d)
+    expected = _exchange_scan(pm.ideal_from_mask(n, d, mask), symmetric)
+    assert mask_witness(monomials, layer, mask, symmetric) == expected
 
 
 class TestIsPolymatroidal:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 import polymat as pm
 from conftest import I, M, small_ideals, veronese
 from polymat import quotients
+from polymat.polymatroid import _Layer
 
 O = pm.VariableOrder
 
@@ -221,6 +222,80 @@ class TestAllOrders:
         monkeypatch.setenv("POLYMAT_MAX_PERMS", value)
         with pytest.raises(pm.InvalidArgumentError, match="POLYMAT_MAX_PERMS"):
             pm.lq_all_orders_failure(I("x1*x2 + x2*x3"), "lex")
+
+
+def corpus_tables(n, d):
+    """The (n, d) layer's monomials and its colon tables of both kinds."""
+    monomials = pm.monomials_of_degree(n, d).elems
+    layer = _Layer([m.exponents for m in monomials])
+    return monomials, {kind: quotients._ColonTables(layer, kind) for kind in ("lex", "revlex")}
+
+
+def identity_failure(monomials, tables, mask):
+    """The tables' identity-order test as the LQFailure it stands for."""
+    found = tables.identity_failure(mask)
+    return None if found is None else pm.LQFailure(found[0], monomials[found[1]])
+
+
+@st.composite
+def layer_masks(draw, max_n=8, max_d=5, max_gens=12):
+    """A random-mode layer, up to (8,5) with 792 monomials, and a mask over it."""
+    n = draw(st.integers(1, max_n))
+    d = draw(st.integers(1, max_d))
+    size = len(pm.monomials_of_degree(n, d))
+    bits = draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=max_gens, unique=True))
+    return n, d, sum(1 << b for b in bits)
+
+
+class TestMaskTables:
+    """The colon tables of a whole corpus layer, read with a mask S."""
+
+    @pytest.mark.parametrize("n,d", [(3, 2), (4, 2), (3, 3), (2, 4)])
+    def test_identity_test_agrees_with_linear_quotients_failure(self, n, d):
+        monomials, tables = corpus_tables(n, d)
+        identity = O.identity(n)
+        for mask in range(1, 1 << len(monomials)):
+            ideal = pm.ideal_from_mask(n, d, mask)
+            for kind, kind_tables in tables.items():
+                expected = pm.linear_quotients_failure(pm.sort_generators(ideal, kind, identity))
+                assert identity_failure(monomials, kind_tables, mask) == expected, (mask, kind)
+
+    @settings(max_examples=150, deadline=None)
+    @given(layer_masks())
+    def test_identity_test_agrees_on_large_layers(self, case):
+        n, d, mask = case
+        monomials, tables = corpus_tables(n, d)
+        ideal = pm.ideal_from_mask(n, d, mask)
+        for kind, kind_tables in tables.items():
+            expected = pm.linear_quotients_failure(pm.sort_generators(ideal, kind, O.identity(n)))
+            assert identity_failure(monomials, kind_tables, mask) == expected, kind
+
+    @pytest.mark.parametrize("n,d", [(3, 2), (4, 2), (3, 3)])
+    def test_search_agrees_with_brute_force_on_corpora(self, n, d):
+        monomials, tables = corpus_tables(n, d)
+        past_identity = set()
+        for mask in range(1, 1 << len(monomials)):
+            ideal = pm.ideal_from_mask(n, d, mask)
+            for kind, kind_tables in tables.items():
+                expected = first_failing_order_brute(ideal, kind)
+                found = kind_tables.first_failure(mask)
+                got = found and quotients._lq_witness(found, kind, monomials, lambda: ideal)
+                assert got == expected, (mask, kind)
+                if found is not None and found[1] is None:
+                    past_identity.add(kind)
+        assert past_identity == {"lex", "revlex"}
+
+    @settings(max_examples=60, deadline=None)
+    @given(layer_masks(max_n=5, max_d=4))
+    def test_search_agrees_with_brute_force_on_large_layers(self, case):
+        n, d, mask = case
+        monomials, tables = corpus_tables(n, d)
+        ideal = pm.ideal_from_mask(n, d, mask)
+        for kind, kind_tables in tables.items():
+            found = kind_tables.first_failure(mask)
+            perm = found and tuple(p + 1 for p in found[0])
+            expected = first_failing_order_brute(ideal, kind)
+            assert perm == (expected and expected[0].perm), kind
 
 
 class TestTheoremEquivalence:

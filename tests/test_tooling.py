@@ -174,6 +174,37 @@ def test_monomials_are_decided_in_one_place():
     assert not found, found
 
 
+def test_exchange_swaps_are_built_in_one_place():
+    # polymatroid._Layer._swaps is the one exchange swap test: it steps one
+    # exponent of a layer element down and another up and looks the result
+    # up, and the exchange rows and the colon tables read its bits.  A
+    # single-entry step elsewhere would be a second scanner; the only other
+    # one adds up the exponents of repeated factors in the parser.  The tuple
+    # scanner it replaced lives on as an oracle under tests/ only
+    allowed = {("polymatroid.py", "_swaps"), ("ioformats.py", "_build_monomial")}
+    found = []
+
+    def visit(node, path, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if child.name == "_exchange_scan":
+                    found.append(f"{path.name}:{child.lineno} def _exchange_scan")
+                visit(child, path, child.name)
+                continue
+            if isinstance(child, ast.AugAssign) and isinstance(child.target, ast.Subscript) \
+                    and isinstance(child.op, (ast.Add, ast.Sub)):
+                if (path.name, function) not in allowed:
+                    found.append(f"{path.name}:{child.lineno} {ast.unparse(child)}")
+            visit(child, path, function)
+
+    for path in sorted(SOURCE.glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), path, None)
+    assert not found, found
+    oracle = Path(__file__).parent / "test_polymatroid.py"
+    assert "_exchange_scan" in {node.name for node in ast.parse(oracle.read_text()).body
+                                if isinstance(node, ast.FunctionDef)}
+
+
 def test_every_raise_names_a_toolkit_error():
     # the CLI turns a PolymatError into exit 2, so a usage error must be one
     # and an internal fault must not look like one: the only other raises
@@ -182,7 +213,7 @@ def test_every_raise_names_a_toolkit_error():
     toolkit = {node.name for node in ast.parse(errors_path.read_text()).body
                if isinstance(node, ast.ClassDef)}
     allowed = {("cli.py", "entrypoint", "SystemExit"),
-               ("quotients.py", "lq_all_orders_failure", "RuntimeError")}
+               ("quotients.py", "_lq_witness", "RuntimeError")}
     found = []
 
     def visit(node, path, function):
