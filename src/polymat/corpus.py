@@ -7,9 +7,15 @@ monomials.  Exhaustive corpora run masks in ascending order; random
 corpora draw distinct m-subsets from a seeded generator.  Both are fully
 reproducible from the corpus parameters.
 
-corpus_masks gives the masks alone, which is all the suites draw: they
-decide each verdict on the mask.  decode_masks and enumerate_corpus build
-the ideal of each mask, for callers that want CorpusItems.
+A _CorpusLayer is the one codec between masks and monomials: it holds
+the layer's monomials by bit, with the tables the suites' mask verdicts
+read, and ideal_from_mask, enumerate_corpus and the isomorphism dedupe all
+go through one.  corpus_masks gives the masks alone, which is all the
+suites draw: they decide each verdict on the mask.
+
+A variable permutation permutes the layer's bits, so the dedupe relabels
+a mask by table lookups: one row per variable order, holding the bit each
+layer monomial goes to, built for one corpus_masks call.
 """
 
 from __future__ import annotations
@@ -17,11 +23,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Iterator
+from typing import Iterator
 
-from .core import Monomial, MonomialIdeal, _integers, all_variable_orders
+from .core import MonomialIdeal, _check_perm_guard, _integers, all_variable_orders
 from .errors import BoundExceededError, InvalidArgumentError
 from .lexsegment import monomials_of_degree
+from .polymatroid import _bits, _Built, _Layer
+from .quotients import _ColonTables, _Found
 
 EXHAUSTIVE_BASIS_LIMIT = 20
 
@@ -109,16 +117,41 @@ class CorpusItem:
     ideal: MonomialIdeal
 
 
-def _decode(basis: tuple[Monomial, ...], mask: int) -> tuple[Monomial, ...]:
-    """The basis monomials whose bits are set in mask, in basis order."""
-    return tuple(m for i, m in enumerate(basis) if mask >> i & 1)
+class _CorpusLayer(_Layer):
+    """The degree-d layer of a corpus and every table its mask verdicts
+    read: the monomials and their JSON rows by bit, the exchange rows and
+    the colon tables of each order kind.  It lives for one call or one
+    suite chunk, and each table is built when a verdict first needs it."""
+
+    def __init__(self, n: int, d: int) -> None:
+        self.monomials = monomials_of_degree(n, d).elems
+        super().__init__([m.exponents for m in self.monomials])
+        self.gens_rows = [list(m.exponents) for m in self.monomials]
+        self.colon = _Built(self._colon)
+
+    def _colon(self, kind: str) -> _ColonTables:
+        # the tables exist for the n! search
+        _check_perm_guard(self.n)
+        return _ColonTables(self, kind)
+
+    def fields(self, index: int, mask: int) -> dict:
+        """The fields every corpus verdict starts with; reverify_witness reads mask and gens."""
+        return {"index": index, "mask": mask, "gens": [self.gens_rows[b] for b in _bits(mask)]}
+
+    def ideal(self, mask: int) -> MonomialIdeal:
+        return MonomialIdeal(self.n, [self.monomials[b] for b in _bits(mask)])
+
+    def search(self, kind: str, mask: int) -> _Found | None:
+        """The first failing order of the n! for the ideal of mask, as
+        _ColonTables.first_failure gives it; or None."""
+        return self.colon[kind].first_failure(mask)
 
 
 def ideal_from_mask(n: int, d: int, mask: int) -> MonomialIdeal:
     """Rebuild the ideal a bitmask denotes (bit i = i-th lex-descending monomial)."""
-    basis = monomials_of_degree(n, d).elems
-    (mask,) = _integers((mask,), "mask", 1, (1 << len(basis)) - 1)
-    return MonomialIdeal(n, _decode(basis, mask))
+    layer = _CorpusLayer(n, d)
+    (mask,) = _integers((mask,), "mask", 1, (1 << len(layer.monomials)) - 1)
+    return layer.ideal(mask)
 
 
 def corpus_masks(spec: CorpusSpec) -> list[int]:
@@ -127,57 +160,35 @@ def corpus_masks(spec: CorpusSpec) -> list[int]:
         masks = list(range(spec.start_mask, 1 << basis_size))
     else:
         rng = random.Random(spec.seed)
+        bits = [1 << i for i in range(basis_size)]
         seen: set[int] = set()
         masks = []
         while len(masks) < spec.count:
-            mask = 0
-            for i in rng.sample(range(basis_size), spec.m):
-                mask |= 1 << i
+            mask = sum(rng.sample(bits, spec.m))
             if mask not in seen:
                 seen.add(mask)
                 masks.append(mask)
     if spec.dedupe_isomorphic:
-        perms = [order.positions for order in all_variable_orders(spec.n)]
-        basis = monomials_of_degree(spec.n, spec.d).elems
-        position = {m.exponents: i for i, m in enumerate(basis)}
-        masks = [
-            mask
-            for mask in masks
-            if _is_orbit_representative(perms, position, _decode(basis, mask), mask)
+        layer = _CorpusLayer(spec.n, spec.d)
+        relabel = [
+            [1 << layer.index[tuple(e[p] for p in order.positions)] for e in layer.exps]
+            for order in all_variable_orders(spec.n)
         ]
+        masks = [mask for mask in masks if _is_orbit_representative(relabel, mask)]
     return masks
 
 
-def _is_orbit_representative(
-    perms: list, position: dict[tuple[int, ...], int], gens: tuple[Monomial, ...], mask: int
-) -> bool:
+def _is_orbit_representative(relabel: list[list[int]], mask: int) -> bool:
     """Whether no variable permutation sends this subset to a smaller mask.
 
-    perms lists the 0-based variable permutations, position maps each basis
-    exponent vector to its bit, and gens is the subset the mask denotes.
+    relabel[k][b] is the bit that layer monomial b goes to under the k-th
+    variable order, so a relabeled mask is the sum over the mask's bits.
     """
-    vectors = [g.exponents for g in gens]
-    for perm in perms:
-        relabeled = 0
-        for vec in vectors:
-            relabeled |= 1 << position[tuple(vec[p] for p in perm)]
-        if relabeled < mask:
-            return False
-    return True
-
-
-def decode_masks(n: int, d: int, masks: Iterable[int], start: int = 0) -> Iterator[CorpusItem]:
-    """The corpus items that degree-d masks in n variables denote, indexed from start.
-
-    Every mask is checked at the call, as ideal_from_mask checks one: a
-    mask outside 1 .. 2^basis - 1 names no corpus ideal.  The basis is
-    built once per call and each item is built as it is consumed.
-    """
-    basis = monomials_of_degree(n, d).elems
-    masks = _integers(masks, "mask", 1, (1 << len(basis)) - 1)
-    return (CorpusItem(index, mask, MonomialIdeal(n, _decode(basis, mask)))
-            for index, mask in enumerate(masks, start))
+    bits = _bits(mask)
+    return all(sum(row[b] for b in bits) >= mask for row in relabel)
 
 
 def enumerate_corpus(spec: CorpusSpec) -> Iterator[CorpusItem]:
-    yield from decode_masks(spec.n, spec.d, corpus_masks(spec))
+    layer = _CorpusLayer(spec.n, spec.d)
+    for index, mask in enumerate(corpus_masks(spec)):
+        yield CorpusItem(index, mask, layer.ideal(mask))

@@ -8,13 +8,13 @@ in-memory report, never in the JSON.
 The parent draws only the corpus masks and cuts them into (corpus index,
 masks) chunks of plain ints; pool workers, or this process where one
 worker is all there is, map the same chunk function over them.  A chunk
-builds one _CorpusLayer, the tables of the degree layer, and decides each
-verdict from its mask S: the exchange scan and the identity-order and
-all-orders linear-quotients tests are integer operations on S.  A
-MonomialIdeal is built only where a verdict needs one: the homology of a
-two-variable theorem verdict, the localizations of a polymatroidal mask,
-the replay of a failure at an order other than the identity, and the
-witnesses of a MISMATCH or COUNTEREXAMPLE.
+builds one corpus._CorpusLayer, the tables of the degree layer, and
+decides each verdict from its mask S: the exchange scan and the
+identity-order and all-orders linear-quotients tests are integer
+operations on S.  A MonomialIdeal is built only where a verdict needs one:
+the homology of a two-variable theorem verdict, the localizations of a
+polymatroidal mask, the replay of a failure at an order other than the
+identity, and the witnesses of a MISMATCH or COUNTEREXAMPLE.
 """
 
 from __future__ import annotations
@@ -30,17 +30,14 @@ from .betti import has_linear_resolution
 from .core import (
     Monomial, MonomialIdeal, VariableOrder, _check_perm_guard, _integers, all_variable_orders
 )
-from .corpus import CorpusSpec, corpus_masks, ideal_from_mask
+from .corpus import CorpusSpec, _CorpusLayer, corpus_masks, ideal_from_mask
 from .corpus import enumerate_corpus  # noqa: F401  not called here; perfbench's corpus.build hook
 from .errors import InvalidArgumentError
 from .ioformats import dump_json, ideal_to_json_dict
-from .lexsegment import monomials_of_degree
-from .polymatroid import _bits, _Built, _Layer, exchange_failure
+from .polymatroid import exchange_failure
 from .quotients import (
     ConjectureOutcome,
     LQFailure,
-    _ColonTables,
-    _Found,
     _lq_witness,
     linear_quotients_failure,
     lq_all_orders_failure,
@@ -114,36 +111,6 @@ class CheckReport:
             f"suite {self.suite}: {status} ({counts}) "
             f"[{len(self.verdicts)} verdicts, {self.wall_time:.2f}s]"
         )
-
-
-class _CorpusLayer(_Layer):
-    """The degree-d layer of a corpus and every table its mask verdicts
-    read: the monomials and their JSON rows by bit, the exchange rows and
-    the colon tables of each order kind.  It lives for one chunk, and each
-    table is built when a verdict first needs it."""
-
-    def __init__(self, n: int, d: int) -> None:
-        self.monomials = monomials_of_degree(n, d).elems
-        super().__init__([m.exponents for m in self.monomials])
-        self.gens_rows = [list(m.exponents) for m in self.monomials]
-        self.colon = _Built(self._colon)
-
-    def _colon(self, kind: str) -> _ColonTables:
-        # the tables exist for the n! search
-        _check_perm_guard(self.n)
-        return _ColonTables(self, kind)
-
-    def fields(self, index: int, mask: int) -> dict:
-        """The fields every corpus verdict starts with; reverify_witness reads mask and gens."""
-        return {"index": index, "mask": mask, "gens": [self.gens_rows[b] for b in _bits(mask)]}
-
-    def ideal(self, mask: int) -> MonomialIdeal:
-        return MonomialIdeal(self.n, [self.monomials[b] for b in _bits(mask)])
-
-    def search(self, kind: str, mask: int) -> _Found | None:
-        """The first failing order of the n! for the ideal of mask, as
-        _ColonTables.first_failure gives it; or None."""
-        return self.colon[kind].first_failure(mask)
 
 
 def _order_witness(kind: str, order: VariableOrder, failure: LQFailure) -> dict:
@@ -259,17 +226,6 @@ def run_conjecture_search(spec: CorpusSpec, jobs: int = 1) -> CheckReport:
     return _run_suite("conjecture", _conjecture_verdict, spec, jobs)
 
 
-def _unit_masks(I: MonomialIdeal) -> set[int]:
-    """The proper masks whose substitution turns I into the unit ideal.
-
-    Bit i - 1 of a mask stands for x_i.  I.localize(off) is the unit ideal
-    exactly when some generator's support lies inside off, so the test
-    reads one support mask per generator and builds no localization.
-    """
-    supports = {sum(1 << i - 1 for i in g.support) for g in I.gens}
-    return {mask for mask in range((1 << I.n) - 1) if any(s & mask == s for s in supports)}
-
-
 def _is_linear_localization(L: MonomialIdeal) -> bool:
     """Whether a non-unit localization has a linear resolution.
 
@@ -292,14 +248,16 @@ def _localization_verdict(layer: _CorpusLayer, index: int, mask: int) -> dict:
         out["verdict"] = "not_polymatroidal"
         return out
     I = layer.ideal(mask)
-    # every mask but the last, which substitutes all variables away and leaves the unit ideal
+    # bit i - 1 of a substitution stands for x_i; it leaves the unit ideal, which
+    # counts as linear, exactly when it covers some generator's support
+    supports = {sum(1 << i - 1 for i in g.support) for g in I.gens}
+    # every substitution but the last, which sends all variables to 1
     proper = (1 << I.n) - 1
-    unit = _unit_masks(I)  # the unit ideal counts as linear
     violations = []
-    for mask in range(proper):
-        if mask in unit:
+    for sub in range(proper):
+        if any(s & sub == s for s in supports):
             continue
-        off = [i + 1 for i in range(I.n) if mask >> i & 1]
+        off = [i + 1 for i in range(I.n) if sub >> i & 1]
         if not _is_linear_localization(I.localize(off)):
             violations.append(off)
     out["checked"] = proper
@@ -373,17 +331,24 @@ def reproduce_remark() -> CheckReport:
     return CheckReport("remark", ideal_to_json_dict(I), verdicts, time.perf_counter() - start)
 
 
+def _record(value: object, what: str, keys: tuple[str, ...]) -> dict:
+    """value, refused unless it is a dict that holds every one of keys."""
+    if not isinstance(value, dict) or not value.keys() >= set(keys):
+        raise InvalidArgumentError(f"{what} must be a dict with {' and '.join(keys)}")
+    return value
+
+
 def reverify_witness(verdict: dict, n: int, d: int) -> bool:
     """Replay every serialized failure witness a verdict carries.
 
     Returns True when each recorded failure reproduces exactly.
     """
-    I = ideal_from_mask(n, d, verdict["mask"])
+    I = ideal_from_mask(n, d, _record(verdict, "a verdict", ("mask", "gens"))["mask"])
     if ideal_to_json_dict(I)["gens"] != verdict["gens"]:
         return False
     for key in ("refuting_order", "lq_witness"):
         if key in verdict:
-            w = verdict[key]
+            w = _record(verdict[key], key, ("kind", "order"))
             order = VariableOrder(tuple(w["order"]))
             failure = linear_quotients_failure(sort_generators(I, w["kind"], order))
             if failure is None or _order_witness(w["kind"], order, failure) != w:

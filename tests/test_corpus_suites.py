@@ -3,14 +3,16 @@ import json
 import os
 import pickle
 import random
+import tracemalloc
+from math import comb
 from types import SimpleNamespace
 
 import pytest
 
 import polymat as pm
 from conftest import I, veronese
-from polymat import suites
-from polymat.corpus import corpus_masks, decode_masks
+from polymat import corpus, suites
+from polymat.corpus import corpus_masks
 
 
 def burnside_orbits(n, d):
@@ -42,6 +44,45 @@ def relabeling(n, d, perm):
     position = {e: i for i, e in enumerate(layer)}
     image = [position[tuple(e[p] for p in perm)] for e in layer]
     return lambda mask: sum(1 << image[i] for i in range(len(layer)) if mask >> i & 1)
+
+
+def tuple_is_orbit_representative(perms, position, gens, mask):
+    """The tuple dedupe the relabel table replaced, as its oracle: whether
+    no variable permutation sends this subset to a smaller mask.  perms
+    lists the 0-based variable permutations, position maps each layer
+    exponent vector to its bit, and gens is the subset the mask denotes."""
+    vectors = [g.exponents for g in gens]
+    for perm in perms:
+        relabeled = 0
+        for vec in vectors:
+            relabeled |= 1 << position[tuple(vec[p] for p in perm)]
+        if relabeled < mask:
+            return False
+    return True
+
+
+def tuple_orbit_representatives(n, d, masks):
+    """The masks the tuple oracle keeps, in the given order."""
+    perms = [order.positions for order in pm.all_variable_orders(n)]
+    layer = pm.monomials_of_degree(n, d).elems
+    position = {g.exponents: i for i, g in enumerate(layer)}
+    return [mask for mask in masks if tuple_is_orbit_representative(
+        perms, position, [g for i, g in enumerate(layer) if mask >> i & 1], mask)]
+
+
+def drawn_bit_by_bit(spec):
+    """A random corpus drawn as it was before one-step draws: each mask built
+    bit by bit from an m-sample of the bit positions."""
+    rng = random.Random(spec.seed)
+    seen, masks = set(), []
+    while len(masks) < spec.count:
+        mask = 0
+        for i in rng.sample(range(comb(spec.n + spec.d - 1, spec.d)), spec.m):
+            mask |= 1 << i
+        if mask not in seen:
+            seen.add(mask)
+            masks.append(mask)
+    return masks
 
 
 class TestCorpus:
@@ -149,12 +190,37 @@ class TestCorpus:
         relabelings = [relabeling(n, d, perm) for perm in itertools.permutations(range(n))]
         assert all(r(mask) >= mask for mask in corpus_masks(spec) for r in relabelings)
 
-    @pytest.mark.parametrize("masks", [[1 | 1 << 10], [-1], [0], [1, 2, 1 << 3], [True]])
-    def test_decode_masks_refuses_a_mask_outside_the_layer(self, masks):
-        # (2,2) has 3 monomials, so its masks are 1 .. 7; the refusal comes at the call
-        with pytest.raises(pm.InvalidArgumentError, match="mask"):
-            decode_masks(2, 2, masks)
-        assert [item.mask for item in decode_masks(2, 2, [1, 7])] == [1, 7]
+    @pytest.mark.parametrize("n, d, start", [
+        (3, 2, 1), (4, 2, 1), (3, 3, 1), (2, 4, 1), (3, 4, 1), (5, 2, 1), (4, 3, (1 << 20) - 5000),
+    ])
+    def test_relabel_table_agrees_with_the_tuple_oracle(self, n, d, start):
+        spec = pm.CorpusSpec(n=n, d=d, start_mask=start, dedupe_isomorphic=True)
+        masks = range(start, 1 << comb(n + d - 1, d))
+        assert corpus_masks(spec) == tuple_orbit_representatives(n, d, masks)
+
+    def test_relabel_table_agrees_on_the_first_masks_of_4_3(self, monkeypatch):
+        # the corpus cannot stop early, so the table of one call is read off it
+        tables = []
+        real = corpus._is_orbit_representative
+
+        def recording(relabel, mask):
+            tables.append(relabel)
+            return real(relabel, mask)
+
+        monkeypatch.setattr(corpus, "_is_orbit_representative", recording)
+        corpus_masks(pm.CorpusSpec(n=4, d=3, start_mask=(1 << 20) - 1, dedupe_isomorphic=True))
+        (relabel,) = tables
+        masks = range(1, 5001)
+        assert [m for m in masks if real(relabel, m)] == tuple_orbit_representatives(4, 3, masks)
+
+    @pytest.mark.parametrize("n, d, m, count, seed", [
+        (4, 3, 5, 500, 1061), (4, 3, 10, 500, 77), (4, 3, 15, 500, 0), (2, 1, 1, 2, 5),
+        (4, 2, 10, 1, 3), (8, 5, 40, 50, 0), (8, 5, 792, 1, 9),
+    ])
+    def test_random_masks_are_drawn_as_bit_by_bit(self, n, d, m, count, seed):
+        # (4,2) with m = 10 and (8,5) with m = 792 draw every monomial of the layer
+        spec = pm.CorpusSpec(n=n, d=d, mode="random", m=m, count=count, seed=seed)
+        assert corpus_masks(spec) == drawn_bit_by_bit(spec)
 
 
 class TestTheoremSuite:
@@ -250,6 +316,22 @@ class TestReverifyLexWitness:
         verdict["exchange_witness"]["variable"] += 1
         assert not pm.reverify_witness(verdict, 3, 2)
 
+    @pytest.mark.parametrize("verdict", [
+        None,
+        {},
+        {"mask": 3},
+        {"gens": [[2, 0], [1, 1]]},
+        {"mask": 3, "gens": [[2, 0], [1, 1]], "refuting_order": {"order": [2, 1]}},
+        {"mask": 3, "gens": [[2, 0], [1, 1]], "refuting_order": {"kind": "revlex"}},
+        {"mask": 3, "gens": [[2, 0], [1, 1]], "lq_witness": {"order": [2, 1]}},
+        {"mask": 3, "gens": [[2, 0], [1, 1]], "lq_witness": {"kind": "lex"}},
+        {"mask": 3, "gens": [[2, 0], [1, 1]], "lq_witness": None},
+    ])
+    def test_malformed_verdict_refused(self, verdict):
+        # a toolkit error, which the CLI turns into exit 2, not a TypeError or KeyError
+        with pytest.raises(pm.InvalidArgumentError, match="must be a dict with"):
+            pm.reverify_witness(verdict, 2, 2)
+
     def test_mismatched_gens_refused(self, monkeypatch):
         # the witnesses still replay on the ideal of the mask
         verdict = forced_theorem_mismatch(monkeypatch, with_exchange=True)
@@ -305,12 +387,37 @@ class TestLocalizationSuite:
                 continue
             assert pm.has_linear_resolution(ideal.localize(off))
 
-    def test_unit_masks_are_the_unit_localizations(self):
-        for ideal in polymatroidal_ideals((3, 2), (4, 2), (3, 3), (2, 4)):
-            unit = suites._unit_masks(ideal)
-            for mask in range((1 << ideal.n) - 1):
-                off = substituted(ideal.n, mask)
-                assert (mask in unit) == ideal.localize(off).is_unit, (ideal, off)
+    def test_unit_masks_are_the_unit_localizations(self, monkeypatch):
+        # the suite localizes at every proper substitution but those that leave the unit ideal
+        localized = []
+        localize = pm.MonomialIdeal.localize
+        monkeypatch.setattr(pm.MonomialIdeal, "localize",
+                            lambda ideal, off: localized.append(off) or localize(ideal, off))
+        for n, d in ((3, 2), (4, 2), (3, 3), (2, 4)):
+            layer = suites._CorpusLayer(n, d)
+            for item in pm.enumerate_corpus(pm.CorpusSpec(n=n, d=d)):
+                if pm.is_polymatroidal(item.ideal):
+                    localized.clear()
+                    suites._localization_verdict(layer, item.index, item.mask)
+                    offs = [substituted(n, mask) for mask in range((1 << n) - 1)]
+                    assert localized == [off for off in offs
+                                         if not localize(item.ideal, off).is_unit], item.ideal
+
+    def test_memory_does_not_grow_with_the_substitutions(self, monkeypatch):
+        # one linear generator: 2^n - 1 proper substitutions, half of them leave
+        # the unit ideal.  The localizations are stubbed out, so the peak is the
+        # loop's own: a set of the unit substitutions would grow with 2^n
+        monkeypatch.setattr(pm.MonomialIdeal, "localize", lambda ideal, off: ideal)
+        monkeypatch.setattr(suites, "_is_linear_localization", lambda ideal: True)
+        peaks = []
+        for n in (10, 16):
+            layer = suites._CorpusLayer(n, 1)
+            tracemalloc.start()
+            verdict = suites._localization_verdict(layer, 0, 1 << n - 1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+            assert verdict["verdict"] == "all_linear" and verdict["checked"] == (1 << n) - 1
+        assert peaks[1] < peaks[0] + 20_000, peaks
 
     @pytest.fixture
     def homology_calls(self, monkeypatch):
@@ -327,10 +434,10 @@ class TestLocalizationSuite:
     def test_certificate_implies_a_linear_betti_table(self, homology_calls):
         local = {}
         for ideal in polymatroidal_ideals((3, 2), (4, 2), (3, 3), (5, 2)):
-            unit = suites._unit_masks(ideal)
             for mask in range((1 << ideal.n) - 1):
-                if mask not in unit:
-                    local[ideal.localize(substituted(ideal.n, mask))] = None
+                localization = ideal.localize(substituted(ideal.n, mask))
+                if not localization.is_unit:
+                    local[localization] = None
         for ideal in local:
             if certified(ideal):
                 assert pm.graded_betti(ideal).is_linear(ideal.is_equigenerated()), ideal

@@ -122,6 +122,25 @@ def test_induced_orders_are_read_in_one_place():
     assert not found, found
 
 
+def test_corpus_masks_are_decoded_in_one_place():
+    # corpus._CorpusLayer is the one codec between a corpus mask and its
+    # monomials: ideal_from_mask, enumerate_corpus, the isomorphism dedupe
+    # and the suites' chunks all read the layer through one
+    allowed = {("corpus.py", "_CorpusLayer")}
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            where = (path.name, getattr(top, "name", None))
+            for node in ast.walk(top):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                        and node.name in ("_decode", "decode_masks"):
+                    found.append(f"{path.name}:{node.lineno} def {node.name}")
+                elif isinstance(node, ast.Call) and where not in allowed \
+                        and ast.unparse(node.func).rsplit(".", 1)[-1] == "monomials_of_degree":
+                    found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    assert not found, found
+
+
 def test_integers_are_decided_in_one_place():
     # core._integers is the one integer rule: a second predicate would let True
     # or an __index__ object through in one place and refuse it in another
