@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .core import MonomialIdeal, _integers
+from .core import MonomialIdeal, _instance, _integers
 from .errors import OracleUnavailableError, UnitIdealError
 
 TAYLOR_GENERATOR_LIMIT = 12
@@ -267,7 +267,7 @@ def _closure(masks) -> tuple[dict[int, set[int]], int]:
 
 def graded_betti(I: MonomialIdeal) -> BettiTable:
     """Graded Betti numbers via homology of upper-Koszul complexes over the lcm lattice."""
-    if I.is_unit:
+    if _instance(I, MonomialIdeal, "ideal").is_unit:
         raise UnitIdealError("the unit ideal has nothing to resolve")
     gens, guards, width = _packed([g.exponents for g in I.gens])
     field = (1 << width) - 1
@@ -293,7 +293,7 @@ def taylor_strand_betti(I: MonomialIdeal) -> BettiTable:
     where dropping a generator keeps the lcm.  The homology of that strand
     in subset-size p gives the Betti number at homological index p - 1.
     """
-    if I.is_unit:
+    if _instance(I, MonomialIdeal, "ideal").is_unit:
         raise UnitIdealError("the unit ideal has nothing to resolve")
     gens = [g.exponents for g in I.gens]
     m = len(gens)
@@ -324,7 +324,7 @@ def has_linear_resolution(I: MonomialIdeal) -> bool:
 
     The unit ideal counts as having a linear resolution.
     """
-    if I.is_unit:
+    if _instance(I, MonomialIdeal, "ideal").is_unit:
         return True
     d = I.is_equigenerated()
     if d is None:

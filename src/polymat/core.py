@@ -9,6 +9,8 @@ MonomialIdeal(n, gens) accepts any non-empty generating set in n variables
 and stores the ideal's minimal generators G(I) in canonical order; every
 ideal the toolkit builds (sums, products, powers, localizations, parsed
 and corpus ideals) goes through that one minimalization.
+Each public argument, these generators included, passes one of three rules
+once per call: _integers, _monomials, and _instance for every other type.
 
 All values are immutable and hashable and every operation is a pure
 function, so they can be shared across worker processes without
@@ -40,6 +42,8 @@ def _integers(
     that already is an exact int costs one type test and one comparison
     per bound given.
     """
+    if not hasattr(entries, "__iter__"):
+        raise InvalidArgumentError(f"{what} sequence {entries!r} is not iterable")
     values = tuple(entries)
     for v in values:
         if type(v) is not int:
@@ -53,6 +57,15 @@ def _integers(
         if most is not None and v > most:
             raise InvalidArgumentError(f"{what} must be at most {most}, got {v}")
     return values
+
+
+def _instance(value, cls: type, what: str):
+    """value, refused unless it is a cls: the library's one type rule, for
+    every public ideal, monomial set, corpus spec, variable order, text and
+    flag, so a stand-in with the attributes the code reads gets no answer."""
+    if not isinstance(value, cls):
+        raise InvalidArgumentError(f"{what} {value!r} is not a {cls.__name__}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -275,10 +288,11 @@ class MonomialIdeal:
         return MonomialIdeal(self.n, zeroed.values())
 
     def __add__(self, other: MonomialIdeal) -> MonomialIdeal:
-        return MonomialIdeal(self.n, self.gens + other.gens)
+        return MonomialIdeal(self.n, self.gens + _instance(other, MonomialIdeal, "ideal").gens)
 
     def __mul__(self, other: MonomialIdeal) -> MonomialIdeal:
-        return MonomialIdeal(self.n, [g * h for g in self.gens for h in other.gens])
+        others = _instance(other, MonomialIdeal, "ideal").gens
+        return MonomialIdeal(self.n, [g * h for g in self.gens for h in others])
 
     def __pow__(self, e: int) -> MonomialIdeal:
         (e,) = _integers((e,), "exponent", 0)

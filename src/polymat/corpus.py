@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterator
 
-from .core import MonomialIdeal, _check_perm_guard, _integers, all_variable_orders
+from .core import MonomialIdeal, _check_perm_guard, _instance, _integers, all_variable_orders
 from .errors import BoundExceededError, InvalidArgumentError
 from .lexsegment import monomials_of_degree
 from .polymatroid import _bits, _Built, _Layer
@@ -60,8 +60,7 @@ class CorpusSpec:
             if value is not None or name not in ("m", "count"):
                 object.__setattr__(self, name, _integers((value,), name, least)[0])
         # a truthy string such as "no" would otherwise switch the dedupe on
-        if not isinstance(self.dedupe_isomorphic, bool):
-            raise InvalidArgumentError(f"dedupe flag {self.dedupe_isomorphic!r} is not a bool")
+        _instance(self.dedupe_isomorphic, bool, "dedupe flag")
         if self.mode not in ("exhaustive", "random"):
             raise InvalidArgumentError(f"unknown corpus mode {self.mode!r}")
         basis = comb(self.n + self.d - 1, self.d)
@@ -189,6 +188,5 @@ def _is_orbit_representative(relabel: list[list[int]], mask: int) -> bool:
 
 
 def enumerate_corpus(spec: CorpusSpec) -> Iterator[CorpusItem]:
-    layer = _CorpusLayer(spec.n, spec.d)
-    for index, mask in enumerate(corpus_masks(spec)):
-        yield CorpusItem(index, mask, layer.ideal(mask))
+    layer = _CorpusLayer(_instance(spec, CorpusSpec, "corpus spec").n, spec.d)
+    return (CorpusItem(i, mask, layer.ideal(mask)) for i, mask in enumerate(corpus_masks(spec)))

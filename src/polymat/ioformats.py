@@ -16,7 +16,7 @@ import json
 import re
 import sys
 
-from .core import Monomial, MonomialIdeal, VariableOrder, _integers
+from .core import Monomial, MonomialIdeal, VariableOrder, _instance, _integers
 from .errors import InvalidArgumentError, ParseError, PolymatError
 from .version import __version__
 
@@ -61,13 +61,6 @@ def _build_monomial(pairs: list[tuple[int, int]], n: int, offset: int, line: int
     return Monomial(tuple(exps))
 
 
-def _text(text: str) -> str:
-    """The text a parser was given, refused unless it is a str."""
-    if not isinstance(text, str):
-        raise InvalidArgumentError(f"text must be a str, got {text!r}")
-    return text
-
-
 def _variable_count(n: int | None, indices: list[int], unit: str) -> int:
     """A given n through the integer rule, else the largest variable index used."""
     if n is not None:
@@ -79,7 +72,7 @@ def _variable_count(n: int | None, indices: list[int], unit: str) -> int:
 
 def parse_monomial(text: str, n: int | None = None) -> Monomial:
     """Parse a single monomial; n defaults to the largest variable index seen."""
-    pairs = _parse_factors(_text(text), 0, 1)
+    pairs = _parse_factors(_instance(text, str, "text"), 0, 1)
     n = _variable_count(n, [var for var, _ in pairs], "monomial")
     return _build_monomial(pairs, n, 0, 1)
 
@@ -87,7 +80,7 @@ def parse_monomial(text: str, n: int | None = None) -> Monomial:
 def parse_ideal(text: str, n: int | None = None) -> MonomialIdeal:
     """Parse an ideal from `+`-joined and/or line-separated generators."""
     tokens: list[tuple[str, int, int]] = []
-    for lineno, raw_line in enumerate(_text(text).splitlines(), start=1):
+    for lineno, raw_line in enumerate(_instance(text, str, "text").splitlines(), start=1):
         if not raw_line.strip():
             continue
         offset = 0
@@ -104,7 +97,7 @@ def parse_ideal(text: str, n: int | None = None) -> MonomialIdeal:
 
 def parse_variable_order(text: str) -> VariableOrder:
     """Parse a comma-separated permutation such as `3,2,1`."""
-    pieces = _text(text).split(",")
+    pieces = _instance(text, str, "text").split(",")
     try:
         perm = tuple(int(p) for p in pieces)
     except ValueError:
@@ -116,6 +109,7 @@ def parse_variable_order(text: str) -> VariableOrder:
 
 
 def ideal_to_json_dict(I: MonomialIdeal) -> dict:
+    _instance(I, MonomialIdeal, "ideal")
     return {"n": I.n, "gens": [list(g.exponents) for g in I.gens]}
 
 
@@ -149,7 +143,7 @@ def ideal_from_json_dict(data: dict) -> MonomialIdeal:
 def load_ideal_text(text: str, n: int | None = None) -> MonomialIdeal:
     """Parse an ideal from either the text format or the JSON form; a given
     n must agree with the "n" of a JSON document."""
-    if _text(text).lstrip().startswith("{"):
+    if _instance(text, str, "text").lstrip().startswith("{"):
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:

@@ -15,7 +15,7 @@ from itertools import combinations_with_replacement, dropwhile, takewhile
 from math import comb
 from typing import Iterator
 
-from .core import Monomial, MonomialIdeal, _integers, _monomials, variable_monomial
+from .core import Monomial, MonomialIdeal, _instance, _integers, _monomials, variable_monomial
 from .errors import InvalidArgumentError
 
 
@@ -93,11 +93,13 @@ def lexsegment(u: Monomial, v: Monomial) -> MonomialSet:
 
 def shadow(T: MonomialSet) -> MonomialSet:
     """All products of elements of T with single variables, deduplicated."""
-    out = (m * variable_monomial(i, T.n) for m in T.elems for i in range(1, T.n + 1))
+    elems = _instance(T, MonomialSet, "monomial set").elems
+    out = (m * variable_monomial(i, T.n) for m in elems for i in range(1, T.n + 1))
     return MonomialSet(T.n, T.d + 1, out)
 
 
 def iterated_shadow(T: MonomialSet, depth: int) -> MonomialSet:
+    T = _instance(T, MonomialSet, "monomial set")
     (depth,) = _integers((depth,), "shadow depth", 0)
     for _ in range(depth):
         T = shadow(T)
@@ -106,7 +108,7 @@ def iterated_shadow(T: MonomialSet, depth: int) -> MonomialSet:
 
 def is_lexsegment(T: MonomialSet) -> bool:
     """Whether T is exactly the lex interval between its top and bottom."""
-    return T.elems == lexsegment(T.top, T.bottom).elems
+    return _instance(T, MonomialSet, "monomial set").elems == lexsegment(T.top, T.bottom).elems
 
 
 def is_completely_lexsegment(u: Monomial, v: Monomial, bound: int | None = None) -> bool:

@@ -22,7 +22,7 @@ from functools import reduce
 from operator import or_
 from typing import Callable, Sequence
 
-from .core import Monomial, MonomialIdeal
+from .core import Monomial, MonomialIdeal, _instance
 from .errors import NotEquigeneratedError
 
 
@@ -45,7 +45,7 @@ class ExchangeWitness:
 
 
 def require_equigenerated(I: MonomialIdeal) -> int:
-    d = I.is_equigenerated()
+    d = _instance(I, MonomialIdeal, "ideal").is_equigenerated()
     if d is None:
         raise NotEquigeneratedError(f"not generated in a single degree: {I}")
     return d

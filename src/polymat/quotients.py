@@ -66,6 +66,7 @@ from .core import (
     MonomialIdeal,
     VariableOrder,
     _check_perm_guard,
+    _instance,
     _monomials,
     canonical_key,
 )
@@ -99,9 +100,7 @@ def sort_generators(I: MonomialIdeal, kind: str, order: VariableOrder) -> tuple[
     reads them against it and puts smaller first.
     """
     require_equigenerated(I)
-    if not isinstance(order, VariableOrder):
-        raise InvalidArgumentError(f"{order!r} is not a VariableOrder")
-    if order.n != I.n:
+    if _instance(order, VariableOrder, "variable order").n != I.n:
         raise AmbientMismatchError(
             f"variable order {order} has {order.n} variables, the ideal {I.n}"
         )
@@ -420,13 +419,14 @@ def qwlr_by_order(
     prefix colon repeats exactly, and on a miss by the ideal they
     generate, which other generating sets of the same ideal share.
     """
+    n = _instance(I, MonomialIdeal, "ideal").n
     by_vectors: dict[frozenset[tuple[int, ...]], bool] = {}
     by_ideal: dict[MonomialIdeal, bool] = {}
 
     def linear(vectors: frozenset[tuple[int, ...]]) -> bool:
         holds = by_vectors.get(vectors)
         if holds is None:
-            J = _ideal(I.n, vectors)
+            J = _ideal(n, vectors)
             holds = by_ideal.get(J)
             if holds is None:
                 holds = by_ideal[J] = has_linear_resolution(J)

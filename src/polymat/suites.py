@@ -28,7 +28,8 @@ from typing import Callable
 
 from .betti import has_linear_resolution
 from .core import (
-    Monomial, MonomialIdeal, VariableOrder, _check_perm_guard, _integers, all_variable_orders
+    Monomial, MonomialIdeal, VariableOrder, _check_perm_guard, _instance, _integers,
+    all_variable_orders,
 )
 from .corpus import CorpusSpec, _CorpusLayer, corpus_masks, ideal_from_mask
 from .corpus import enumerate_corpus  # noqa: F401  not called here; perfbench's corpus.build hook
@@ -129,13 +130,6 @@ def _verdict_chunk(task: tuple) -> list[dict]:
     return [verdict_fn(layer, index, mask) for index, mask in enumerate(masks, start)]
 
 
-def _corpus_spec(spec: CorpusSpec) -> CorpusSpec:
-    """spec, refused unless it is a CorpusSpec, whose constructor validated it."""
-    if not isinstance(spec, CorpusSpec):
-        raise InvalidArgumentError(f"{spec!r} is not a CorpusSpec")
-    return spec
-
-
 def _run_suite(
     name: str, verdict_fn: Callable[[_CorpusLayer, int, int], dict], spec: CorpusSpec, jobs: int
 ) -> CheckReport:
@@ -147,7 +141,7 @@ def _run_suite(
     one per CPU; where that leaves one, this process maps the chunks
     itself, through the same chunk function.
     """
-    spec = _corpus_spec(spec)
+    spec = _instance(spec, CorpusSpec, "corpus spec")
     (jobs,) = _integers((jobs,), "jobs", 1)
     start = time.perf_counter()
     workers = min(jobs, os.cpu_count() or 1)
@@ -197,7 +191,7 @@ def run_theorem_suite(spec: CorpusSpec, jobs: int = 1) -> CheckReport:
     with the linear-resolution predicate.  Every verdict visits the n! orders,
     so the permutation guard is checked before the corpus is drawn.
     """
-    _check_perm_guard(_corpus_spec(spec).n)
+    _check_perm_guard(_instance(spec, CorpusSpec, "corpus spec").n)
     return _run_suite("theorem", _theorem_verdict, spec, jobs)
 
 
@@ -349,7 +343,7 @@ def reverify_witness(verdict: dict, n: int, d: int) -> bool:
     for key in ("refuting_order", "lq_witness"):
         if key in verdict:
             w = _record(verdict[key], key, ("kind", "order"))
-            order = VariableOrder(tuple(w["order"]))
+            order = VariableOrder(w["order"])
             failure = linear_quotients_failure(sort_generators(I, w["kind"], order))
             if failure is None or _order_witness(w["kind"], order, failure) != w:
                 return False

@@ -13,6 +13,11 @@ refuses a stand-in object that carries the attributes the code reads, a
 plain tuple and None with InvalidArgumentError, a value from another ring
 with AmbientMismatchError and, for a sequence, an empty one with
 EmptyIdealError.
+
+Every MonomialIdeal-, MonomialSet- or CorpusSpec-annotated parameter is in
+RECORD_SLOTS.  A record slot refuses None, a stand-in that carries the
+attributes the code reads and a record of another type with
+InvalidArgumentError.
 """
 
 import dataclasses
@@ -27,6 +32,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import polymat as pm
+from polymat import quotients
 
 from conftest import I, M
 
@@ -350,3 +356,105 @@ def test_monomial_rule_refuses(name, label):
 def test_texts_refuse_everything_but_a_str(name, value):
     with pytest.raises(pm.PolymatError):
         TEXTS[name](value)
+
+
+def test_sequences_refuse_a_value_that_is_not_iterable():
+    for value in (5, None):
+        for call in (pm.VariableOrder, pm.Monomial, IDEAL.localize):
+            with pytest.raises(pm.InvalidArgumentError, match="is not iterable"):
+                call(value)
+
+
+class RecordSlot(NamedTuple):
+    call: Callable[[Any], Any]  # the entry point with the slot set to the value
+    valid: Any  # a valid MonomialIdeal, MonomialSet or CorpusSpec for the slot
+
+
+def _ideal_slot(name, *rest):
+    function = getattr(pm, name)
+    return {f"{name}:I": RecordSlot(lambda v: function(v, *rest), IDEAL)}
+
+
+def _spec_slot(name):
+    function = getattr(pm, name)
+    return {f"{name}:spec": RecordSlot(lambda v: function(v).to_json(), SPEC)}
+
+
+RECORD_SLOTS = {
+    "MonomialIdeal.__add__:other": RecordSlot(lambda v: IDEAL + v, IDEAL),
+    "MonomialIdeal.__mul__:other": RecordSlot(lambda v: IDEAL * v, IDEAL),
+    **_ideal_slot("exchange_failure"),
+    **_ideal_slot("symmetric_exchange_failure"),
+    **_ideal_slot("is_polymatroidal"),
+    **_ideal_slot("satisfies_symmetric_exchange"),
+    **_ideal_slot("is_matroidal"),
+    **_ideal_slot("sort_generators", "lex", pm.VariableOrder((1, 2, 3))),
+    **_ideal_slot("lq_all_orders_failure", "lex"),
+    **_ideal_slot("has_lq_all_orders", "lex"),
+    **_ideal_slot("theorem_equivalence"),
+    **_ideal_slot("conjecture_probe"),
+    **_ideal_slot("graded_betti"),
+    **_ideal_slot("taylor_strand_betti"),
+    **_ideal_slot("has_linear_resolution"),
+    **_ideal_slot("ideal_to_json_dict"),
+    "shadow:T": RecordSlot(pm.shadow, LAYER),
+    "iterated_shadow:T": RecordSlot(lambda v: pm.iterated_shadow(v, 1), LAYER),
+    "is_lexsegment:T": RecordSlot(pm.is_lexsegment, LAYER),
+    "enumerate_corpus:spec": RecordSlot(lambda v: list(pm.enumerate_corpus(v)), SPEC),
+    **_spec_slot("run_theorem_suite"),
+    **_spec_slot("run_conjecture_search"),
+    **_spec_slot("run_localization_probe"),
+}
+
+
+def _record_refusals(valid):
+    """None, a stand-in and a record of another type, by label."""
+    if isinstance(valid, pm.MonomialIdeal):
+        stand_in = types.SimpleNamespace(n=valid.n, gens=valid.gens, is_unit=valid.is_unit,
+                                         is_equigenerated=valid.is_equigenerated)
+        other = pm.monomials_of_degree(valid.n, 2)
+    elif isinstance(valid, pm.MonomialSet):
+        stand_in = types.SimpleNamespace(n=valid.n, d=valid.d, elems=valid.elems,
+                                         top=valid.top, bottom=valid.bottom)
+        other = pm.MonomialIdeal(valid.n, valid.elems)
+    else:
+        fields = dataclasses.asdict(valid)
+        stand_in = types.SimpleNamespace(**fields, to_json_dict=valid.to_json_dict)
+        other = fields
+    return {"None": None, "stand-in": stand_in, "other record": other}
+
+
+RECORD_CASES = [(name, label) for name in sorted(RECORD_SLOTS)
+                for label in _record_refusals(RECORD_SLOTS[name].valid)]
+
+
+def test_record_table_lists_every_record_parameter():
+    listed = {tuple(key.split(":")) for key in RECORD_SLOTS}
+    found = {(c, p) for c, p in _annotated_parameters("MonomialIdeal|MonomialSet|CorpusSpec")
+             if c not in NOT_BOUNDARIES}
+    assert found == listed, sorted(found ^ listed)
+
+
+@pytest.mark.parametrize("name", sorted(RECORD_SLOTS))
+def test_record_slots_take_their_valid_value(name):
+    slot = RECORD_SLOTS[name]
+    slot.call(slot.valid)
+
+
+@pytest.mark.parametrize("name, label", RECORD_CASES)
+def test_type_rule_refuses(name, label):
+    slot = RECORD_SLOTS[name]
+    value = _record_refusals(slot.valid)[label]
+    with pytest.raises(pm.InvalidArgumentError, match=f"is not a {type(slot.valid).__name__}$"):
+        slot.call(value)
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda: quotients.qwlr_by_order(None, "lex", []), "MonomialIdeal"),
+    (lambda: pm.iterated_shadow(None, 0), "MonomialSet"),
+    (lambda: pm.enumerate_corpus(None), "CorpusSpec"),
+], ids=["qwlr_by_order with no orders", "iterated_shadow at depth 0",
+        "enumerate_corpus before its first item"])
+def test_type_rule_refuses_where_no_field_is_read(call, expected):
+    with pytest.raises(pm.InvalidArgumentError, match=f"None is not a {expected}$"):
+        call()

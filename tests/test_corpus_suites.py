@@ -326,10 +326,13 @@ class TestReverifyLexWitness:
         {"mask": 3, "gens": [[2, 0], [1, 1]], "lq_witness": {"order": [2, 1]}},
         {"mask": 3, "gens": [[2, 0], [1, 1]], "lq_witness": {"kind": "lex"}},
         {"mask": 3, "gens": [[2, 0], [1, 1]], "lq_witness": None},
+        {"mask": 3, "gens": [[2, 0], [1, 1]], "lq_witness": {"kind": "lex", "order": 5}},
     ])
     def test_malformed_verdict_refused(self, verdict):
-        # a toolkit error, which the CLI turns into exit 2, not a TypeError or KeyError
-        with pytest.raises(pm.InvalidArgumentError, match="must be a dict with"):
+        # a toolkit error, which the CLI turns into exit 2, not a TypeError or KeyError;
+        # the shape check refuses a missing field, the integer rule an order of 5
+        refusal = "must be a dict with|permutation entry sequence 5 is not iterable"
+        with pytest.raises(pm.InvalidArgumentError, match=refusal):
             pm.reverify_witness(verdict, 2, 2)
 
     def test_mismatched_gens_refused(self, monkeypatch):

@@ -193,6 +193,36 @@ def test_monomials_are_decided_in_one_place():
     assert not found, found
 
 
+def test_types_are_decided_in_one_place():
+    # core._instance is the one type rule: a check of its own elsewhere would
+    # word one fault two ways, and a missing one lets a stand-in get an answer.
+    # The other isinstance tests are the integer and monomial rules and the
+    # shape checks of parsed JSON and of verdict records.  The mask kernels
+    # never call the rule, so no corpus verdict pays for it
+    allowed = {("core.py", "_instance"), ("core.py", "_integers"), ("core.py", "_monomials"),
+               ("ioformats.py", "ideal_from_json_dict"), ("suites.py", "_record")}
+    kernels = {("polymatroid.py", "_Layer"), ("quotients.py", "_ColonTables"),
+               ("corpus.py", "_CorpusLayer"), ("suites.py", "_verdict_chunk")}
+    found = []
+    seen = set()
+    for path in sorted(SOURCE.glob("*.py")):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            where = (path.name, getattr(top, "name", None))
+            seen.add(where)
+            for node in ast.walk(top):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                        and node.name in ("_corpus_spec", "_text"):
+                    found.append(f"{path.name}:{node.lineno} def {node.name}")
+                elif isinstance(node, ast.Call):
+                    name = ast.unparse(node.func).rsplit(".", 1)[-1]
+                    if name == "isinstance" and where not in allowed:
+                        found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+                    elif name == "_instance" and where in kernels:
+                        found.append(f"{path.name}:{node.lineno} {ast.unparse(node)} in a kernel")
+    assert not found, found
+    assert allowed | kernels <= seen, sorted((allowed | kernels) - seen)
+
+
 def test_exchange_swaps_are_built_in_one_place():
     # polymatroid._Layer._swaps is the one exchange swap test: it steps one
     # exponent of a layer element down and another up and looks the result
