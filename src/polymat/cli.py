@@ -288,8 +288,8 @@ def main(argv=None) -> int:
         code, lines, payload = args.func(args)
         if args.json_path:
             Path(args.json_path).write_text(dump_json(payload))
-    except (PolymatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (PolymatError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     print("\n".join(lines))
     return code

@@ -92,11 +92,7 @@ class CorpusSpec:
 
     def size(self) -> int:
         """The number of ideals in the corpus; only a deduped one is enumerated."""
-        if self.dedupe_isomorphic:
-            return len(corpus_masks(self))
-        if self.mode == "exhaustive":
-            return (1 << comb(self.n + self.d - 1, self.d)) - self.start_mask
-        return self.count
+        return self.count if self.mode == "random" else len(corpus_masks(self))
 
     def to_json_dict(self) -> dict:
         out = {"n": self.n, "d": self.d, "mode": self.mode}
@@ -120,7 +116,7 @@ class _CorpusLayer(_Layer):
     """The degree-d layer of a corpus and every table its mask verdicts
     read: the monomials and their JSON rows by bit, the exchange rows and
     the colon tables of each order kind.  It lives for one call or one
-    suite chunk, and each table is built when a verdict first needs it."""
+    suite slice, and each table is built when a verdict first needs it."""
 
     def __init__(self, n: int, d: int) -> None:
         self.monomials = monomials_of_degree(n, d).elems
@@ -153,10 +149,12 @@ def ideal_from_mask(n: int, d: int, mask: int) -> MonomialIdeal:
     return layer.ideal(mask)
 
 
-def corpus_masks(spec: CorpusSpec) -> list[int]:
+def corpus_masks(spec: CorpusSpec) -> range | list[int]:
+    """The corpus masks in order: the range itself for a plain exhaustive
+    corpus, so that no list of its masks is built, and a list otherwise."""
     basis_size = comb(spec.n + spec.d - 1, spec.d)
     if spec.mode == "exhaustive":
-        masks = list(range(spec.start_mask, 1 << basis_size))
+        masks = range(spec.start_mask, 1 << basis_size)
     else:
         rng = random.Random(spec.seed)
         bits = [1 << i for i in range(basis_size)]

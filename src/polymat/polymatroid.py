@@ -11,7 +11,7 @@ one of its masks; a single ideal is the layer of its own generators with
 every bit set.  For an ordered pair (u, v) and each giver i, one row holds
 the bits of the swaps of u that would repair the exchange at i, and the
 pair fails at i exactly when S & row == 0.  Rows are built lazily, per
-element and per pair, and live as long as the layer: one suite chunk or
+element and per pair, and live as long as the layer: one suite slice or
 one call.
 """
 

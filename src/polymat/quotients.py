@@ -419,14 +419,15 @@ def qwlr_by_order(
     prefix colon repeats exactly, and on a miss by the ideal they
     generate, which other generating sets of the same ideal share.
     """
-    n = _instance(I, MonomialIdeal, "ideal").n
+    require_equigenerated(I)
+    _check_kind(kind)
     by_vectors: dict[frozenset[tuple[int, ...]], bool] = {}
     by_ideal: dict[MonomialIdeal, bool] = {}
 
     def linear(vectors: frozenset[tuple[int, ...]]) -> bool:
         holds = by_vectors.get(vectors)
         if holds is None:
-            J = _ideal(n, vectors)
+            J = _ideal(I.n, vectors)
             holds = by_ideal.get(J)
             if holds is None:
                 holds = by_ideal[J] = has_linear_resolution(J)

@@ -5,11 +5,11 @@ JSON rendering is byte-identical across runs and worker counts: verdicts
 are keyed by corpus index, keys are sorted, and timing lives only on the
 in-memory report, never in the JSON.
 
-The parent draws only the corpus masks and cuts them into (corpus index,
-masks) chunks of plain ints; pool workers, or this process where one
-worker is all there is, map the same chunk function over them.  A chunk
-builds one corpus._CorpusLayer, the tables of the degree layer, and
-decides each verdict from its mask S: the exchange scan and the
+The parent draws only the corpus masks and cuts them into one contiguous
+(corpus index, masks) slice per worker; pool workers, or this process
+where the cut leaves one slice, map the same slice function over them.
+A slice builds one corpus._CorpusLayer, the tables of the degree layer,
+and decides each verdict from its mask S: the exchange scan and the
 identity-order and all-orders linear-quotients tests are integer
 operations on S.  A MonomialIdeal is built only where a verdict needs one:
 the homology of a two-variable theorem verdict, the localizations of a
@@ -120,7 +120,7 @@ def _order_witness(kind: str, order: VariableOrder, failure: LQFailure) -> dict:
 
 
 def _verdict_chunk(task: tuple) -> list[dict]:
-    """Map verdict_fn over one chunk of corpus masks on one layer's tables.
+    """Map verdict_fn over one slice of corpus masks on one layer's tables.
 
     A task is (verdict_fn, n, d, index of its first mask, masks): plain
     ints and a module-level function, so no built ideal is pickled.
@@ -135,26 +135,26 @@ def _run_suite(
 ) -> CheckReport:
     """Map verdict_fn over the corpus on up to `jobs` processes and tally a report.
 
-    The parent draws only the corpus masks and cuts them into workers * 8
-    chunks, each with the corpus index of its first mask.  Under fork the
-    pool starts all its workers at the first submit, so it gets at most
-    one per CPU; where that leaves one, this process maps the chunks
-    itself, through the same chunk function.
+    The parent draws only the corpus masks and cuts them into one
+    contiguous slice per worker, with the corpus index of its first mask,
+    so each process builds one layer.  Under fork the pool starts all its
+    workers at the first submit, so there are at most as many slices as
+    CPUs; where the cut leaves one, this process decides it and no pool starts.
     """
     spec = _instance(spec, CorpusSpec, "corpus spec")
     (jobs,) = _integers((jobs,), "jobs", 1)
     start = time.perf_counter()
     workers = min(jobs, os.cpu_count() or 1)
     masks = corpus_masks(spec)
-    size = max(1, len(masks) // (workers * 8))
+    size = max(1, -(-len(masks) // workers))  # ceil, so at most `workers` slices
     tasks = [(verdict_fn, spec.n, spec.d, i, masks[i : i + size])
              for i in range(0, len(masks), size)]
-    if workers == 1:
-        chunks = list(map(_verdict_chunk, tasks))
+    if len(tasks) < 2:
+        slices = list(map(_verdict_chunk, tasks))
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_verdict_chunk, tasks))
-    verdicts = [v for chunk in chunks for v in chunk]
+        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
+            slices = list(pool.map(_verdict_chunk, tasks))
+    verdicts = [v for part in slices for v in part]
     return CheckReport(name, spec.to_json_dict(), verdicts, time.perf_counter() - start)
 
 

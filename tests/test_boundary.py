@@ -458,3 +458,13 @@ def test_type_rule_refuses(name, label):
 def test_type_rule_refuses_where_no_field_is_read(call, expected):
     with pytest.raises(pm.InvalidArgumentError, match=f"None is not a {expected}$"):
         call()
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: quotients.qwlr_by_order(I("x1*x2"), "bogus", []), pm.InvalidArgumentError),
+    (lambda: quotients.qwlr_by_order(I("x1^2 + x2"), "lex", []), pm.NotEquigeneratedError),
+], ids=["unknown kind", "mixed degrees"])
+def test_qwlr_by_order_refuses_with_no_orders(call, error):
+    # one order would refuse both through sort_generators; none must refuse them too
+    with pytest.raises(error):
+        call()

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import polymat as pm
+from polymat import cli
 from polymat.cli import main
 
 REMARK = "x1*x3^2 + x1^2*x3 + x1*x2*x3 + x2^2*x3"
@@ -232,6 +233,25 @@ def test_malformed_permutation_guard_exits_2(argv, value, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: POLYMAT_MAX_PERMS={value!r} is not an integer\n"
+
+
+@pytest.mark.parametrize("handler, argv", [
+    ("_cmd_check_poly", ["check", "poly", "x1", "--n", "1099511627776"]),
+    ("_cmd_lexsegment", ["lexsegment", "--u", "x1", "--v", "x1", "--n", "1099511627776"]),
+])
+def test_out_of_memory_exits_2(handler, argv, monkeypatch, capsys, tmp_path):
+    # a monomial in 2^40 variables would fill memory on a host that
+    # overcommits, so the handler raises as the allocation would
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, handler, exhausted)
+    out = tmp_path / "out.json"
+    assert main([*argv, "--json", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: out of memory\n"
+    assert not out.exists()
 
 
 def test_missing_ideal_exits_2(capsys):

@@ -176,6 +176,7 @@ class TestCorpus:
     )
     def test_size_counts_the_corpus(self, spec):
         assert spec.size() == sum(1 for _ in pm.enumerate_corpus(spec))
+        assert spec.size() == len(corpus_masks(spec))
 
     @pytest.mark.parametrize("n, d, orbits", [
         (2, 2, 5), (3, 2, 19), (4, 2, 89), (3, 3, 207), (2, 4, 19), (3, 4, 5727),
@@ -503,15 +504,14 @@ class TestWorkerPool:
         assert report.to_json() == pm.run_theorem_suite(spec, jobs=1).to_json()
 
     def test_chunk_size_follows_the_workers(self, monkeypatch, pools):
+        # one contiguous slice per worker, the last one shorter
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         spec = pm.CorpusSpec(n=3, d=2)
         pm.run_theorem_suite(spec, jobs=10**6)
-        ((_, tasks),) = pools
+        ((workers, tasks),) = pools
         masks = corpus_masks(spec)
-        size = len(masks) // 16
-        assert [task[1:] for task in tasks] == [
-            (3, 2, i, masks[i : i + size]) for i in range(0, len(masks), size)
-        ]
+        assert workers == 2
+        assert [task[1:] for task in tasks] == [(3, 2, 0, masks[0:32]), (3, 2, 32, masks[32:63])]
 
     def test_tasks_hold_ints_and_the_verdict_only(self, monkeypatch, pools):
         # the parent ships masks, never a built ideal, for workers to decode
@@ -519,7 +519,7 @@ class TestWorkerPool:
         pm.run_theorem_suite(pm.CorpusSpec(n=2, d=2), jobs=2)
 
         def leaves(obj):
-            if type(obj) in (tuple, list):
+            if type(obj) in (tuple, list, range):
                 for entry in obj:
                     yield from leaves(entry)
             else:
@@ -529,9 +529,21 @@ class TestWorkerPool:
         shipped = list(leaves(tasks))
         assert all(type(x) is int or x is suites._theorem_verdict for x in shipped)
         assert suites._theorem_verdict in shipped
+        # a built ideal, shipped in a range's place, still fails the check
+        built = [(*task[:4], [pm.ideal_from_mask(2, 2, 1)]) for task in tasks]
+        assert not all(type(x) is int or x is suites._theorem_verdict for x in leaves(built))
+
+    def test_exhaustive_corpus_ships_ranges(self, monkeypatch, pools):
+        # no list of a plain exhaustive corpus's masks is built, in the parent or a task
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        spec = pm.CorpusSpec(n=3, d=2, start_mask=10)
+        assert corpus_masks(spec) == range(10, 64)
+        pm.run_theorem_suite(spec, jobs=2)
+        ((_, tasks),) = pools
+        assert [task[3:] for task in tasks] == [(0, range(10, 37)), (27, range(37, 64))]
 
     def test_one_worker_streams_the_corpus(self, monkeypatch, pools):
-        # the pool's chunk function, chunk after chunk, and no pool
+        # one slice, decided in this process by the pool's slice function
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         spec = pm.CorpusSpec(n=2, d=2)
         pooled = pm.run_theorem_suite(spec, jobs=2).to_json()
@@ -550,8 +562,33 @@ class TestWorkerPool:
         monkeypatch.setattr(suites, "_theorem_verdict", judging)
         report = pm.run_theorem_suite(spec, jobs=1)
         assert len(pools) == 1  # the jobs=2 run's
-        assert events[:3] == [("chunk", 0), ("verdict", 0), ("chunk", 1)]
+        assert events == [("chunk", 0)] + [("verdict", i) for i in range(7)]
         assert report.to_json() == pooled
+
+    @pytest.mark.parametrize("cpus, slices", [(1, 1), (2, 2)])
+    def test_one_layer_per_slice(self, monkeypatch, pools, cpus, slices):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        built = []
+        layer = suites._CorpusLayer
+
+        def counting(n, d):
+            built.append((n, d))
+            return layer(n, d)
+
+        monkeypatch.setattr(suites, "_CorpusLayer", counting)
+        for runner in (pm.run_theorem_suite, pm.run_conjecture_search,
+                       pm.run_localization_probe):
+            built.clear()
+            runner(pm.CorpusSpec(n=3, d=2), jobs=4)
+            assert built == [(3, 2)] * slices
+        assert len(pools) == (3 if slices > 1 else 0)
+
+    def test_one_mask_corpus_starts_no_pool(self, monkeypatch, pools):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        spec = pm.CorpusSpec(n=2, d=1, start_mask=3)
+        report = pm.run_theorem_suite(spec, jobs=2)
+        assert pools == []
+        assert [v["mask"] for v in report.verdicts] == [3]
 
     def test_layer_rows_are_built_only_for_the_masks_met(self):
         # a random (8,5) layer has 792 monomials, about 626,000 ordered pairs
@@ -595,6 +632,7 @@ class TestReportDeterminism:
              pm.CorpusSpec(n=4, d=2, mode="random", m=4, count=60, seed=5)),
             (pm.run_theorem_suite, pm.CorpusSpec(n=3, d=3, dedupe_isomorphic=True)),
             (pm.run_localization_probe, pm.CorpusSpec(n=4, d=2)),
+            (pm.run_conjecture_search, pm.CorpusSpec(n=3, d=3, start_mask=1000)),
         ]
         for runner, spec in cases:
             blobs = {runner(spec, jobs=jobs).to_json() for jobs in (1, 2, 1)}

@@ -125,7 +125,7 @@ def test_induced_orders_are_read_in_one_place():
 def test_corpus_masks_are_decoded_in_one_place():
     # corpus._CorpusLayer is the one codec between a corpus mask and its
     # monomials: ideal_from_mask, enumerate_corpus, the isomorphism dedupe
-    # and the suites' chunks all read the layer through one
+    # and the suites' slices all read the layer through one
     allowed = {("corpus.py", "_CorpusLayer")}
     found = []
     for path in sorted(SOURCE.glob("*.py")):
