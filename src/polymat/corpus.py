@@ -157,11 +157,11 @@ def corpus_masks(spec: CorpusSpec) -> range | list[int]:
         masks = range(spec.start_mask, 1 << basis_size)
     else:
         rng = random.Random(spec.seed)
-        bits = [1 << i for i in range(basis_size)]
         seen: set[int] = set()
         masks = []
         while len(masks) < spec.count:
-            mask = sum(rng.sample(bits, spec.m))
+            # sample reads only the population's length, so no list of bits is built
+            mask = sum(1 << i for i in rng.sample(range(basis_size), spec.m))
             if mask not in seen:
                 seen.add(mask)
                 masks.append(mask)

@@ -25,11 +25,13 @@ searches the other orders:
   meets P; it fails when a predecessor is left uncovered.  That is O(n)
   integer operations, and a generator's tables are built when it is
   first tested.
-- Identity order.  The layer is lex-descending, so the lex sequence of S
-  is its bit order and the revlex one sorts its bits by the exponents
-  read from the last variable.  Each generator is tested against the bits
-  before it; the first that fails gives the position, and its lowest
-  uncovered bit, the greatest by canonical_key, the blocker.
+- One order.  The sequence that an order induces on S sorts its bits by
+  the ranks of that order; the layer is lex-descending, so under the
+  identity's lex order it is the bit order and needs no sort.  Each
+  generator is tested against the bits before it; the first that fails
+  gives the position, and its lowest uncovered bit, the greatest by
+  canonical_key, the blocker.  The identity runs first, and the order
+  that the search finds runs last, for its position and blocker.
 - Lex search.  Choosing variables from the greatest down refines an
   ordered partition of S: each choice splits every block by exponent,
   larger first.  A generator that becomes a singleton block has the union
@@ -46,10 +48,6 @@ searches the other orders:
   Subtrees then share a suffix and are not met in permutation order: the
   search keeps the least failing order found so far and prunes every
   subtree whose least order is not below it.
-
-An order found past the identity is replayed through
-linear_quotients_failure on the ideal, so the reported position and
-blocker are those of the single-sequence check.
 """
 
 from __future__ import annotations
@@ -58,7 +56,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 from operator import itemgetter, or_
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .betti import has_linear_resolution
 from .core import (
@@ -139,9 +137,9 @@ def has_linear_quotients(seq: Sequence[Monomial]) -> bool:
     return linear_quotients_failure(seq) is None
 
 
-# where first_failure finds the first failing order: a 0-based permutation,
-# with the (position, blocker bit) of identity_failure when it is the identity
-_Found = tuple[tuple[int, ...], tuple[int, int] | None]
+# the first failing order as a 0-based permutation, with the 1-based
+# position and the blocker bit of its failure
+_Found = tuple[tuple[int, ...], int, int]
 
 
 class _ColonTables:
@@ -152,7 +150,9 @@ class _ColonTables:
     the pair (those u, the elements with a larger exponent at t than g);
     it is built when g is first tested.  levels[t] lists the elements
     grouped by their exponent at t, in the order the induced sequences put
-    them: descending for lex, ascending for revlex.
+    them: descending for lex, ascending for revlex.  ranks[perm] gives each
+    element's place in the sequence that perm induces, None where that is
+    the bit order.
     """
 
     def __init__(self, layer: _Layer, kind: str) -> None:
@@ -173,12 +173,8 @@ class _ColonTables:
                 mask |= by_exp[a]
             self.above.append(greater)
         self.tests = _Built(self._tests)
-        # the identity order's revlex sequence reads the exponents from the
-        # last variable, smaller first; its lex sequence is the bit order
-        self.rank = [0] * len(exps)
-        if not self.lex:
-            for r, g in enumerate(sorted(range(len(exps)), key=lambda g: exps[g][::-1])):
-                self.rank[g] = r
+        self.identity = tuple(range(layer.n))
+        self.ranks = _Built(self._ranks)
 
     def _tests(self, g: int) -> list[tuple[int, int]]:
         # for u of the same degree, u : g = x_t means u = g * x_t / x_s
@@ -190,6 +186,21 @@ class _ColonTables:
                 pairs.append((deg1, self.above[t][e[t]]))
         return pairs
 
+    def _ranks(self, perm: tuple[int, ...]) -> list[int] | None:
+        # split the layer by each variable's levels, the greatest variable
+        # first for lex and the least first for revlex, as the search does;
+        # the blocks end as singletons in sequence order
+        if self.lex and perm == self.identity:
+            return None
+        blocks = [(1 << len(self.layer.exps)) - 1]
+        for t in perm if self.lex else reversed(perm):
+            levels = self.levels[t]
+            blocks = [block & level for block in blocks for level in levels if block & level]
+        rank = [0] * len(blocks)
+        for r, block in enumerate(blocks):
+            rank[block.bit_length() - 1] = r
+        return rank
+
     def uncovered(self, g: int, preds: int) -> int:
         """The predecessors whose colon with g no variable of (preds) : g
         divides; 0 exactly when (preds) : g is generated by variables."""
@@ -199,17 +210,18 @@ class _ColonTables:
                 covered |= cov
         return preds & ~covered
 
-    def identity_failure(self, S: int) -> tuple[int, int] | None:
-        """Where the sequence that the identity order induces on S first
-        fails linear quotients: (1-based position, blocker bit), as
+    def failure_at(self, S: int, perm: tuple[int, ...]) -> tuple[int, int] | None:
+        """Where the sequence that the 0-based permutation perm induces on
+        S first fails linear quotients: (1-based position, blocker bit), as
         linear_quotients_failure reports them; or None.
 
         The layer is lex-descending, so the lowest uncovered bit is the
         uncovered generator greatest by canonical_key.
         """
         members = _bits(S)
-        if not self.lex:
-            members.sort(key=self.rank.__getitem__)
+        rank = self.ranks[perm]
+        if rank is not None:
+            members.sort(key=rank.__getitem__)
         preds = 1 << members[0]
         for position, g in enumerate(members[1:], 2):
             uncovered = self.uncovered(g, preds)
@@ -241,13 +253,16 @@ class _ColonTables:
 
     def first_failure(self, S: int) -> _Found | None:
         """The first of the n! orders whose sequence of S fails, as a 0-based
-        permutation, with identity_failure's (position, blocker bit) when it
-        is the identity and None past it; or None if every order passes."""
-        at_identity = self.identity_failure(S)
-        if at_identity is not None:
-            return tuple(range(self.layer.n)), at_identity
-        perm = _first_failing_perm(self, S)
-        return None if perm is None else (perm, None)
+        permutation with failure_at's position and blocker bit there; or
+        None if every order passes."""
+        perm = self.identity
+        failure = self.failure_at(S, perm)
+        if failure is None:
+            perm = _first_failing_perm(self, S)
+            if perm is None:
+                return None
+            failure = self.failure_at(S, perm)
+        return (perm, *failure)
 
 
 def _first_failing_perm(tables: _ColonTables, S: int) -> tuple[int, ...] | None:
@@ -280,25 +295,11 @@ def _first_failing_perm(tables: _ColonTables, S: int) -> tuple[int, ...] | None:
     return best
 
 
-def _lq_witness(
-    found: _Found, kind: str, gens: Sequence[Monomial], ideal: Callable[[], MonomialIdeal]
-) -> tuple[VariableOrder, LQFailure]:
+def _lq_witness(found: _Found, gens: Sequence[Monomial]) -> tuple[VariableOrder, LQFailure]:
     """The order and failure that first_failure found, gens being the
-    layer's monomials by bit.
-
-    At the identity the tables give the position and blocker.  Past it
-    the ideal is built and its sequence replayed through
-    linear_quotients_failure, which must fail.
-    """
-    perm, at_identity = found
-    order = VariableOrder(tuple(p + 1 for p in perm))
-    if at_identity is not None:
-        position, blocker = at_identity
-        return order, LQFailure(position, gens[blocker])
-    failure = linear_quotients_failure(sort_generators(ideal(), kind, order))
-    if failure is None:
-        raise RuntimeError(f"all-orders search reported order {order}, which passes")
-    return order, failure
+    layer's monomials by bit."""
+    perm, position, blocker = found
+    return VariableOrder(tuple(p + 1 for p in perm)), LQFailure(position, gens[blocker])
 
 
 def lq_all_orders_failure(I: MonomialIdeal, kind: str) -> tuple[VariableOrder, LQFailure] | None:
@@ -307,8 +308,7 @@ def lq_all_orders_failure(I: MonomialIdeal, kind: str) -> tuple[VariableOrder, L
 
     The tables of the module docstring are built over the generators of
     I, every bit set: the identity order is tested first, then the search
-    runs, and an order found past the identity is replayed through
-    linear_quotients_failure for the reported position and blocker.
+    runs, and the order it finds is tested for the position and blocker.
 
     Refuses outright when n exceeds the permutation guard (default 8,
     overridable via the POLYMAT_MAX_PERMS environment variable).
@@ -319,7 +319,7 @@ def lq_all_orders_failure(I: MonomialIdeal, kind: str) -> tuple[VariableOrder, L
     gens = I.gens
     tables = _ColonTables(_Layer([g.exponents for g in gens]), kind)
     found = tables.first_failure((1 << len(gens)) - 1)
-    return None if found is None else _lq_witness(found, kind, gens, lambda: I)
+    return None if found is None else _lq_witness(found, gens)
 
 
 def has_lq_all_orders(I: MonomialIdeal, kind: str) -> bool:

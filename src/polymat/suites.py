@@ -13,8 +13,7 @@ and decides each verdict from its mask S: the exchange scan and the
 identity-order and all-orders linear-quotients tests are integer
 operations on S.  A MonomialIdeal is built only where a verdict needs one:
 the homology of a two-variable theorem verdict, the localizations of a
-polymatroidal mask, the replay of a failure at an order other than the
-identity, and the witnesses of a MISMATCH or COUNTEREXAMPLE.
+polymatroidal mask, and the witnesses of a MISMATCH or COUNTEREXAMPLE.
 """
 
 from __future__ import annotations
@@ -202,8 +201,7 @@ def _conjecture_verdict(layer: _CorpusLayer, index: int, mask: int) -> dict:
         return out
     found = layer.search("revlex", mask)
     if found is not None:
-        # only an order past the identity builds the ideal, to replay it
-        witness = _lq_witness(found, "revlex", layer.monomials, lambda: layer.ideal(mask))
+        witness = _lq_witness(found, layer.monomials)
         out["verdict"] = ConjectureOutcome.REFUTED.value
         out["refuting_order"] = _order_witness("revlex", *witness)
         return out

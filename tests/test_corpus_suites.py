@@ -223,6 +223,16 @@ class TestCorpus:
         spec = pm.CorpusSpec(n=n, d=d, mode="random", m=m, count=count, seed=seed)
         assert corpus_masks(spec) == drawn_bit_by_bit(spec)
 
+    def test_a_random_draw_builds_no_list_of_the_layer(self):
+        # (4,60) has 39,711 monomials: a list of their bits would take about 107 MB
+        spec = pm.CorpusSpec(n=4, d=60, mode="random", m=2, count=1, seed=0)
+        tracemalloc.start()
+        masks = corpus_masks(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert masks == drawn_bit_by_bit(spec)
+        assert peak < 1_000_000, peak
+
 
 class TestTheoremSuite:
     def test_exhaustive_n3_d2(self):

@@ -232,8 +232,8 @@ def corpus_tables(n, d):
 
 
 def identity_failure(monomials, tables, mask):
-    """The tables' identity-order test as the LQFailure it stands for."""
-    found = tables.identity_failure(mask)
+    """The tables' test at the identity order as the LQFailure it stands for."""
+    found = tables.failure_at(mask, tables.identity)
     return None if found is None else pm.LQFailure(found[0], monomials[found[1]])
 
 
@@ -279,9 +279,9 @@ class TestMaskTables:
             for kind, kind_tables in tables.items():
                 expected = first_failing_order_brute(ideal, kind)
                 found = kind_tables.first_failure(mask)
-                got = found and quotients._lq_witness(found, kind, monomials, lambda: ideal)
+                got = found and quotients._lq_witness(found, monomials)
                 assert got == expected, (mask, kind)
-                if found is not None and found[1] is None:
+                if found is not None and found[0] != kind_tables.identity:
                     past_identity.add(kind)
         assert past_identity == {"lex", "revlex"}
 
@@ -293,9 +293,26 @@ class TestMaskTables:
         ideal = pm.ideal_from_mask(n, d, mask)
         for kind, kind_tables in tables.items():
             found = kind_tables.first_failure(mask)
-            perm = found and tuple(p + 1 for p in found[0])
-            expected = first_failing_order_brute(ideal, kind)
-            assert perm == (expected and expected[0].perm), kind
+            got = found and quotients._lq_witness(found, monomials)
+            assert got == first_failing_order_brute(ideal, kind), (mask, kind)
+
+    def test_witnesses_past_the_identity_agree_on_4_3_windows(self):
+        # the tables' position and blocker at the order the search found are
+        # those of the single-sequence check, which builds the ideal
+        monomials, tables = corpus_tables(4, 3)
+        windows = itertools.chain(range(1, 2001), range((1 << 20) - 2000, 1 << 20))
+        past_identity = dict.fromkeys(tables, 0)
+        for mask in windows:
+            for kind, kind_tables in tables.items():
+                found = kind_tables.first_failure(mask)
+                if found is None or found[0] == kind_tables.identity:
+                    continue
+                order, failure = quotients._lq_witness(found, monomials)
+                ideal = pm.ideal_from_mask(4, 3, mask)
+                expected = pm.linear_quotients_failure(pm.sort_generators(ideal, kind, order))
+                assert failure == expected, (mask, kind, order)
+                past_identity[kind] += 1
+        assert past_identity == {"lex": 372, "revlex": 372}, past_identity
 
 
 class TestTheoremEquivalence:

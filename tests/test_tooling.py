@@ -256,13 +256,12 @@ def test_exchange_swaps_are_built_in_one_place():
 
 def test_every_raise_names_a_toolkit_error():
     # the CLI turns a PolymatError into exit 2, so a usage error must be one
-    # and an internal fault must not look like one: the only other raises
-    # are the process exit and the replay guard of the all-orders search
+    # and an internal fault must not look like one: the only other raise is
+    # the process exit
     errors_path = SOURCE / "errors.py"
     toolkit = {node.name for node in ast.parse(errors_path.read_text()).body
                if isinstance(node, ast.ClassDef)}
-    allowed = {("cli.py", "entrypoint", "SystemExit"),
-               ("quotients.py", "_lq_witness", "RuntimeError")}
+    allowed = {("cli.py", "entrypoint", "SystemExit")}
     found = []
 
     def visit(node, path, function):
