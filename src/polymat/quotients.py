@@ -160,6 +160,7 @@ class _ColonTables:
         self.layer = layer
         self.lex = kind == "lex"
         self.levels: list[list[int]] = []
+        self.level_of: list[dict[int, int]] = []  # level_of[t][a]: where exponent a is in levels[t]
         self.above: list[dict[int, int]] = []  # above[t][a]: exponent at t larger than a
         for t in range(layer.n):
             by_exp: dict[int, int] = {}
@@ -167,6 +168,7 @@ class _ColonTables:
                 by_exp[e[t]] = by_exp.get(e[t], 0) | 1 << i
             values = sorted(by_exp, reverse=self.lex)
             self.levels.append([by_exp[a] for a in values])
+            self.level_of.append({a: j for j, a in enumerate(values)})
             greater, mask = {}, 0
             for a in sorted(by_exp, reverse=True):
                 greater[a] = mask
@@ -187,18 +189,16 @@ class _ColonTables:
         return pairs
 
     def _ranks(self, perm: tuple[int, ...]) -> list[int] | None:
-        # split the layer by each variable's levels, the greatest variable
-        # first for lex and the least first for revlex, as the search does;
-        # the blocks end as singletons in sequence order
+        # order the layer by its levels at each variable, the greatest variable
+        # first for lex and the least first for revlex, as the search refines
         if self.lex and perm == self.identity:
             return None
-        blocks = [(1 << len(self.layer.exps)) - 1]
-        for t in perm if self.lex else reversed(perm):
-            levels = self.levels[t]
-            blocks = [block & level for block in blocks for level in levels if block & level]
-        rank = [0] * len(blocks)
-        for r, block in enumerate(blocks):
-            rank[block.bit_length() - 1] = r
+        exps = self.layer.exps
+        keys = list(zip(*[[self.level_of[t][e[t]] for e in exps]
+                          for t in (perm if self.lex else reversed(perm))]))
+        rank = [0] * len(keys)
+        for r, i in enumerate(sorted(range(len(keys)), key=keys.__getitem__)):
+            rank[i] = r
         return rank
 
     def uncovered(self, g: int, preds: int) -> int:

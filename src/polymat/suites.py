@@ -9,11 +9,14 @@ The parent draws only the corpus masks and cuts them into one contiguous
 (corpus index, masks) slice per worker; pool workers, or this process
 where the cut leaves one slice, map the same slice function over them.
 A slice builds one corpus._CorpusLayer, the tables of the degree layer,
-and decides each verdict from its mask S: the exchange scan and the
-identity-order and all-orders linear-quotients tests are integer
-operations on S.  A MonomialIdeal is built only where a verdict needs one:
-the homology of a two-variable theorem verdict, the localizations of a
-polymatroidal mask, and the witnesses of a MISMATCH or COUNTEREXAMPLE.
+and decides each verdict from its mask S: the exchange scan, the
+identity-order and all-orders linear-quotients tests and the
+localizations of a polymatroidal mask are integer operations on S and
+the layer's tables, the last on lower-degree layers that the slice builds
+when a substitution first needs one.  A MonomialIdeal is built only where
+a verdict needs one: the homology of a two-variable theorem verdict, a
+localization the tables leave undecided, and the witnesses of a MISMATCH
+or COUNTEREXAMPLE.
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Callable
 
 from .betti import has_linear_resolution
@@ -34,7 +39,7 @@ from .corpus import CorpusSpec, _CorpusLayer, corpus_masks, ideal_from_mask
 from .corpus import enumerate_corpus  # noqa: F401  not called here; perfbench's corpus.build hook
 from .errors import InvalidArgumentError
 from .ioformats import dump_json, ideal_to_json_dict
-from .polymatroid import exchange_failure
+from .polymatroid import _bits, exchange_failure
 from .quotients import (
     ConjectureOutcome,
     LQFailure,
@@ -214,7 +219,12 @@ def _conjecture_verdict(layer: _CorpusLayer, index: int, mask: int) -> dict:
 
 def run_conjecture_search(spec: CorpusSpec, jobs: int = 1) -> CheckReport:
     """Search for non-polymatroidal ideals with revlex linear quotients
-    under every variable ordering; finding one is a headline event."""
+    under every variable ordering; finding one is a headline event.
+
+    A non-polymatroidal verdict visits the n! orders, so the permutation
+    guard is checked before the corpus is drawn, whatever the corpus holds.
+    """
+    _check_perm_guard(_instance(spec, CorpusSpec, "corpus spec").n)
     return _run_suite("conjecture", _conjecture_verdict, spec, jobs)
 
 
@@ -234,27 +244,79 @@ def _is_linear_localization(L: MonomialIdeal) -> bool:
     return has_linear_resolution(L)
 
 
+def _local_generators(layer: _CorpusLayer, members: list[int], z: int) -> tuple[int, int] | None:
+    """The localization at the substitution z of the ideal of the bits
+    `members`, where it is generated in one degree k: (k, the mask of its
+    minimal generators in layer.local[k]), k = 0 being the unit ideal.
+    None where its minimal generators have mixed degrees.
+
+    The images of the least degree k are minimal; they generate the
+    localization exactly when each image of a larger degree is a multiple
+    of one of them.
+    """
+    images = [image[z & support] for support, image in map(layer.images.__getitem__, members)]
+    k = min(images)[0]
+    if k == 0:
+        return 0, 1
+    least = 0
+    for degree, c in images:
+        if degree == k:
+            least |= 1 << c
+    for degree, c in images:
+        if degree != k and not layer.divisors[degree, c, k] & least:
+            return None
+    return k, least
+
+
+def _linear_on_tables(layer: _CorpusLayer, members: list[int], z: int) -> bool:
+    """True where the tables show the localization at z linear: it is the
+    unit ideal, or it is generated in one degree and its generators have
+    identity revlex linear quotients, as _is_linear_localization tests.
+    False leaves the substitution undecided."""
+    found = _local_generators(layer, members, z)
+    if found is None:
+        return False
+    k, least = found
+    if k == 0:
+        return True
+    tables = layer.local[k][1]
+    return tables.failure_at(least, tables.identity) is None
+
+
+def _variables(z: int) -> list[int]:
+    """The 1-based variables of a substitution mask, bit i - 1 standing for x_i."""
+    return [i + 1 for i in range(z.bit_length()) if z >> i & 1]
+
+
 def _localization_verdict(layer: _CorpusLayer, index: int, mask: int) -> dict:
     out = layer.fields(index, mask)
     if layer.exchange_failure(mask) is not None:
         out["verdict"] = "not_polymatroidal"
         return out
-    I = layer.ideal(mask)
-    # bit i - 1 of a substitution stands for x_i; it leaves the unit ideal, which
-    # counts as linear, exactly when it covers some generator's support
-    supports = {sum(1 << i - 1 for i in g.support) for g in I.gens}
-    # every substitution but the last, which sends all variables to 1
-    proper = (1 << I.n) - 1
-    violations = []
-    for sub in range(proper):
-        if any(s & sub == s for s in supports):
-            continue
-        off = [i + 1 for i in range(I.n) if sub >> i & 1]
-        if not _is_linear_localization(I.localize(off)):
-            violations.append(off)
-    out["checked"] = proper
-    out["violations"] = violations
-    out["verdict"] = "all_linear" if not violations else "VIOLATION"
+    out["checked"] = proper = (1 << layer.n) - 1  # every substitution but the one of all variables
+    out["violations"] = []
+    out["verdict"] = "all_linear"
+    if not mask & (mask - 1):
+        # one generator: every localization is principal or the unit ideal
+        return out
+    members = _bits(mask)
+    # a substitution acts through the variables of the ideal's support only, so
+    # each restriction z of one to the support is decided once; z = support
+    # sends every generator to 1
+    support = reduce(or_, [layer.images[b][0] for b in members])
+    I = None
+    violating = set()
+    z = 0
+    while z != support:
+        if not _linear_on_tables(layer, members, z):
+            if I is None:
+                I = layer.ideal(mask)
+            if not _is_linear_localization(I.localize(_variables(z))):
+                violating.add(z)
+        z = (z - support) & support  # the next submask of support, ascending
+    if violating:
+        out["violations"] = [_variables(sub) for sub in range(proper) if sub & support in violating]
+        out["verdict"] = "VIOLATION"
     return out
 
 
@@ -262,11 +324,14 @@ def run_localization_probe(spec: CorpusSpec, jobs: int = 1) -> CheckReport:
     """For each polymatroidal corpus ideal, every proper substitution
     x_i -> 1 must leave an ideal with a linear resolution.
 
+    A polymatroidal mask builds no localization where the slice's tables
+    decide it.  One generator leaves principal or unit ideals, both linear.
     A substitution that sends a generator to 1 leaves the unit ideal, which
-    counts as linear and is skipped before it is built; a localization with
-    identity revlex linear quotients is linear by Herzog-Takayama.  Only
-    the graded Betti numbers decide the rest, so a VIOLATION always comes
-    from homology.
+    counts as linear, and one whose images of least degree
+    generate the localization and have identity revlex linear quotients
+    leaves a linear ideal (Herzog-Takayama).  Any other substitution is
+    built and decided by _is_linear_localization, so a VIOLATION always
+    comes from homology.
     """
     return _run_suite("localization", _localization_verdict, spec, jobs)
 

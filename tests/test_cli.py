@@ -235,6 +235,21 @@ def test_malformed_permutation_guard_exits_2(argv, value, monkeypatch, capsys):
     assert captured.err == f"error: POLYMAT_MAX_PERMS={value!r} is not an integer\n"
 
 
+@pytest.mark.parametrize("m", ["1", "2"])
+def test_conjecture_guard_refuses_before_the_corpus(m, monkeypatch, capsys, tmp_path):
+    # a random (9,2) corpus of single generators is all polymatroidal and would
+    # search no order, but the refusal does not depend on what the corpus holds
+    monkeypatch.delenv("POLYMAT_MAX_PERMS", raising=False)
+    out = tmp_path / "out.json"
+    argv = ["suite", "conjecture", "--n", "9", "--d", "2", "--mode", "random", "--m", m,
+            "--count", "5", "--json", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: enumerating 9! variable orders exceeds the guard of 8 variables\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("handler, argv", [
     ("_cmd_check_poly", ["check", "poly", "x1", "--n", "1099511627776"]),
     ("_cmd_lexsegment", ["lexsegment", "--u", "x1", "--v", "x1", "--n", "1099511627776"]),

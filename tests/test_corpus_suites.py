@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import os
@@ -290,6 +291,17 @@ class TestConjectureSuite:
         with pytest.raises(pm.InvalidArgumentError):
             pm.reverify_witness(verdict, 3, 2)
 
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_guard_checked_before_the_corpus_is_drawn(self, monkeypatch, m):
+        # only a non-polymatroidal mask searches the n! orders, and with m = 1 there
+        # is none; the refusal still comes first, whatever the corpus holds
+        monkeypatch.delenv("POLYMAT_MAX_PERMS", raising=False)
+        drawn = []
+        monkeypatch.setattr(suites, "corpus_masks", lambda spec: drawn.append(spec) or [])
+        with pytest.raises(pm.BoundExceededError, match="9! variable orders"):
+            pm.run_conjecture_search(pm.CorpusSpec(n=9, d=2, mode="random", m=m, count=5))
+        assert drawn == []
+
     def test_random_mode_records_seed(self):
         spec = pm.CorpusSpec(n=4, d=2, mode="random", m=4, count=20, seed=9)
         report = pm.run_conjecture_search(spec)
@@ -402,20 +414,25 @@ class TestLocalizationSuite:
             assert pm.has_linear_resolution(ideal.localize(off))
 
     def test_unit_masks_are_the_unit_localizations(self, monkeypatch):
-        # the suite localizes at every proper substitution but those that leave the unit ideal
-        localized = []
+        # the tables call a substitution unit exactly where the built localization
+        # is the unit ideal, and the suite localizes no ideal to find out
         localize = pm.MonomialIdeal.localize
-        monkeypatch.setattr(pm.MonomialIdeal, "localize",
-                            lambda ideal, off: localized.append(off) or localize(ideal, off))
+
+        def refused(ideal, off):
+            raise AssertionError(f"localized {ideal} at {off}")
+
+        monkeypatch.setattr(pm.MonomialIdeal, "localize", refused)
         for n, d in ((3, 2), (4, 2), (3, 3), (2, 4)):
             layer = suites._CorpusLayer(n, d)
             for item in pm.enumerate_corpus(pm.CorpusSpec(n=n, d=d)):
-                if pm.is_polymatroidal(item.ideal):
-                    localized.clear()
-                    suites._localization_verdict(layer, item.index, item.mask)
-                    offs = [substituted(n, mask) for mask in range((1 << n) - 1)]
-                    assert localized == [off for off in offs
-                                         if not localize(item.ideal, off).is_unit], item.ideal
+                if not pm.is_polymatroidal(item.ideal):
+                    continue
+                members = suites._bits(item.mask)
+                for sub in range((1 << n) - 1):
+                    unit = suites._local_generators(layer, members, sub) == (0, 1)
+                    assert unit == localize(item.ideal, substituted(n, sub)).is_unit, item.ideal
+                verdict = suites._localization_verdict(layer, item.index, item.mask)
+                assert verdict["verdict"] == "all_linear"
 
     def test_memory_does_not_grow_with_the_substitutions(self, monkeypatch):
         # one linear generator: 2^n - 1 proper substitutions, half of them leave
@@ -432,6 +449,112 @@ class TestLocalizationSuite:
             tracemalloc.stop()
             assert verdict["verdict"] == "all_linear" and verdict["checked"] == (1 << n) - 1
         assert peaks[1] < peaks[0] + 20_000, peaks
+
+    def test_two_generators_decide_in_memory_independent_of_n(self):
+        # a one-generator mask returns before the loop, so two linear generators
+        # run it: their support has 3 proper restrictions whatever n is, and the
+        # peak of a warm verdict must not grow with the 2^n - 1 substitutions
+        peaks = []
+        for n in (10, 16):
+            layer = suites._CorpusLayer(n, 1)
+            mask = 3 << n - 2
+            suites._localization_verdict(layer, 0, mask)
+            tracemalloc.start()
+            verdict = suites._localization_verdict(layer, 0, mask)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+            assert verdict["verdict"] == "all_linear" and verdict["checked"] == (1 << n) - 1
+        assert peaks[1] < peaks[0] + 20_000, peaks
+
+    @pytest.mark.parametrize("n, d", [(3, 3), (4, 2), (5, 2), (2, 4), (3, 4)])
+    def test_tables_agree_with_the_built_localizations(self, n, d):
+        # every substitution of every polymatroidal mask: the least-degree images are
+        # the minimal generators of an equigenerated localization, the unit test is
+        # the unit ideal's, and "linear" is _is_linear_localization's answer
+        layer = suites._CorpusLayer(n, d)
+        checked = 0
+        for mask in range(1, 1 << len(layer.exps)):
+            if layer.exchange_failure(mask) is not None:
+                continue
+            ideal, members = layer.ideal(mask), suites._bits(mask)
+            for sub in range((1 << n) - 1):
+                local = ideal.localize(substituted(n, sub))
+                found = suites._local_generators(layer, members, sub)
+                linear = suites._linear_on_tables(layer, members, sub)
+                assert (found == (0, 1)) == local.is_unit
+                if local.is_equigenerated() is not None:
+                    k, least = found
+                    assert [layer.local[k][0].exps[b] for b in suites._bits(least)] \
+                        == [g.exponents for g in local.gens], (ideal, sub)
+                if not local.is_unit:
+                    assert linear == certified(local), (ideal, sub)
+                    assert linear == suites._is_linear_localization(local), (ideal, sub)
+                checked += 1
+        assert checked > 0
+
+    @pytest.mark.parametrize("n, d", [(3, 3), (4, 2)])
+    def test_tables_are_sound_on_every_mask(self, n, d):
+        # not only polymatroidal masks: "linear" is always a linear resolution, and
+        # a localization generated in several degrees is always left undecided
+        layer = suites._CorpusLayer(n, d)
+        for mask in range(1, 1 << len(layer.exps)):
+            ideal, members = layer.ideal(mask), suites._bits(mask)
+            for sub in range((1 << n) - 1):
+                local = ideal.localize(substituted(n, sub))
+                linear = suites._linear_on_tables(layer, members, sub)
+                if local.is_equigenerated() is None:
+                    assert suites._local_generators(layer, members, sub) is None
+                    assert not linear
+                elif linear:
+                    assert local.is_unit or pm.has_linear_resolution(local), (ideal, sub)
+
+    def test_undecided_tables_fall_back_to_the_same_report(self, monkeypatch):
+        # no corpus substitution reaches the fallback, so force every one there
+        spec = pm.CorpusSpec(n=3, d=3)
+        expected = pm.run_localization_probe(spec).to_json()
+        fallbacks = []
+        linear = suites._is_linear_localization
+        monkeypatch.setattr(suites, "_linear_on_tables", lambda layer, members, z: False)
+        monkeypatch.setattr(suites, "_is_linear_localization",
+                            lambda ideal: fallbacks.append(ideal) or linear(ideal))
+        assert pm.run_localization_probe(spec, jobs=1).to_json() == expected
+        assert fallbacks
+
+    @pytest.mark.parametrize("m, count, digest", [
+        (1, 45, "b716780a8164dde79b7305d5211e861d792a2fdad91b9f4ada90359fc47f535e"),
+        (2, 200, "1a7792eb909cda644bbefa03aa5974ef497b62cdcf4622e840443bdea9d46655"),
+    ])
+    def test_nine_variables_answer_at_the_default_guard(self, monkeypatch, m, count, digest):
+        # the localization suite searches no order, so it keeps answering above the
+        # permutation guard, with the report bytes the built localizations gave
+        monkeypatch.delenv("POLYMAT_MAX_PERMS", raising=False)
+        spec = pm.CorpusSpec(n=9, d=2, mode="random", m=m, count=count, seed=0)
+        report = pm.run_localization_probe(spec, jobs=1)
+        assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("runner, lower", [
+        (pm.run_theorem_suite, []),
+        (pm.run_conjecture_search, []),
+        (pm.run_localization_probe, [(3, 0), (3, 1)]),
+    ])
+    def test_only_localizations_build_lower_layers(self, monkeypatch, runner, lower):
+        built = []
+        layer = corpus._CorpusLayer
+
+        def counting(n, d):
+            built.append((n, d))
+            return layer(n, d)
+
+        monkeypatch.setattr(corpus, "_CorpusLayer", counting)
+        runner(pm.CorpusSpec(n=3, d=2), jobs=1)
+        assert sorted(built) == lower
+
+    @pytest.mark.parametrize("verdict", [suites._theorem_verdict, suites._conjecture_verdict])
+    def test_theorem_and_conjecture_slices_fill_no_localization_table(self, verdict):
+        layer = suites._CorpusLayer(3, 2)
+        for mask in range(1, 64):
+            verdict(layer, 0, mask)
+        assert layer.local == layer.images == layer.divisors == {}
 
     @pytest.fixture
     def homology_calls(self, monkeypatch):

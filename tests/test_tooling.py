@@ -202,7 +202,9 @@ def test_types_are_decided_in_one_place():
     allowed = {("core.py", "_instance"), ("core.py", "_integers"), ("core.py", "_monomials"),
                ("ioformats.py", "ideal_from_json_dict"), ("suites.py", "_record")}
     kernels = {("polymatroid.py", "_Layer"), ("quotients.py", "_ColonTables"),
-               ("corpus.py", "_CorpusLayer"), ("suites.py", "_verdict_chunk")}
+               ("corpus.py", "_CorpusLayer"), ("suites.py", "_verdict_chunk"),
+               ("suites.py", "_localization_verdict"), ("suites.py", "_local_generators"),
+               ("suites.py", "_linear_on_tables")}
     found = []
     seen = set()
     for path in sorted(SOURCE.glob("*.py")):
