@@ -8,7 +8,6 @@ not a crash), 2 for usage, parse, or bounds errors.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import fields
@@ -19,6 +18,7 @@ from .core import _integers, all_variable_orders
 from .corpus import CorpusSpec
 from .errors import InvalidArgumentError, ParseError, PolymatError
 from .ioformats import (
+    _dumps,
     dump_json,
     ideal_to_json_dict,
     load_ideal_text,
@@ -207,7 +207,7 @@ def _cmd_suite(args):
     else:
         report = runner(CorpusSpec(**{"n": 3, "d": 2, **corpus}), jobs=args.jobs)
     lines = [report.summary()]
-    lines += [f"  {json.dumps(verdict, sort_keys=True)}" for verdict in report.failures]
+    lines += [f"  {_dumps(verdict, sort_keys=True)}" for verdict in report.failures]
     if args.json_path:
         lines.append(f"report written to {args.json_path}")
     return report.exit_code(), lines, report.to_json_dict()

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterator
 
-from .core import MonomialIdeal, _check_perm_guard, _instance, _integers, all_variable_orders
+from .core import MonomialIdeal, _instance, _integers, all_variable_orders
 from .errors import BoundExceededError, InvalidArgumentError
 from .lexsegment import monomials_of_degree
 from .polymatroid import _bits, _Built, _Layer
@@ -121,24 +121,23 @@ class _CorpusLayer(_Layer):
     The localization suite reads three more.  images[b] is the support of
     bit b as a variable mask, with its image under a substitution z, keyed
     by z & support: (degree k, bit in the degree-k layer).  local[k] is
-    that layer, self for k = d, with its identity-order revlex colon
-    tables.  divisors[k', c, k] masks the degree-k divisors of bit c of the
-    degree-k' layer."""
+    that layer, self for k = d, and its revlex colon tables are its own
+    colon["revlex"].  divisors[k', c, k] masks the degree-k divisors of
+    bit c of the degree-k' layer.
+
+    Building a table costs nothing factorial; only search visits the n!
+    orders, and the suites that call it check the permutation guard before
+    the corpus is drawn."""
 
     def __init__(self, n: int, d: int) -> None:
         self.monomials = monomials_of_degree(n, d).elems
         super().__init__([m.exponents for m in self.monomials])
         self.d = d
         self.gens_rows = [list(m.exponents) for m in self.monomials]
-        self.colon = _Built(self._colon)
+        self.colon = _Built(lambda kind: _ColonTables(self, kind))
         self.images = _Built(self._images)
         self.local = _Built(self._local)
         self.divisors = _Built(self._divisors)
-
-    def _colon(self, kind: str) -> _ColonTables:
-        # the tables exist for the n! search
-        _check_perm_guard(self.n)
-        return _ColonTables(self, kind)
 
     def _images(self, b: int) -> tuple[int, _Built]:
         e = self.exps[b]
@@ -146,24 +145,22 @@ class _CorpusLayer(_Layer):
         def image(z: int) -> tuple[int, int]:
             kept = tuple(0 if z >> i & 1 else a for i, a in enumerate(e))
             k = sum(kept)
-            return k, self.local[k][0].index[kept]
+            return k, self.local[k].index[kept]
 
         return sum(1 << i for i, a in enumerate(e) if a), _Built(image)
 
-    def _local(self, k: int) -> tuple[_Layer, _ColonTables]:
-        # only the identity order is tested, so no permutation guard applies
-        layer = self if k == self.d else _CorpusLayer(self.n, k)
-        return layer, _ColonTables(layer, "revlex")
+    def _local(self, k: int) -> _CorpusLayer:
+        return self if k == self.d else _CorpusLayer(self.n, k)
 
     def _divisors(self, key: tuple[int, int, int]) -> int:
         degree, c, k = key
         # extend prefixes one exponent at a time, keeping those that can still reach k
         prefixes, rest = [((), 0)], degree
-        for a in self.local[degree][0].exps[c]:
+        for a in self.local[degree].exps[c]:
             rest -= a
             prefixes = [(p + (x,), s + x) for p, s in prefixes
                         for x in range(min(a, k - s) + 1) if s + x + rest >= k]
-        index = self.local[k][0].index
+        index = self.local[k].index
         return sum(1 << index[p] for p, _ in prefixes)
 
     def fields(self, index: int, mask: int) -> dict:

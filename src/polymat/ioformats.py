@@ -4,7 +4,8 @@ Monomial text: `x<i>` or `x<i>^<e>` factors joined by `*`; the unit
 monomial is spelled `1` (e.g. `x1^2*x3`).  Ideal text: generators joined
 by ` + ` or given one per line; both forms and mixtures parse.  The JSON
 form of an ideal is `{"n": 3, "gens": [[2, 0, 1], [1, 1, 1]]}`.  Every
-JSON document the toolkit writes goes through dump_json.
+JSON document the toolkit writes goes through dump_json, and every JSON
+text through _dumps, which refuses an integer too long to render.
 
 Parsers reject negative exponents and out-of-range variable indices with
 errors that carry the offending line and column.
@@ -17,7 +18,7 @@ import re
 import sys
 
 from .core import Monomial, MonomialIdeal, VariableOrder, _instance, _integers
-from .errors import InvalidArgumentError, ParseError, PolymatError
+from .errors import BoundExceededError, InvalidArgumentError, ParseError, PolymatError
 from .version import __version__
 
 SCHEMA_VERSION = 1
@@ -113,10 +114,19 @@ def ideal_to_json_dict(I: MonomialIdeal) -> dict:
     return {"n": I.n, "gens": [list(g.exponents) for g in I.gens]}
 
 
+def _dumps(value: object, **options) -> str:
+    """json.dumps, refusing an integer past the interpreter's limit on the
+    digits of int-to-str conversion, such as the mask of a huge layer."""
+    try:
+        return json.dumps(value, **options)
+    except ValueError as exc:
+        raise BoundExceededError(f"cannot render the JSON: {exc}") from None
+
+
 def dump_json(payload: dict) -> str:
     """Stamp payload with the schema, tool and version and render it deterministically."""
     stamped = {"schema": SCHEMA_VERSION, "tool": "polymat", "version": __version__, **payload}
-    return json.dumps(stamped, sort_keys=True, indent=2) + "\n"
+    return _dumps(stamped, sort_keys=True, indent=2) + "\n"
 
 
 def ideal_from_json_dict(data: dict) -> MonomialIdeal:

@@ -42,12 +42,13 @@ searches the other orders:
 - Revlex mirror.  The generators share one degree, so the induced lex
   order compares their exponents read along the variable order, larger
   first, and revlex compares them read against it, smaller first; this is
-  the one rule sort_generators applies.  The revlex sequence under an
-  order is thus the lex sequence under the reversed order read backwards,
-  so revlex refines from the least variable up, smaller exponents first.
-  Subtrees then share a suffix and are not met in permutation order: the
-  search keeps the least failing order found so far and prunes every
-  subtree whose least order is not below it.
+  the one rule, _induced_read, that sort_generators and the ranks apply.
+  The revlex sequence under an order is thus the lex sequence under the
+  reversed order read backwards, so revlex refines from the least
+  variable up, smaller exponents first.  Subtrees then share a suffix and
+  are not met in permutation order: the search keeps the least failing
+  order found so far and prunes every subtree whose least order is not
+  below it.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 from operator import itemgetter, or_
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .betti import has_linear_resolution
 from .core import (
@@ -103,9 +104,17 @@ def sort_generators(I: MonomialIdeal, kind: str, order: VariableOrder) -> tuple[
             f"variable order {order} has {order.n} variables, the ideal {I.n}"
         )
     _check_kind(kind)
-    lex = kind == "lex"
-    read = itemgetter(*(order.positions if lex else order.positions[::-1]))
+    read, lex = _induced_read(kind, order.positions)
     return tuple(sorted(I.gens, key=lambda m: read(m.exponents), reverse=lex))
+
+
+def _induced_read(kind: str, positions: Sequence[int]) -> tuple[Callable, bool]:
+    """The sort key on exponent vectors of the order that kind induces from
+    the 0-based scan order positions, and whether larger keys come first:
+    lex reads the exponents along the order, larger first, and revlex
+    reads them against it, smaller first."""
+    lex = kind == "lex"
+    return itemgetter(*(positions if lex else positions[::-1])), lex
 
 
 def linear_quotients_failure(seq: Sequence[Monomial]) -> LQFailure | None:
@@ -151,24 +160,23 @@ class _ColonTables:
     it is built when g is first tested.  levels[t] lists the elements
     grouped by their exponent at t, in the order the induced sequences put
     them: descending for lex, ascending for revlex.  ranks[perm] gives each
-    element's place in the sequence that perm induces, None where that is
-    the bit order.
+    element's place in the sequence that perm induces, sorted by the key
+    of _induced_read as sort_generators sorts, None where that is the bit
+    order.
     """
 
     def __init__(self, layer: _Layer, kind: str) -> None:
         exps = layer.exps
         self.layer = layer
+        self.kind = kind
         self.lex = kind == "lex"
         self.levels: list[list[int]] = []
-        self.level_of: list[dict[int, int]] = []  # level_of[t][a]: where exponent a is in levels[t]
         self.above: list[dict[int, int]] = []  # above[t][a]: exponent at t larger than a
         for t in range(layer.n):
             by_exp: dict[int, int] = {}
             for i, e in enumerate(exps):
                 by_exp[e[t]] = by_exp.get(e[t], 0) | 1 << i
-            values = sorted(by_exp, reverse=self.lex)
-            self.levels.append([by_exp[a] for a in values])
-            self.level_of.append({a: j for j, a in enumerate(values)})
+            self.levels.append([by_exp[a] for a in sorted(by_exp, reverse=self.lex)])
             greater, mask = {}, 0
             for a in sorted(by_exp, reverse=True):
                 greater[a] = mask
@@ -189,15 +197,12 @@ class _ColonTables:
         return pairs
 
     def _ranks(self, perm: tuple[int, ...]) -> list[int] | None:
-        # order the layer by its levels at each variable, the greatest variable
-        # first for lex and the least first for revlex, as the search refines
         if self.lex and perm == self.identity:
             return None
         exps = self.layer.exps
-        keys = list(zip(*[[self.level_of[t][e[t]] for e in exps]
-                          for t in (perm if self.lex else reversed(perm))]))
-        rank = [0] * len(keys)
-        for r, i in enumerate(sorted(range(len(keys)), key=keys.__getitem__)):
+        read, lex = _induced_read(self.kind, perm)
+        rank = [0] * len(exps)
+        for r, i in enumerate(sorted(range(len(exps)), key=lambda i: read(exps[i]), reverse=lex)):
             rank[i] = r
         return rank
 

@@ -14,9 +14,9 @@ identity-order and all-orders linear-quotients tests and the
 localizations of a polymatroidal mask are integer operations on S and
 the layer's tables, the last on lower-degree layers that the slice builds
 when a substitution first needs one.  A MonomialIdeal is built only where
-a verdict needs one: the homology of a two-variable theorem verdict, a
-localization the tables leave undecided, and the witnesses of a MISMATCH
-or COUNTEREXAMPLE.
+a verdict needs homology or a witness: a two-variable theorem verdict, a
+localization the tables do not certify linear, read off its images, and
+the witnesses of a MISMATCH or COUNTEREXAMPLE.
 """
 
 from __future__ import annotations
@@ -228,33 +228,17 @@ def run_conjecture_search(spec: CorpusSpec, jobs: int = 1) -> CheckReport:
     return _run_suite("conjecture", _conjecture_verdict, spec, jobs)
 
 
-def _is_linear_localization(L: MonomialIdeal) -> bool:
-    """Whether a non-unit localization has a linear resolution.
-
-    An equigenerated ideal with linear quotients has a linear resolution
-    (Herzog-Takayama).  Localizations of polymatroidal ideals are
-    polymatroidal and so have revlex linear quotients, which the identity
-    order tests cheaply.  The test can only decide "linear": every other
-    case, every violation included, is decided by homology.
-    """
-    if L.is_equigenerated() is not None:
-        seq = sort_generators(L, "revlex", VariableOrder.identity(L.n))
-        if linear_quotients_failure(seq) is None:
-            return True
-    return has_linear_resolution(L)
-
-
-def _local_generators(layer: _CorpusLayer, members: list[int], z: int) -> tuple[int, int] | None:
-    """The localization at the substitution z of the ideal of the bits
-    `members`, where it is generated in one degree k: (k, the mask of its
-    minimal generators in layer.local[k]), k = 0 being the unit ideal.
-    None where its minimal generators have mixed degrees.
+def _local_generators(layer: _CorpusLayer, images: list[tuple[int, int]]) -> tuple[int, int] | None:
+    """The localization whose generators have the images `images`, each
+    (degree, bit in layer.local[degree]), where it is generated in one
+    degree k: (k, the mask of its minimal generators in layer.local[k]),
+    k = 0 being the unit ideal.  None where its minimal generators have
+    mixed degrees.
 
     The images of the least degree k are minimal; they generate the
     localization exactly when each image of a larger degree is a multiple
     of one of them.
     """
-    images = [image[z & support] for support, image in map(layer.images.__getitem__, members)]
     k = min(images)[0]
     if k == 0:
         return 0, 1
@@ -268,18 +252,18 @@ def _local_generators(layer: _CorpusLayer, members: list[int], z: int) -> tuple[
     return k, least
 
 
-def _linear_on_tables(layer: _CorpusLayer, members: list[int], z: int) -> bool:
-    """True where the tables show the localization at z linear: it is the
-    unit ideal, or it is generated in one degree and its generators have
-    identity revlex linear quotients, as _is_linear_localization tests.
-    False leaves the substitution undecided."""
-    found = _local_generators(layer, members, z)
+def _linear_on_tables(layer: _CorpusLayer, images: list[tuple[int, int]]) -> bool:
+    """True where the tables show the localization of these images linear:
+    it is the unit ideal, or it is generated in one degree and its
+    generators have identity revlex linear quotients (Herzog-Takayama).
+    False leaves it to homology."""
+    found = _local_generators(layer, images)
     if found is None:
         return False
     k, least = found
     if k == 0:
         return True
-    tables = layer.local[k][1]
+    tables = layer.local[k].colon["revlex"]
     return tables.failure_at(least, tables.identity) is None
 
 
@@ -299,19 +283,18 @@ def _localization_verdict(layer: _CorpusLayer, index: int, mask: int) -> dict:
     if not mask & (mask - 1):
         # one generator: every localization is principal or the unit ideal
         return out
-    members = _bits(mask)
+    images_of = [layer.images[b] for b in _bits(mask)]
     # a substitution acts through the variables of the ideal's support only, so
     # each restriction z of one to the support is decided once; z = support
     # sends every generator to 1
-    support = reduce(or_, [layer.images[b][0] for b in members])
-    I = None
+    support = reduce(or_, [s for s, _ in images_of])
     violating = set()
     z = 0
     while z != support:
-        if not _linear_on_tables(layer, members, z):
-            if I is None:
-                I = layer.ideal(mask)
-            if not _is_linear_localization(I.localize(_variables(z))):
+        images = [image[z & s] for s, image in images_of]
+        if not _linear_on_tables(layer, images):
+            local = MonomialIdeal(layer.n, [layer.local[k].monomials[c] for k, c in images])
+            if not has_linear_resolution(local):
                 violating.add(z)
         z = (z - support) & support  # the next submask of support, ascending
     if violating:
@@ -325,13 +308,13 @@ def run_localization_probe(spec: CorpusSpec, jobs: int = 1) -> CheckReport:
     x_i -> 1 must leave an ideal with a linear resolution.
 
     A polymatroidal mask builds no localization where the slice's tables
-    decide it.  One generator leaves principal or unit ideals, both linear.
-    A substitution that sends a generator to 1 leaves the unit ideal, which
-    counts as linear, and one whose images of least degree
+    certify it linear.  One generator leaves principal or unit ideals, both
+    linear.  A substitution that sends a generator to 1 leaves the unit
+    ideal, which counts as linear, and one whose images of least degree
     generate the localization and have identity revlex linear quotients
-    leaves a linear ideal (Herzog-Takayama).  Any other substitution is
-    built and decided by _is_linear_localization, so a VIOLATION always
-    comes from homology.
+    leaves a linear ideal (Herzog-Takayama).  Any other substitution builds
+    its localization from the images and asks has_linear_resolution, so a
+    VIOLATION always comes from homology.
     """
     return _run_suite("localization", _localization_verdict, spec, jobs)
 

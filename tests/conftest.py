@@ -1,5 +1,6 @@
 import random
 import signal
+import sys
 
 import pytest
 from hypothesis import strategies as st
@@ -30,6 +31,16 @@ def pytest_runtest_protocol(item, nextitem):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def digit_limit():
+    """The interpreter's default limit of 4300 digits on int-to-str conversion,
+    whatever the environment sets; a mask of more bits cannot be rendered."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(limit)
 
 
 def M(text, n=None):

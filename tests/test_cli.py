@@ -250,6 +250,36 @@ def test_conjecture_guard_refuses_before_the_corpus(m, monkeypatch, capsys, tmp_
     assert not out.exists()
 
 
+def test_mask_too_long_to_render_exits_2(digit_limit, capsys, tmp_path):
+    # the (4,60) layer has 39,711 monomials, so a drawn mask has more digits than
+    # the interpreter renders: the report is refused as a bound, not a crash
+    out = tmp_path / "out.json"
+    argv = ["suite", "theorem", "--n", "4", "--d", "60", "--mode", "random", "--m", "2",
+            "--count", "1", "--jobs", "1", "--json", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot render the JSON: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mask, code, line", [
+    (3, 1, '  {"mask": 3, "verdict": "MISMATCH"}'),
+    (1 << 20_000, 2, None),
+], ids=["renders", "refused"])
+def test_failure_lines_render_or_refuse(digit_limit, monkeypatch, capsys, mask, code, line):
+    # the compact failure lines print without --json, and refuse as the report does
+    report = pm.CheckReport("theorem", {}, [{"verdict": "MISMATCH", "mask": mask}])
+    monkeypatch.setitem(cli.SUITES, "theorem", lambda spec, jobs: report)
+    assert main(["suite", "theorem", "--jobs", "1"]) == code
+    captured = capsys.readouterr()
+    if line is None:
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot render the JSON: ")
+    else:
+        assert captured.out.splitlines()[1] == line
+
+
 @pytest.mark.parametrize("handler, argv", [
     ("_cmd_check_poly", ["check", "poly", "x1", "--n", "1099511627776"]),
     ("_cmd_lexsegment", ["lexsegment", "--u", "x1", "--v", "x1", "--n", "1099511627776"]),

@@ -391,6 +391,18 @@ def substituted(n, mask):
     return [i + 1 for i in range(n) if mask >> i & 1]
 
 
+def images_at(layer, members, z):
+    """The images of the bits `members` under the substitution z, as the verdict looks them up."""
+    return [image[z & support] for support, image in map(layer.images.__getitem__, members)]
+
+
+def restrictions(ideal):
+    """The substitutions that act on the support of the ideal, but not by all of
+    its variables, ascending: the ones the suite decides."""
+    support = sum(1 << i for i in range(ideal.n) if any(g.exponents[i] for g in ideal.gens))
+    return [z for z in range(support) if z & support == z]
+
+
 def certified(ideal):
     """The suite's certificate: equigenerated with identity revlex linear quotients."""
     if ideal.is_equigenerated() is None:
@@ -429,17 +441,16 @@ class TestLocalizationSuite:
                     continue
                 members = suites._bits(item.mask)
                 for sub in range((1 << n) - 1):
-                    unit = suites._local_generators(layer, members, sub) == (0, 1)
+                    unit = suites._local_generators(layer, images_at(layer, members, sub)) == (0, 1)
                     assert unit == localize(item.ideal, substituted(n, sub)).is_unit, item.ideal
                 verdict = suites._localization_verdict(layer, item.index, item.mask)
                 assert verdict["verdict"] == "all_linear"
 
     def test_memory_does_not_grow_with_the_substitutions(self, monkeypatch):
         # one linear generator: 2^n - 1 proper substitutions, half of them leave
-        # the unit ideal.  The localizations are stubbed out, so the peak is the
-        # loop's own: a set of the unit substitutions would grow with 2^n
-        monkeypatch.setattr(pm.MonomialIdeal, "localize", lambda ideal, off: ideal)
-        monkeypatch.setattr(suites, "_is_linear_localization", lambda ideal: True)
+        # the unit ideal.  The fallback's homology is stubbed out, so the peak is
+        # the loop's own: a set of the unit substitutions would grow with 2^n
+        monkeypatch.setattr(suites, "has_linear_resolution", lambda ideal: True)
         peaks = []
         for n in (10, 16):
             layer = suites._CorpusLayer(n, 1)
@@ -467,10 +478,14 @@ class TestLocalizationSuite:
         assert peaks[1] < peaks[0] + 20_000, peaks
 
     @pytest.mark.parametrize("n, d", [(3, 3), (4, 2), (5, 2), (2, 4), (3, 4)])
-    def test_tables_agree_with_the_built_localizations(self, n, d):
+    def test_tables_agree_with_the_built_localizations(self, monkeypatch, n, d):
         # every substitution of every polymatroidal mask: the least-degree images are
         # the minimal generators of an equigenerated localization, the unit test is
-        # the unit ideal's, and "linear" is _is_linear_localization's answer
+        # the unit ideal's, and "linear" is the certificate's answer.  With the
+        # tables made to certify nothing, the ideal the fallback builds for each
+        # substitution is its localization
+        fallback = []
+        monkeypatch.setattr(suites, "has_linear_resolution", lambda L: fallback.append(L) or True)
         layer = suites._CorpusLayer(n, d)
         checked = 0
         for mask in range(1, 1 << len(layer.exps)):
@@ -479,17 +494,24 @@ class TestLocalizationSuite:
             ideal, members = layer.ideal(mask), suites._bits(mask)
             for sub in range((1 << n) - 1):
                 local = ideal.localize(substituted(n, sub))
-                found = suites._local_generators(layer, members, sub)
-                linear = suites._linear_on_tables(layer, members, sub)
+                images = images_at(layer, members, sub)
+                found = suites._local_generators(layer, images)
+                linear = suites._linear_on_tables(layer, images)
                 assert (found == (0, 1)) == local.is_unit
                 if local.is_equigenerated() is not None:
                     k, least = found
-                    assert [layer.local[k][0].exps[b] for b in suites._bits(least)] \
+                    assert [layer.local[k].exps[b] for b in suites._bits(least)] \
                         == [g.exponents for g in local.gens], (ideal, sub)
                 if not local.is_unit:
                     assert linear == certified(local), (ideal, sub)
-                    assert linear == suites._is_linear_localization(local), (ideal, sub)
                 checked += 1
+            if len(members) > 1:  # one generator returns before the loop
+                fallback.clear()
+                with monkeypatch.context() as forced:
+                    forced.setattr(suites, "_linear_on_tables", lambda layer, images: False)
+                    suites._localization_verdict(layer, 0, mask)
+                assert fallback == [ideal.localize(substituted(n, z))
+                                    for z in restrictions(ideal)], ideal
         assert checked > 0
 
     @pytest.mark.parametrize("n, d", [(3, 3), (4, 2)])
@@ -501,22 +523,29 @@ class TestLocalizationSuite:
             ideal, members = layer.ideal(mask), suites._bits(mask)
             for sub in range((1 << n) - 1):
                 local = ideal.localize(substituted(n, sub))
-                linear = suites._linear_on_tables(layer, members, sub)
+                images = images_at(layer, members, sub)
+                linear = suites._linear_on_tables(layer, images)
                 if local.is_equigenerated() is None:
-                    assert suites._local_generators(layer, members, sub) is None
+                    assert suites._local_generators(layer, images) is None
                     assert not linear
                 elif linear:
                     assert local.is_unit or pm.has_linear_resolution(local), (ideal, sub)
 
     def test_undecided_tables_fall_back_to_the_same_report(self, monkeypatch):
-        # no corpus substitution reaches the fallback, so force every one there
+        # no corpus substitution reaches the fallback, so force every one there; it
+        # reads each localization off the images, so nothing is localized
         spec = pm.CorpusSpec(n=3, d=3)
         expected = pm.run_localization_probe(spec).to_json()
         fallbacks = []
-        linear = suites._is_linear_localization
-        monkeypatch.setattr(suites, "_linear_on_tables", lambda layer, members, z: False)
-        monkeypatch.setattr(suites, "_is_linear_localization",
-                            lambda ideal: fallbacks.append(ideal) or linear(ideal))
+
+        def refused(ideal, off):
+            raise AssertionError(f"localized {ideal} at {off}")
+
+        monkeypatch.setattr(pm.MonomialIdeal, "localize", refused)
+        monkeypatch.setattr(suites, "_linear_on_tables", lambda layer, images: False)
+        homology = pm.has_linear_resolution
+        monkeypatch.setattr(suites, "has_linear_resolution",
+                            lambda ideal: fallbacks.append(ideal) or homology(ideal))
         assert pm.run_localization_probe(spec, jobs=1).to_json() == expected
         assert fallbacks
 
@@ -569,8 +598,11 @@ class TestLocalizationSuite:
         return calls
 
     def test_certificate_implies_a_linear_betti_table(self, homology_calls):
+        # Herzog-Takayama on every localization of a polymatroidal ideal, and the
+        # suite hands homology exactly the ones the certificate leaves out
+        shapes = ((3, 2), (4, 2), (3, 3), (5, 2))
         local = {}
-        for ideal in polymatroidal_ideals((3, 2), (4, 2), (3, 3), (5, 2)):
+        for ideal in polymatroidal_ideals(*shapes):
             for mask in range((1 << ideal.n) - 1):
                 localization = ideal.localize(substituted(ideal.n, mask))
                 if not localization.is_unit:
@@ -578,20 +610,32 @@ class TestLocalizationSuite:
         for ideal in local:
             if certified(ideal):
                 assert pm.graded_betti(ideal).is_linear(ideal.is_equigenerated()), ideal
-            homology_calls.clear()
-            assert suites._is_linear_localization(ideal)
-            assert homology_calls == ([] if certified(ideal) else [ideal])
+        for n, d in shapes:
+            assert pm.run_localization_probe(pm.CorpusSpec(n=n, d=d), jobs=1).passed
+        assert set(homology_calls) == {ideal for ideal in local if not certified(ideal)}
 
     @pytest.mark.parametrize("text, linear", [
         ("x1*x3 + x2^2 + x2*x3", True),
         ("x1^2 + x2^2", False),
     ])
     def test_failed_certificate_returns_the_homology_verdict(self, homology_calls, text, linear):
+        # the verdict of a mask taken for polymatroidal: homology gets exactly the
+        # localizations the certificate leaves out, the ideal itself first, and
+        # its answers make the violations
         ideal = I(text, 3)
         assert ideal.is_equigenerated() is not None and not certified(ideal)
-        assert suites._is_linear_localization(ideal) is linear
-        assert homology_calls == [ideal]
         assert pm.has_linear_resolution(ideal) is linear
+        layer = suites._CorpusLayer(3, 2)
+        layer.exchange_failure = lambda mask: None
+        mask = sum(1 << layer.index[g.exponents] for g in ideal.gens)
+        verdict = suites._localization_verdict(layer, 0, mask)
+        localizations = [ideal.localize(substituted(3, z)) for z in restrictions(ideal)]
+        assert homology_calls == [L for L in localizations if not L.is_unit and not certified(L)]
+        assert homology_calls[0] == ideal
+        assert verdict["violations"] == [
+            substituted(3, sub) for sub in range(7)
+            if not pm.has_linear_resolution(ideal.localize(substituted(3, sub)))
+        ]
 
 
 class TestWorkerPool:
@@ -782,3 +826,8 @@ class TestReportDeterminism:
 
     def test_exit_codes(self):
         assert pm.run_theorem_suite(pm.CorpusSpec(n=2, d=2)).exit_code() == 0
+
+    def test_mask_too_long_to_render_is_refused(self, digit_limit):
+        report = pm.CheckReport("theorem", {}, [{"verdict": "consistent", "mask": 1 << 20_000}])
+        with pytest.raises(pm.BoundExceededError, match="cannot render the JSON"):
+            report.to_json()

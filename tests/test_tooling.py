@@ -107,11 +107,14 @@ def test_factorial_loops_stay_behind_the_permutation_guard():
 
 
 def test_induced_orders_are_read_in_one_place():
-    # sort_generators is the one rule for the lex and revlex orders that a
-    # variable order induces; the only other reader of the scan order is the
-    # corpus dedupe, which relabels variables and compares no monomials
+    # quotients._induced_read is the one rule for the lex and revlex orders that
+    # a variable order induces: it alone builds the read of the exponents, and
+    # sort_generators and the colon tables' ranks both sort by it.  The only
+    # other reader of the scan order is the corpus dedupe, which relabels
+    # variables and compares no monomials
     allowed = {("quotients.py", "sort_generators"), ("corpus.py", "corpus_masks")}
     found = []
+    callers = set()
     for path in sorted(SOURCE.glob("*.py")):
         for top in ast.parse(path.read_text(), filename=str(path)).body:
             where = (path.name, getattr(top, "name", None))
@@ -119,7 +122,38 @@ def test_induced_orders_are_read_in_one_place():
                 if isinstance(node, ast.Attribute) and node.attr == "positions":
                     if where not in allowed:
                         found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+                elif isinstance(node, ast.Call):
+                    name = ast.unparse(node.func).rsplit(".", 1)[-1]
+                    if name == "itemgetter" and where != ("quotients.py", "_induced_read"):
+                        found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+                    elif name == "_induced_read":
+                        callers.add(where)
     assert not found, found
+    assert callers == {("quotients.py", "sort_generators"), ("quotients.py", "_ColonTables")}
+
+
+def test_suites_localize_no_ideal():
+    # every corpus localization is read off the slice's tables, the undecided
+    # ones included; MonomialIdeal.localize serves the CLI and the tests
+    path = SOURCE / "suites.py"
+    found = [f"suites.py:{node.lineno} {ast.unparse(node)}"
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "localize"]
+    assert not found, found
+
+
+def test_permutation_guard_is_checked_where_orders_are_searched():
+    # core enumerates the n! orders, quotients searches them for one ideal and
+    # the suites before a corpus is drawn; building the colon tables of a
+    # corpus layer costs nothing factorial, so corpus.py checks no guard
+    callers = set()
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call) \
+                    and ast.unparse(node.func).rsplit(".", 1)[-1] == "_check_perm_guard":
+                callers.add(path.name)
+    assert callers == {"core.py", "quotients.py", "suites.py"}, sorted(callers)
 
 
 def test_corpus_masks_are_decoded_in_one_place():
