@@ -19,6 +19,7 @@ from .corpus import CorpusSpec
 from .errors import InvalidArgumentError, ParseError, PolymatError
 from .ioformats import (
     _dumps,
+    _index_list,
     dump_json,
     ideal_to_json_dict,
     load_ideal_text,
@@ -177,10 +178,7 @@ def _cmd_lexsegment(args):
 
 def _cmd_localize(args):
     I = _load_ideal(args)
-    try:
-        off = [int(t) for t in args.at.split(",")]
-    except ValueError:
-        raise ParseError(f"malformed index list {args.at!r}") from None
+    off = _index_list(args.at, "index list")
     J = I.localize(off)
     lines = [str(J)] + (["(unit ideal)"] if J.is_unit else [])
     payload = {

@@ -22,7 +22,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import reduce
 from math import comb
+from operator import or_
 from typing import Iterator
 
 from .core import MonomialIdeal, _instance, _integers, all_variable_orders
@@ -118,12 +120,12 @@ class _CorpusLayer(_Layer):
     the colon tables of each order kind.  It lives for one call or one
     suite slice, and each table is built when a verdict first needs it.
 
-    The localization suite reads three more.  images[b] is the support of
-    bit b as a variable mask, with its image under a substitution z, keyed
-    by z & support: (degree k, bit in the degree-k layer).  local[k] is
-    that layer, self for k = d, and its revlex colon tables are its own
-    colon["revlex"].  divisors[k', c, k] masks the degree-k divisors of
-    bit c of the degree-k' layer.
+    The localization suite reads two more, both on this layer.  images[b]
+    is the support of bit b as a variable mask, with its image under a
+    substitution z, keyed by z & support: (w, c), w being the degree that
+    z removes from bit b and c the bit of the image times x1^w.
+    divides[b, z] masks the elements whose exponents outside z are at most
+    bit b's: those whose image under z divides bit b's.
 
     Building a table costs nothing factorial; only search visits the n!
     orders, and the suites that call it check the permutation guard before
@@ -136,32 +138,21 @@ class _CorpusLayer(_Layer):
         self.gens_rows = [list(m.exponents) for m in self.monomials]
         self.colon = _Built(lambda kind: _ColonTables(self, kind))
         self.images = _Built(self._images)
-        self.local = _Built(self._local)
-        self.divisors = _Built(self._divisors)
+        self.divides = _Built(self._divides)
 
     def _images(self, b: int) -> tuple[int, _Built]:
         e = self.exps[b]
 
         def image(z: int) -> tuple[int, int]:
             kept = tuple(0 if z >> i & 1 else a for i, a in enumerate(e))
-            k = sum(kept)
-            return k, self.local[k].index[kept]
+            w = self.d - sum(kept)
+            return w, self.index[(kept[0] + w,) + kept[1:]]
 
         return sum(1 << i for i, a in enumerate(e) if a), _Built(image)
 
-    def _local(self, k: int) -> _CorpusLayer:
-        return self if k == self.d else _CorpusLayer(self.n, k)
-
-    def _divisors(self, key: tuple[int, int, int]) -> int:
-        degree, c, k = key
-        # extend prefixes one exponent at a time, keeping those that can still reach k
-        prefixes, rest = [((), 0)], degree
-        for a in self.local[degree].exps[c]:
-            rest -= a
-            prefixes = [(p + (x,), s + x) for p, s in prefixes
-                        for x in range(min(a, k - s) + 1) if s + x + rest >= k]
-        index = self.local[k].index
-        return sum(1 << index[p] for p, _ in prefixes)
+    def _divides(self, key: tuple[int, int]) -> int:
+        (b, z), above = key, self.colon["revlex"].above
+        return ~reduce(or_, [above[t][a] for t, a in enumerate(self.exps[b]) if not z >> t & 1], 0)
 
     def fields(self, index: int, mask: int) -> dict:
         """The fields every corpus verdict starts with; reverify_witness reads mask and gens."""

@@ -23,7 +23,8 @@ from .version import __version__
 
 SCHEMA_VERSION = 1
 
-_FACTOR_RE = re.compile(r"x(\d+)(?:\^(\d+))?")
+_FACTOR_RE = re.compile(r"x(\d+)(?:\^(\d+))?", re.ASCII)
+_DIGITS_RE = re.compile("[0-9]+")
 
 
 def _parse_factors(token: str, offset: int, line: int) -> list[tuple[int, int]]:
@@ -96,13 +97,19 @@ def parse_ideal(text: str, n: int | None = None) -> MonomialIdeal:
     return MonomialIdeal(n, mons)
 
 
+def _index_list(text: str, what: str) -> list[int]:
+    """The comma-separated integers of text, each ASCII digits with optional
+    surrounding whitespace, as in _FACTOR_RE: int() alone would also read
+    "1_0" and other scripts' digits.  Anything else is a ParseError."""
+    pieces = [p.strip() for p in _instance(text, str, "text").split(",")]
+    if not all(map(_DIGITS_RE.fullmatch, pieces)):
+        raise ParseError(f"malformed {what} {text!r}", 0, 1)
+    return [int(p) for p in pieces]
+
+
 def parse_variable_order(text: str) -> VariableOrder:
     """Parse a comma-separated permutation such as `3,2,1`."""
-    pieces = _instance(text, str, "text").split(",")
-    try:
-        perm = tuple(int(p) for p in pieces)
-    except ValueError:
-        raise ParseError(f"malformed permutation {text!r}", 0, 1) from None
+    perm = tuple(_index_list(text, "permutation"))
     try:
         return VariableOrder(perm)
     except ValueError as exc:

@@ -12,10 +12,10 @@ A slice builds one corpus._CorpusLayer, the tables of the degree layer,
 and decides each verdict from its mask S: the exchange scan, the
 identity-order and all-orders linear-quotients tests and the
 localizations of a polymatroidal mask are integer operations on S and
-the layer's tables, the last on lower-degree layers that the slice builds
-when a substitution first needs one.  A MonomialIdeal is built only where
-a verdict needs homology or a witness: a two-variable theorem verdict, a
-localization the tables do not certify linear, read off its images, and
+the layer's tables, the last with each image lifted back into the layer
+by a power of x1, so that a slice builds no other layer.  A MonomialIdeal
+is built only where a verdict needs homology or a witness: a two-variable
+theorem verdict, a localization the tables do not certify linear, and
 the witnesses of a MISMATCH or COUNTEREXAMPLE.
 """
 
@@ -228,43 +228,43 @@ def run_conjecture_search(spec: CorpusSpec, jobs: int = 1) -> CheckReport:
     return _run_suite("conjecture", _conjecture_verdict, spec, jobs)
 
 
-def _local_generators(layer: _CorpusLayer, images: list[tuple[int, int]]) -> tuple[int, int] | None:
-    """The localization whose generators have the images `images`, each
-    (degree, bit in layer.local[degree]), where it is generated in one
-    degree k: (k, the mask of its minimal generators in layer.local[k]),
-    k = 0 being the unit ideal.  None where its minimal generators have
-    mixed degrees.
-
-    The images of the least degree k are minimal; they generate the
-    localization exactly when each image of a larger degree is a multiple
-    of one of them.
+def _local_generators(layer: _CorpusLayer, z: int, members: list[int],
+                      images: list[tuple[int, int]]) -> tuple[int, int] | None:
+    """The localization at z of the generators `members`, with the images
+    (w, c) that layer.images gives, where it is generated in one degree:
+    (W, its minimal generators times x1^W as a mask), W being the greatest
+    w and W = layer.d the unit ideal; None where it is not.  The images of
+    least degree are minimal and generate it exactly when every other is a
+    multiple of one; one common x1^W keeps their colons and revlex order.
     """
-    k = min(images)[0]
-    if k == 0:
-        return 0, 1
-    least = 0
-    for degree, c in images:
-        if degree == k:
-            least |= 1 << c
-    for degree, c in images:
-        if degree != k and not layer.divisors[degree, c, k] & least:
+    top = max(images)[0]
+    if top == layer.d:
+        return top, 1  # a generator goes to 1, and x1^d is bit 0
+    least = lifted = 0
+    for b, (w, c) in zip(members, images):
+        if w == top:
+            least |= 1 << b
+            lifted |= 1 << c
+    for b, (w, _) in zip(members, images):
+        if w != top and not layer.divides[b, z] & least:
             return None
-    return k, least
+    return top, lifted
 
 
-def _linear_on_tables(layer: _CorpusLayer, images: list[tuple[int, int]]) -> bool:
-    """True where the tables show the localization of these images linear:
-    it is the unit ideal, or it is generated in one degree and its
-    generators have identity revlex linear quotients (Herzog-Takayama).
-    False leaves it to homology."""
-    found = _local_generators(layer, images)
+def _linear_on_tables(layer: _CorpusLayer, z: int, members: list[int],
+                      images: list[tuple[int, int]]) -> bool:
+    """True where the tables show the localization at z of these generators
+    linear: it is the unit ideal, or it is generated in one degree and its
+    lifted generators have identity revlex linear quotients
+    (Herzog-Takayama).  False leaves it to homology."""
+    found = _local_generators(layer, z, members, images)
     if found is None:
         return False
-    k, least = found
-    if k == 0:
+    w, lifted = found
+    if w == layer.d:
         return True
-    tables = layer.local[k].colon["revlex"]
-    return tables.failure_at(least, tables.identity) is None
+    tables = layer.colon["revlex"]
+    return tables.failure_at(lifted, tables.identity) is None
 
 
 def _variables(z: int) -> list[int]:
@@ -283,7 +283,8 @@ def _localization_verdict(layer: _CorpusLayer, index: int, mask: int) -> dict:
     if not mask & (mask - 1):
         # one generator: every localization is principal or the unit ideal
         return out
-    images_of = [layer.images[b] for b in _bits(mask)]
+    members = _bits(mask)
+    images_of = [layer.images[b] for b in members]
     # a substitution acts through the variables of the ideal's support only, so
     # each restriction z of one to the support is decided once; z = support
     # sends every generator to 1
@@ -292,9 +293,10 @@ def _localization_verdict(layer: _CorpusLayer, index: int, mask: int) -> dict:
     z = 0
     while z != support:
         images = [image[z & s] for s, image in images_of]
-        if not _linear_on_tables(layer, images):
-            local = MonomialIdeal(layer.n, [layer.local[k].monomials[c] for k, c in images])
-            if not has_linear_resolution(local):
+        if not _linear_on_tables(layer, z, members, images):
+            zeroed = (tuple(0 if z >> i & 1 else a for i, a in enumerate(layer.exps[b]))
+                      for b in members)
+            if not has_linear_resolution(MonomialIdeal(layer.n, map(Monomial, zeroed))):
                 violating.add(z)
         z = (z - support) & support  # the next submask of support, ascending
     if violating:
@@ -313,8 +315,8 @@ def run_localization_probe(spec: CorpusSpec, jobs: int = 1) -> CheckReport:
     ideal, which counts as linear, and one whose images of least degree
     generate the localization and have identity revlex linear quotients
     leaves a linear ideal (Herzog-Takayama).  Any other substitution builds
-    its localization from the images and asks has_linear_resolution, so a
-    VIOLATION always comes from homology.
+    its localization from the generators' exponents and asks
+    has_linear_resolution, so a VIOLATION always comes from homology.
     """
     return _run_suite("localization", _localization_verdict, spec, jobs)
 

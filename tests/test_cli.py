@@ -87,6 +87,12 @@ def test_localize_command(capsys):
     assert capsys.readouterr().out.splitlines()[0] == "x1^2 + x2"
 
 
+def test_index_lists_accept_surrounding_whitespace(capsys):
+    assert main(["localize", "x1^2 + x1*x2 + x2*x3", "--at", " 3 ,3"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "x1^2 + x2"
+    assert main(["check", "lq", REMARK, "--kind", "revlex", "--order", " 3, 2 ,1 "]) == 1
+
+
 def test_ideal_from_file(tmp_path, capsys):
     path = tmp_path / "ideal.txt"
     path.write_text("x1^2\nx1*x2\nx2^2\n")
@@ -204,6 +210,13 @@ UNWRITABLE_JSON = "<a --json path in a directory that does not exist>"
         ["betti", "x1", "--n", str(2**70)],
         # ideal JSON cut short
         ["check", "poly", '{"n": 2,'],
+        # integer text other than ASCII digits, which int() would read
+        ["localize", "x1*x10", "--at", "1_0"],
+        ["localize", "x1*x2*x3", "--at", "\u0663"],
+        ["check", "lq", "x1*x2 + x2*x3", "--kind", "lex", "--order", "1,\u0662,3"],
+        ["check", "lq", "x1*x2 + x2*x3", "--kind", "lex", "--order", "1,2,+3"],
+        ["check", "poly", "x\u0661*x2 + x2^\u0662"],
+        ["check", "poly", "x1*x2 + x2^\u0662"],
     ],
 )
 def test_error_contract_exits_2(argv, capsys, tmp_path):

@@ -396,6 +396,11 @@ def images_at(layer, members, z):
     return [image[z & support] for support, image in map(layer.images.__getitem__, members)]
 
 
+def unlifted(layer, w, lifted):
+    """The exponents of the bits of `lifted`, each divided by x1^w."""
+    return [(e[0] - w,) + e[1:] for e in map(layer.exps.__getitem__, suites._bits(lifted))]
+
+
 def restrictions(ideal):
     """The substitutions that act on the support of the ideal, but not by all of
     its variables, ascending: the ones the suite decides."""
@@ -441,8 +446,9 @@ class TestLocalizationSuite:
                     continue
                 members = suites._bits(item.mask)
                 for sub in range((1 << n) - 1):
-                    unit = suites._local_generators(layer, images_at(layer, members, sub)) == (0, 1)
-                    assert unit == localize(item.ideal, substituted(n, sub)).is_unit, item.ideal
+                    images = images_at(layer, members, sub)
+                    w, _ = suites._local_generators(layer, sub, members, images)
+                    assert (w == d) == localize(item.ideal, substituted(n, sub)).is_unit, item.ideal
                 verdict = suites._localization_verdict(layer, item.index, item.mask)
                 assert verdict["verdict"] == "all_linear"
 
@@ -479,11 +485,11 @@ class TestLocalizationSuite:
 
     @pytest.mark.parametrize("n, d", [(3, 3), (4, 2), (5, 2), (2, 4), (3, 4)])
     def test_tables_agree_with_the_built_localizations(self, monkeypatch, n, d):
-        # every substitution of every polymatroidal mask: the least-degree images are
-        # the minimal generators of an equigenerated localization, the unit test is
-        # the unit ideal's, and "linear" is the certificate's answer.  With the
-        # tables made to certify nothing, the ideal the fallback builds for each
-        # substitution is its localization
+        # every substitution of every polymatroidal mask: the least-degree images,
+        # lifted by one x1^w, are the minimal generators of an equigenerated
+        # localization times x1^w, w = d is the unit ideal, and "linear" is the
+        # certificate's answer.  With the tables made to certify nothing, the
+        # ideal the fallback builds for each substitution is its localization
         fallback = []
         monkeypatch.setattr(suites, "has_linear_resolution", lambda L: fallback.append(L) or True)
         layer = suites._CorpusLayer(n, d)
@@ -495,20 +501,17 @@ class TestLocalizationSuite:
             for sub in range((1 << n) - 1):
                 local = ideal.localize(substituted(n, sub))
                 images = images_at(layer, members, sub)
-                found = suites._local_generators(layer, images)
-                linear = suites._linear_on_tables(layer, images)
-                assert (found == (0, 1)) == local.is_unit
-                if local.is_equigenerated() is not None:
-                    k, least = found
-                    assert [layer.local[k].exps[b] for b in suites._bits(least)] \
-                        == [g.exponents for g in local.gens], (ideal, sub)
+                w, lifted = suites._local_generators(layer, sub, members, images)
+                linear = suites._linear_on_tables(layer, sub, members, images)
+                assert (w == d) == local.is_unit
+                assert unlifted(layer, w, lifted) == [g.exponents for g in local.gens], (ideal, sub)
                 if not local.is_unit:
                     assert linear == certified(local), (ideal, sub)
                 checked += 1
             if len(members) > 1:  # one generator returns before the loop
                 fallback.clear()
                 with monkeypatch.context() as forced:
-                    forced.setattr(suites, "_linear_on_tables", lambda layer, images: False)
+                    forced.setattr(suites, "_linear_on_tables", lambda *args: False)
                     suites._localization_verdict(layer, 0, mask)
                 assert fallback == [ideal.localize(substituted(n, z))
                                     for z in restrictions(ideal)], ideal
@@ -524,9 +527,9 @@ class TestLocalizationSuite:
             for sub in range((1 << n) - 1):
                 local = ideal.localize(substituted(n, sub))
                 images = images_at(layer, members, sub)
-                linear = suites._linear_on_tables(layer, images)
+                linear = suites._linear_on_tables(layer, sub, members, images)
                 if local.is_equigenerated() is None:
-                    assert suites._local_generators(layer, images) is None
+                    assert suites._local_generators(layer, sub, members, images) is None
                     assert not linear
                 elif linear:
                     assert local.is_unit or pm.has_linear_resolution(local), (ideal, sub)
@@ -542,7 +545,7 @@ class TestLocalizationSuite:
             raise AssertionError(f"localized {ideal} at {off}")
 
         monkeypatch.setattr(pm.MonomialIdeal, "localize", refused)
-        monkeypatch.setattr(suites, "_linear_on_tables", lambda layer, images: False)
+        monkeypatch.setattr(suites, "_linear_on_tables", lambda *args: False)
         homology = pm.has_linear_resolution
         monkeypatch.setattr(suites, "has_linear_resolution",
                             lambda ideal: fallbacks.append(ideal) or homology(ideal))
@@ -561,12 +564,12 @@ class TestLocalizationSuite:
         report = pm.run_localization_probe(spec, jobs=1)
         assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
 
-    @pytest.mark.parametrize("runner, lower", [
-        (pm.run_theorem_suite, []),
-        (pm.run_conjecture_search, []),
-        (pm.run_localization_probe, [(3, 0), (3, 1)]),
+    @pytest.mark.parametrize("runner", [
+        pm.run_theorem_suite, pm.run_conjecture_search, pm.run_localization_probe,
     ])
-    def test_only_localizations_build_lower_layers(self, monkeypatch, runner, lower):
+    def test_every_suite_builds_only_its_slices_layer(self, monkeypatch, runner):
+        # the localizations are decided on the slice's own layer too: a layer
+        # built anywhere, in corpus.py or in suites.py, counts
         built = []
         layer = corpus._CorpusLayer
 
@@ -575,15 +578,45 @@ class TestLocalizationSuite:
             return layer(n, d)
 
         monkeypatch.setattr(corpus, "_CorpusLayer", counting)
-        runner(pm.CorpusSpec(n=3, d=2), jobs=1)
-        assert sorted(built) == lower
+        monkeypatch.setattr(suites, "_CorpusLayer", counting)
+        for n, d in ((3, 2), (3, 3), (2, 4)):
+            built.clear()
+            runner(pm.CorpusSpec(n=n, d=d), jobs=1)
+            assert built == [(n, d)]
+
+    @pytest.mark.parametrize("n, d, u, v", [
+        (3, 200, (100, 50, 50), (99, 51, 50)),
+        (4, 60, (15, 15, 15, 15), (14, 16, 15, 15)),
+    ])
+    def test_large_degree_pair_builds_no_lower_layer(self, monkeypatch, n, d, u, v):
+        # a polymatroidal pair of a warm large-degree layer is decided on that
+        # layer: no monomial list and no other layer is built, and the verdict
+        # of each substitution is the homology of its built localization
+        layer = suites._CorpusLayer(n, d)
+        calls = []
+
+        def spy(name, real):
+            return lambda *args: calls.append(name) or real(*args)
+
+        for module, name in ((corpus, "monomials_of_degree"), (corpus, "_CorpusLayer"),
+                             (suites, "_CorpusLayer")):
+            monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+        ideal = pm.MonomialIdeal(n, [pm.Monomial(u), pm.Monomial(v)])
+        mask = 1 << layer.index[u] | 1 << layer.index[v]
+        verdict = suites._localization_verdict(layer, 0, mask)
+        assert calls == []
+        assert verdict["checked"] == (1 << n) - 1
+        assert verdict["violations"] == [
+            substituted(n, sub) for sub in range((1 << n) - 1)
+            if not pm.has_linear_resolution(ideal.localize(substituted(n, sub)))
+        ]
 
     @pytest.mark.parametrize("verdict", [suites._theorem_verdict, suites._conjecture_verdict])
     def test_theorem_and_conjecture_slices_fill_no_localization_table(self, verdict):
         layer = suites._CorpusLayer(3, 2)
         for mask in range(1, 64):
             verdict(layer, 0, mask)
-        assert layer.local == layer.images == layer.divisors == {}
+        assert layer.images == layer.divides == {}
 
     @pytest.fixture
     def homology_calls(self, monkeypatch):

@@ -119,3 +119,14 @@ def test_parse_variable_order():
         pm.parse_variable_order("3,3,1")
     with pytest.raises(pm.ParseError):
         pm.parse_variable_order("a,b")
+    assert pm.parse_variable_order(" 3 ,2, 1 ") == pm.VariableOrder((3, 2, 1))
+    # the entries are ASCII digits: int() alone would read each of these
+    for text in ("1_0,2", "1,\u0662", "+1,2", "\uff11,2"):
+        with pytest.raises(pm.ParseError):
+            pm.parse_variable_order(text)
+
+
+@pytest.mark.parametrize("text", ["x\u0661", "x1^\u0662", "x\uff11", "x1_0"])
+def test_factors_read_ascii_digits_only(text):
+    with pytest.raises(pm.ParseError):
+        pm.parse_monomial(text)

@@ -175,6 +175,21 @@ def test_corpus_masks_are_decoded_in_one_place():
     assert not found, found
 
 
+def test_corpus_layers_are_built_in_one_place_each():
+    # a layer is built per call or per suite slice, never inside another layer:
+    # the localizations are decided on the slice's own layer
+    allowed = {("corpus.py", "ideal_from_mask"), ("corpus.py", "corpus_masks"),
+               ("corpus.py", "enumerate_corpus"), ("suites.py", "_verdict_chunk")}
+    callers = set()
+    for path in sorted(SOURCE.glob("*.py")):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) \
+                        and ast.unparse(node.func).rsplit(".", 1)[-1] == "_CorpusLayer":
+                    callers.add((path.name, getattr(top, "name", None)))
+    assert callers == allowed, sorted(callers ^ allowed)
+
+
 def test_integers_are_decided_in_one_place():
     # core._integers is the one integer rule: a second predicate would let True
     # or an __index__ object through in one place and refuse it in another
