@@ -14,7 +14,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from .betti import graded_betti
-from .core import _integers, all_variable_orders
+from .core import _integer_text, _integers, all_variable_orders
 from .corpus import CorpusSpec
 from .errors import InvalidArgumentError, ParseError, PolymatError
 from .ioformats import (
@@ -38,10 +38,20 @@ from .suites import SUITES, _order_witness
 from .version import __version__
 
 
+def _integer(text: str) -> int:
+    """An integer option, read by core._integer_text; argparse turns the
+    ValueError of any other text into exit 2."""
+    value = _integer_text(text)
+    if value is None:
+        raise InvalidArgumentError(f"{text!r} is not an integer")
+    return value
+
+
 def _add_ideal_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("ideal", nargs="?", help="inline ideal, e.g. 'x1^2 + x1*x2'")
     p.add_argument("--file", help="read the ideal from a text or JSON file")
-    p.add_argument("--n", type=int, help="ambient variable count (default: largest index used)")
+    p.add_argument("--n", type=_integer,
+                   help="ambient variable count (default: largest index used)")
     p.add_argument("--json", dest="json_path", help="also write a JSON result to this path")
 
 
@@ -245,8 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     lexseg = sub.add_parser("lexsegment", help="lexsegment between two monomials")
     lexseg.add_argument("--u", required=True, help="lex-greater endpoint, e.g. x1^2")
     lexseg.add_argument("--v", required=True, help="lex-smaller endpoint, e.g. x1*x3")
-    lexseg.add_argument("--n", type=int, help="ambient variable count")
-    lexseg.add_argument("--shadow-depth", type=int, help="iterated-shadow depth to verify")
+    lexseg.add_argument("--n", type=_integer, help="ambient variable count")
+    lexseg.add_argument("--shadow-depth", type=_integer, help="iterated-shadow depth to verify")
     lexseg.add_argument("--json", dest="json_path")
     lexseg.set_defaults(func=_cmd_lexsegment)
 
@@ -258,14 +268,14 @@ def build_parser() -> argparse.ArgumentParser:
     suite = sub.add_parser("suite", argument_default=argparse.SUPPRESS,
                            help="corpus suites and the fixed example reproduction")
     suite.add_argument("name", choices=tuple(SUITES))
-    suite.add_argument("--n", type=int)
-    suite.add_argument("--d", type=int)
+    suite.add_argument("--n", type=_integer)
+    suite.add_argument("--d", type=_integer)
     suite.add_argument("--mode", choices=("exhaustive", "random"))
-    suite.add_argument("--m", type=int, help="generator count (random mode)")
-    suite.add_argument("--count", type=int, help="sample size (random mode)")
-    suite.add_argument("--seed", type=int)
-    suite.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
-    suite.add_argument("--start-mask", type=int, help="resume an exhaustive sweep")
+    suite.add_argument("--m", type=_integer, help="generator count (random mode)")
+    suite.add_argument("--count", type=_integer, help="sample size (random mode)")
+    suite.add_argument("--seed", type=_integer)
+    suite.add_argument("--jobs", type=_integer, default=os.cpu_count() or 1)
+    suite.add_argument("--start-mask", type=_integer, help="resume an exhaustive sweep")
     suite.add_argument(
         "--dedupe-isomorphic",
         action="store_true",

@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import operator
 import os
+import re
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -57,6 +58,25 @@ def _integers(
         if most is not None and v > most:
             raise InvalidArgumentError(f"{what} must be at most {most}, got {v}")
     return values
+
+
+# ASCII digits with an optional leading minus, amid the whitespace int()
+# takes: every whitespace character but the four information separators
+_INTEGER_TEXT_RE = re.compile(r"[^\S\x1c-\x1f]*(-?[0-9]+)[^\S\x1c-\x1f]*")
+
+
+def _integer_text(text: str) -> int | None:
+    """The integer that text writes, the one rule for integers read as text
+    (the CLI's integer options, POLYMAT_MAX_PERMS and index lists); None for
+    other text, such as "1_0", "+3" or other scripts' digits, which int()
+    alone would read, and for more digits than int() converts."""
+    match = _INTEGER_TEXT_RE.fullmatch(text)
+    if match is None:
+        return None
+    try:
+        return int(match[1])
+    except ValueError:
+        return None
 
 
 def _instance(value, cls: type, what: str):
@@ -201,10 +221,9 @@ def _check_perm_guard(n: int) -> None:
     """Refuse to enumerate the n! variable orders when n exceeds the guard
     (default 8, overridable via the POLYMAT_MAX_PERMS environment variable)."""
     raw = os.environ.get("POLYMAT_MAX_PERMS", "8")
-    try:
-        bound = int(raw)
-    except ValueError:
-        raise InvalidArgumentError(f"POLYMAT_MAX_PERMS={raw!r} is not an integer") from None
+    bound = _integer_text(raw)
+    if bound is None:
+        raise InvalidArgumentError(f"POLYMAT_MAX_PERMS={raw!r} is not an integer")
     if n > bound:
         raise BoundExceededError(
             f"enumerating {n}! variable orders exceeds the guard of {bound} variables"

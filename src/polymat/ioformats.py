@@ -17,14 +17,13 @@ import json
 import re
 import sys
 
-from .core import Monomial, MonomialIdeal, VariableOrder, _instance, _integers
+from .core import Monomial, MonomialIdeal, VariableOrder, _instance, _integer_text, _integers
 from .errors import BoundExceededError, InvalidArgumentError, ParseError, PolymatError
 from .version import __version__
 
 SCHEMA_VERSION = 1
 
 _FACTOR_RE = re.compile(r"x(\d+)(?:\^(\d+))?", re.ASCII)
-_DIGITS_RE = re.compile("[0-9]+")
 
 
 def _parse_factors(token: str, offset: int, line: int) -> list[tuple[int, int]]:
@@ -98,13 +97,12 @@ def parse_ideal(text: str, n: int | None = None) -> MonomialIdeal:
 
 
 def _index_list(text: str, what: str) -> list[int]:
-    """The comma-separated integers of text, each ASCII digits with optional
-    surrounding whitespace, as in _FACTOR_RE: int() alone would also read
-    "1_0" and other scripts' digits.  Anything else is a ParseError."""
-    pieces = [p.strip() for p in _instance(text, str, "text").split(",")]
-    if not all(map(_DIGITS_RE.fullmatch, pieces)):
+    """The comma-separated integers of text, each read by core._integer_text;
+    anything else is a ParseError."""
+    values = [_integer_text(p) for p in _instance(text, str, "text").split(",")]
+    if None in values:
         raise ParseError(f"malformed {what} {text!r}", 0, 1)
-    return [int(p) for p in pieces]
+    return values
 
 
 def parse_variable_order(text: str) -> VariableOrder:

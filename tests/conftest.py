@@ -1,3 +1,4 @@
+import itertools
 import random
 import signal
 import sys
@@ -58,6 +59,14 @@ def contains(ideal, m):
 
 def veronese(n, d):
     return pm.MonomialIdeal(n, pm.monomials_of_degree(n, d).elems)
+
+
+def squarefree_veronese(n: int, k: int) -> pm.MonomialIdeal:
+    """The ideal of all squarefree monomials of degree k in n variables."""
+    return pm.MonomialIdeal(n, [
+        pm.Monomial(tuple(int(t in support) for t in range(n)))
+        for support in itertools.combinations(range(n), k)
+    ])
 
 
 def random_ideal(rng: random.Random, n: int, d: int, max_gens: int) -> pm.MonomialIdeal:

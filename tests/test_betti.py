@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polymat as pm
-from conftest import I, M, small_ideals, veronese
+from conftest import I, M, small_ideals, squarefree_veronese, veronese
 from polymat import betti
 
 # The minimal triangulation of the real projective plane: rational
@@ -250,14 +250,6 @@ def herzog_takayama_betti(seq) -> pm.BettiTable:
         for i in range(r + 1):
             table[i, i + d] += comb(r, i)
     return pm.BettiTable.from_dict(table)
-
-
-def squarefree_veronese(n: int, k: int) -> pm.MonomialIdeal:
-    """The ideal of all squarefree monomials of degree k in n variables."""
-    return pm.MonomialIdeal(n, [
-        pm.Monomial(tuple(int(t in support) for t in range(n)))
-        for support in itertools.combinations(range(n), k)
-    ])
 
 
 @st.composite

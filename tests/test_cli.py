@@ -217,6 +217,8 @@ UNWRITABLE_JSON = "<a --json path in a directory that does not exist>"
         ["check", "lq", "x1*x2 + x2*x3", "--kind", "lex", "--order", "1,2,+3"],
         ["check", "poly", "x\u0661*x2 + x2^\u0662"],
         ["check", "poly", "x1*x2 + x2^\u0662"],
+        # an index with more digits than int() converts
+        ["localize", "x1", "--at", "9" * 5000],
     ],
 )
 def test_error_contract_exits_2(argv, capsys, tmp_path):
@@ -231,7 +233,7 @@ def test_error_contract_exits_2(argv, capsys, tmp_path):
     assert captured.err.startswith("error: ")
 
 
-@pytest.mark.parametrize("value", ["abc", ""])
+@pytest.mark.parametrize("value", ["abc", "", "\u0663", "1_0", "+8", "\x1c8"])
 @pytest.mark.parametrize(
     "argv",
     [
@@ -246,6 +248,37 @@ def test_malformed_permutation_guard_exits_2(argv, value, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: POLYMAT_MAX_PERMS={value!r} is not an integer\n"
+
+
+SMALL_SUITE = ["suite", "theorem", "--n", "2", "--d", "1"]
+RANDOM_SUITE = ["suite", "theorem", "--n", "2", "--d", "1", "--mode", "random"]
+
+
+@pytest.mark.parametrize("argv, value", [
+    (["check", "poly", "x1*x2", "--n"], "2"),
+    (["lexsegment", "--u", "x1", "--v", "x2", "--n"], "2"),
+    (["lexsegment", "--u", "x1", "--v", "x2", "--shadow-depth"], "1"),
+    (["suite", "theorem", "--d", "1", "--jobs", "1", "--n"], "2"),
+    (["suite", "theorem", "--n", "2", "--jobs", "1", "--d"], "1"),
+    (RANDOM_SUITE + ["--count", "1", "--jobs", "1", "--m"], "1"),
+    (RANDOM_SUITE + ["--m", "1", "--jobs", "1", "--count"], "1"),
+    (RANDOM_SUITE + ["--m", "1", "--count", "1", "--jobs", "1", "--seed"], "-5"),
+    (SMALL_SUITE + ["--jobs", "1", "--start-mask"], "2"),
+    (SMALL_SUITE + ["--jobs"], "1"),
+    (["suite", "remark", "--jobs"], "1"),
+])
+def test_integer_options_read_ascii_digits(argv, value, capsys):
+    # the text int() would also read, or that is no integer, exits 2 before
+    # any command runs; the surrounding whitespace int() takes is kept
+    assert main(argv + [f" {value}\t"]) in (0, 1)
+    capsys.readouterr()
+    for text in ["\u0663", "1_0", "+1", "1.0", "", "0x1", "\uff11", "\x1c1", "- 1"]:
+        with pytest.raises(SystemExit) as exited:
+            main(argv + [text])
+        assert exited.value.code == 2, text
+        captured = capsys.readouterr()
+        assert captured.out == "", text
+        assert "invalid" in captured.err, text
 
 
 @pytest.mark.parametrize("m", ["1", "2"])

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polymat as pm
-from polymat.core import canonical_key
+from polymat.core import _integer_text, canonical_key
 from conftest import I, M, contains, exponent_tuples, monomial_lists
 
 
@@ -185,6 +185,20 @@ class TestConstructorEntries:
     def test_ideal_refuses_a_non_monomial_entry(self, entry):
         with pytest.raises(pm.InvalidArgumentError, match="is not a Monomial"):
             pm.MonomialIdeal(2, iter([M("x2", 2), entry]))
+
+
+class TestIntegerText:
+    def test_surrounding_whitespace_is_what_int_takes(self):
+        for w in filter(str.isspace, map(chr, range(0x110000))):
+            try:
+                expected = int(f"{w}-12{w}")
+            except ValueError:
+                expected = None
+            assert _integer_text(f"{w}-12{w}") == expected, hex(ord(w))
+
+    @pytest.mark.parametrize("text", ["\u0663", "1_0", "+1", "--1", "1 2", "0x1", "", "9" * 5000])
+    def test_refuses_text_int_would_read_or_no_integer(self, text):
+        assert _integer_text(text) is None
 
 
 class TestIdealOperations:

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polymat as pm
-from conftest import I, M, small_ideals, veronese
+from conftest import I, M, small_ideals, squarefree_veronese, veronese
 from polymat import quotients
 from polymat.polymatroid import _Layer
 
@@ -19,6 +19,30 @@ def first_failing_order_brute(ideal, kind):
         if failure is not None:
             return order, failure
     return None
+
+
+def transposed(exponents, u, t):
+    """The exponent vector with the entries at u and t swapped."""
+    e = list(exponents)
+    e[u], e[t] = e[t], e[u]
+    return tuple(e)
+
+
+@st.composite
+def symmetric_ideals(draw, max_n=5, max_d=3, max_gens=6):
+    """A random generating set closed under one or two random transpositions
+    of the variables, so that the search meets twins."""
+    n = draw(st.integers(3, max_n))
+    d = draw(st.integers(1, max_d))
+    basis = [m.exponents for m in pm.monomials_of_degree(n, d)]
+    gens = set(draw(st.lists(st.sampled_from(basis), min_size=1, max_size=max_gens)))
+    pair = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+    swaps = draw(st.lists(pair, min_size=1, max_size=2))
+    while True:
+        images = {transposed(e, u, t) for e in gens for u, t in swaps} - gens
+        if not images:
+            return pm.MonomialIdeal(n, map(pm.Monomial, gens))
+        gens |= images
 
 
 # Textbook graded orders induced by a variable order, whose perm lists the
@@ -194,6 +218,41 @@ class TestAllOrders:
         # the corpus must exercise the search, not only the identity check
         assert past_identity == {"lex", "revlex"}
 
+    def test_agrees_with_brute_force_on_symmetric_ideals(self):
+        past_identity = set()
+
+        @settings(max_examples=300, deadline=None, derandomize=True)
+        @given(symmetric_ideals())
+        def check(ideal):
+            for kind in ("lex", "revlex"):
+                expected = first_failing_order_brute(ideal, kind)
+                assert pm.lq_all_orders_failure(ideal, kind) == expected, kind
+                if expected is not None and expected[0] != O.identity(ideal.n):
+                    past_identity.add(kind)
+
+        check()
+        # the twins must prune searches that go on to fail, not only passing ones
+        assert past_identity == {"lex", "revlex"}
+
+    @pytest.mark.parametrize("ideal", [veronese(8, 2), squarefree_veronese(8, 3)],
+                             ids=["veronese_8_2", "squarefree_veronese_8_3"])
+    def test_twins_prune_the_search_to_one_branch(self, ideal, monkeypatch):
+        # every variable is a twin of every other, so each node of the search
+        # visits one variable: at most n refinements where the n! orders pass
+        monkeypatch.delenv("POLYMAT_MAX_PERMS", raising=False)
+        refine = quotients._ColonTables.refine
+        calls = []
+
+        def counting(tables, partition, t):
+            calls.append(t)
+            return refine(tables, partition, t)
+
+        monkeypatch.setattr(quotients._ColonTables, "refine", counting)
+        for kind in ("lex", "revlex"):
+            calls.clear()
+            assert pm.lq_all_orders_failure(ideal, kind) is None
+            assert 0 < len(calls) <= ideal.n, (kind, calls)
+
     def test_veronese_eight_variables_under_default_guard(self, monkeypatch):
         monkeypatch.delenv("POLYMAT_MAX_PERMS", raising=False)
         for kind in ("lex", "revlex"):
@@ -214,10 +273,12 @@ class TestAllOrders:
 
     def test_permutation_guard_env_override(self, monkeypatch):
         disjoint = I("x1*x2 + x8*x9", 9)
-        monkeypatch.setenv("POLYMAT_MAX_PERMS", "9")
-        assert not pm.has_lq_all_orders(disjoint, "lex")
+        # the surrounding whitespace that int() takes is kept
+        for value in ["9", " 9\n", "\u20039"]:
+            monkeypatch.setenv("POLYMAT_MAX_PERMS", value)
+            assert not pm.has_lq_all_orders(disjoint, "lex")
 
-    @pytest.mark.parametrize("value", ["abc", "", "8.5"])
+    @pytest.mark.parametrize("value", ["abc", "", "8.5", "\u0663", "1_0", "+8"])
     def test_permutation_guard_env_malformed(self, monkeypatch, value):
         monkeypatch.setenv("POLYMAT_MAX_PERMS", value)
         with pytest.raises(pm.InvalidArgumentError, match="POLYMAT_MAX_PERMS"):
@@ -269,6 +330,22 @@ class TestMaskTables:
         for kind, kind_tables in tables.items():
             expected = pm.linear_quotients_failure(pm.sort_generators(ideal, kind, O.identity(n)))
             assert identity_failure(monomials, kind_tables, mask) == expected, kind
+
+    @pytest.mark.parametrize("n,d", [(3, 2), (4, 2), (3, 3), (2, 4)])
+    def test_twin_classes_match_relabeled_ideals(self, n, d):
+        # x_u and x_t are twins in S when the transposition (u t) maps the
+        # ideal of S onto itself; each variable's class is named by its least
+        monomials, tables = corpus_tables(n, d)
+        layer = tables["lex"].layer
+        for mask in range(1, 1 << len(monomials)):
+            ideal = pm.ideal_from_mask(n, d, mask)
+
+            def twins(u, t):
+                gens = [pm.Monomial(transposed(g.exponents, u, t)) for g in ideal.gens]
+                return pm.MonomialIdeal(n, gens) == ideal
+
+            expected = [next(u for u in range(t + 1) if twins(u, t)) for t in range(n)]
+            assert quotients._twin_classes(layer, mask) == expected, mask
 
     @pytest.mark.parametrize("n,d", [(3, 2), (4, 2), (3, 3)])
     def test_search_agrees_with_brute_force_on_corpora(self, n, d):
