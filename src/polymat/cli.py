@@ -8,7 +8,6 @@ not a crash), 2 for usage, parse, or bounds errors.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -34,7 +33,7 @@ from .quotients import (
     qwlr_by_order,
     sort_generators,
 )
-from .suites import SUITES, _order_witness
+from .suites import _MIN_SLICE, SUITES, _order_witness, _usable_cpus
 from .version import __version__
 
 
@@ -274,7 +273,14 @@ def build_parser() -> argparse.ArgumentParser:
     suite.add_argument("--m", type=_integer, help="generator count (random mode)")
     suite.add_argument("--count", type=_integer, help="sample size (random mode)")
     suite.add_argument("--seed", type=_integer)
-    suite.add_argument("--jobs", type=_integer, default=os.cpu_count() or 1)
+    suite.add_argument(
+        "--jobs",
+        type=_integer,
+        default=_usable_cpus(),
+        help="most worker processes, capped at the CPUs this process may use (the default); "
+        f"a pool starts only when each worker gets at least {_MIN_SLICE:,} masks, which are "
+        "dealt to the workers round robin",
+    )
     suite.add_argument("--start-mask", type=_integer, help="resume an exhaustive sweep")
     suite.add_argument(
         "--dedupe-isomorphic",

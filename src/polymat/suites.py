@@ -5,18 +5,22 @@ JSON rendering is byte-identical across runs and worker counts: verdicts
 are keyed by corpus index, keys are sorted, and timing lives only on the
 in-memory report, never in the JSON.
 
-The parent draws only the corpus masks and cuts them into one contiguous
-(corpus index, masks) slice per worker; pool workers, or this process
-where the cut leaves one slice, map the same slice function over them.
+The parent draws only the corpus masks.  A pool starts only when every
+worker gets at least _MIN_SLICE masks, and workers are capped at the
+CPUs this process may use; below that this process decides the whole
+corpus as one slice.  Otherwise the masks are dealt round robin, worker
+k getting masks[k::workers] with their corpus indices, so that each
+worker meets the cheap and the costly parts of an exhaustive corpus
+alike, and the parent puts the verdicts back in corpus order.
 A slice builds one corpus._CorpusLayer, the tables of the degree layer,
 and decides each verdict from its mask S: the exchange scan, the
-identity-order and all-orders linear-quotients tests and the
-localizations of a polymatroidal mask are integer operations on S and
-the layer's tables, the last with each image lifted back into the layer
-by a power of x1, so that a slice builds no other layer.  A MonomialIdeal
-is built only where a verdict needs homology or a witness: a two-variable
-theorem verdict, a localization the tables do not certify linear, and
-the witnesses of a MISMATCH or COUNTEREXAMPLE.
+identity-order and all-orders linear-quotients tests, the two-variable
+linear-resolution test and the localizations of a polymatroidal mask
+are integer operations on S and the layer's tables, the last with each
+image lifted back into the layer by a power of x1, so that a slice
+builds no other layer.  A MonomialIdeal is built only where a verdict
+needs homology or a witness: a localization the tables do not certify
+linear, and the witnesses of a MISMATCH or COUNTEREXAMPLE.
 """
 
 from __future__ import annotations
@@ -123,15 +127,35 @@ def _order_witness(kind: str, order: VariableOrder, failure: LQFailure) -> dict:
     return {"kind": kind, "order": list(order.perm), **failure.to_json_dict()}
 
 
+# A pool starts only when every worker gets at least this many masks.  Below
+# it, starting the workers, filling each one's tables and unpickling their
+# verdicts cost more than the second CPU saves: jobs 2 against jobs 1 on a
+# shared 2-CPU host (fresh interpreters, alternating runs, masks dealt round
+# robin) lost on every corpus of 6,000 and 12,000 masks (random (4,3) m = 10,
+# the top masks of exhaustive (3,4) and (5,2)), was mixed at 16,000-24,000
+# and won on most at 32,767 (CHANGES.md has the table).
+_MIN_SLICE = 16_000
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the OS has
+    one, which a taskset or a container's cpuset can make smaller than the
+    machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _verdict_chunk(task: tuple) -> list[dict]:
     """Map verdict_fn over one slice of corpus masks on one layer's tables.
 
-    A task is (verdict_fn, n, d, index of its first mask, masks): plain
-    ints and a module-level function, so no built ideal is pickled.
+    A task is (verdict_fn, n, d, the corpus indices of its masks, masks):
+    ranges, plain ints and a module-level function, so no built ideal is
+    pickled.
     """
-    verdict_fn, n, d, start, masks = task
+    verdict_fn, n, d, indices, masks = task
     layer = _CorpusLayer(n, d)
-    return [verdict_fn(layer, index, mask) for index, mask in enumerate(masks, start)]
+    return [verdict_fn(layer, index, mask) for index, mask in zip(indices, masks)]
 
 
 def _run_suite(
@@ -139,26 +163,27 @@ def _run_suite(
 ) -> CheckReport:
     """Map verdict_fn over the corpus on up to `jobs` processes and tally a report.
 
-    The parent draws only the corpus masks and cuts them into one
-    contiguous slice per worker, with the corpus index of its first mask,
-    so each process builds one layer.  Under fork the pool starts all its
-    workers at the first submit, so there are at most as many slices as
-    CPUs; where the cut leaves one, this process decides it and no pool starts.
+    The parent draws only the corpus masks.  There are at most as many
+    workers as usable CPUs, and as many as give each at least _MIN_SLICE
+    masks; with one, this process decides the corpus and no pool starts.
+    Otherwise worker k gets masks[k::workers], a range where the corpus is
+    one, with the indices range(k, len(masks), workers), so each process
+    builds one layer, and the parent puts the verdicts back in corpus order.
     """
     spec = _instance(spec, CorpusSpec, "corpus spec")
     (jobs,) = _integers((jobs,), "jobs", 1)
     start = time.perf_counter()
-    workers = min(jobs, os.cpu_count() or 1)
     masks = corpus_masks(spec)
-    size = max(1, -(-len(masks) // workers))  # ceil, so at most `workers` slices
-    tasks = [(verdict_fn, spec.n, spec.d, i, masks[i : i + size])
-             for i in range(0, len(masks), size)]
-    if len(tasks) < 2:
-        slices = list(map(_verdict_chunk, tasks))
+    workers = max(1, min(jobs, _usable_cpus(), len(masks) // _MIN_SLICE))
+    tasks = [(verdict_fn, spec.n, spec.d, range(k, len(masks), workers), masks[k::workers])
+             for k in range(workers)]
+    if workers == 1:
+        verdicts = _verdict_chunk(tasks[0])
     else:
-        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
-            slices = list(pool.map(_verdict_chunk, tasks))
-    verdicts = [v for part in slices for v in part]
+        verdicts = [None] * len(masks)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            for k, part in enumerate(pool.map(_verdict_chunk, tasks)):
+                verdicts[k::workers] = part
     return CheckReport(name, spec.to_json_dict(), verdicts, time.perf_counter() - start)
 
 
@@ -172,7 +197,9 @@ def _theorem_verdict(layer: _CorpusLayer, index: int, mask: int) -> dict:
     }
     consistent = polymatroidal == lex_all_orders
     if layer.n == 2:
-        linear = has_linear_resolution(layer.ideal(mask))
+        # bit b is x1^(d-b) x2^b, and a two-variable ideal has a linear
+        # (staircase) resolution exactly when its generators are consecutive
+        linear = (mask + (mask & -mask)) & mask == 0
         out["linear_resolution"] = linear
         consistent = consistent and linear == polymatroidal
     out["verdict"] = "consistent" if consistent else "MISMATCH"
@@ -192,8 +219,10 @@ def run_theorem_suite(spec: CorpusSpec, jobs: int = 1) -> CheckReport:
     """Exchange property versus lex linear quotients for every variable order.
 
     For two-variable corpora the verdict additionally requires agreement
-    with the linear-resolution predicate.  Every verdict visits the n! orders,
-    so the permutation guard is checked before the corpus is drawn.
+    with a linear resolution, which there holds exactly when the mask is
+    one run of consecutive bits (the staircase resolution, whose syzygies
+    sit at the lcms of neighbouring generators).  Every verdict visits the
+    n! orders, so the permutation guard is checked before the corpus is drawn.
     """
     _check_perm_guard(_instance(spec, CorpusSpec, "corpus spec").n)
     return _run_suite("theorem", _theorem_verdict, spec, jobs)

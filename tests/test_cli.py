@@ -117,6 +117,11 @@ def test_suite_remark_accepts_jobs(capsys):
     assert capsys.readouterr().out.startswith("suite remark: PASS")
 
 
+def test_suite_jobs_defaults_to_the_usable_cpus(monkeypatch):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+    assert cli.build_parser().parse_args(["suite", "theorem"]).jobs == 3
+
+
 def test_suite_theorem_small(tmp_path, capsys):
     path = tmp_path / "report.json"
     assert main(

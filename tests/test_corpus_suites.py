@@ -246,6 +246,16 @@ class TestTheoremSuite:
         assert report.passed
         assert all("linear_resolution" in v for v in report.verdicts)
 
+    @pytest.mark.parametrize("d", range(9))
+    def test_two_variable_linear_resolution_agrees_with_homology(self, d):
+        # the suite decides it on the mask (one run of consecutive bits); the
+        # homology of every ideal of (2,d) must give the same answer
+        report = pm.run_theorem_suite(pm.CorpusSpec(n=2, d=d))
+        assert len(report.verdicts) == 2 ** (d + 1) - 1
+        for v in report.verdicts:
+            ideal = pm.ideal_from_mask(2, d, v["mask"])
+            assert v["linear_resolution"] is pm.has_linear_resolution(ideal), v["mask"]
+
     def test_guard_checked_before_the_corpus_is_built(self, monkeypatch):
         # every verdict would hit the n! guard, so above it nothing is enumerated
         monkeypatch.delenv("POLYMAT_MAX_PERMS", raising=False)
@@ -673,7 +683,7 @@ class TestLocalizationSuite:
 
 class TestWorkerPool:
     @pytest.fixture
-    def pools(self, monkeypatch):
+    def started(self, monkeypatch):
         """(max_workers, tasks) of every pool the suites start.
 
         A real pool forks every worker at its first submit, so this one only
@@ -699,33 +709,51 @@ class TestWorkerPool:
         monkeypatch.setattr(suites, "ProcessPoolExecutor", RecordingPool)
         return calls
 
+    @pytest.fixture
+    def pools(self, monkeypatch, started):
+        """The pools started where one mask per worker is enough, so that
+        small corpora still reach the pool path."""
+        monkeypatch.setattr(suites, "_MIN_SLICE", 1)
+        return started
+
     def test_workers_capped_at_cpu_count(self, monkeypatch, pools):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(suites, "_usable_cpus", lambda: 2)
         spec = pm.CorpusSpec(n=2, d=1)
         report = pm.run_theorem_suite(spec, jobs=10**6)
         assert [size for size, _ in pools] == [2]
         assert report.to_json() == pm.run_theorem_suite(spec, jobs=1).to_json()
 
+    def test_usable_cpus_are_the_affinity_set(self, monkeypatch):
+        # a taskset or cpuset can leave fewer CPUs than the machine has
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert suites._usable_cpus() == 1
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert suites._usable_cpus() == 2
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert suites._usable_cpus() == 1
+
     def test_one_cpu_starts_no_pool(self, monkeypatch, pools):
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(suites, "_usable_cpus", lambda: 1)
         spec = pm.CorpusSpec(n=2, d=1)
         report = pm.run_theorem_suite(spec, jobs=4)
         assert pools == []
         assert report.to_json() == pm.run_theorem_suite(spec, jobs=1).to_json()
 
     def test_chunk_size_follows_the_workers(self, monkeypatch, pools):
-        # one contiguous slice per worker, the last one shorter
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        # one slice per worker, the masks dealt round robin, the last one shorter
+        monkeypatch.setattr(suites, "_usable_cpus", lambda: 2)
         spec = pm.CorpusSpec(n=3, d=2)
         pm.run_theorem_suite(spec, jobs=10**6)
         ((workers, tasks),) = pools
         masks = corpus_masks(spec)
         assert workers == 2
-        assert [task[1:] for task in tasks] == [(3, 2, 0, masks[0:32]), (3, 2, 32, masks[32:63])]
+        assert [task[1:] for task in tasks] == [(3, 2, range(0, 63, 2), masks[0::2]),
+                                                (3, 2, range(1, 63, 2), masks[1::2])]
 
     def test_tasks_hold_ints_and_the_verdict_only(self, monkeypatch, pools):
         # the parent ships masks, never a built ideal, for workers to decode
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(suites, "_usable_cpus", lambda: 2)
         pm.run_theorem_suite(pm.CorpusSpec(n=2, d=2), jobs=2)
 
         def leaves(obj):
@@ -745,16 +773,17 @@ class TestWorkerPool:
 
     def test_exhaustive_corpus_ships_ranges(self, monkeypatch, pools):
         # no list of a plain exhaustive corpus's masks is built, in the parent or a task
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(suites, "_usable_cpus", lambda: 2)
         spec = pm.CorpusSpec(n=3, d=2, start_mask=10)
         assert corpus_masks(spec) == range(10, 64)
         pm.run_theorem_suite(spec, jobs=2)
         ((_, tasks),) = pools
-        assert [task[3:] for task in tasks] == [(0, range(10, 37)), (27, range(37, 64))]
+        assert [task[3:] for task in tasks] == [(range(0, 54, 2), range(10, 64, 2)),
+                                                (range(1, 54, 2), range(11, 64, 2))]
 
     def test_one_worker_streams_the_corpus(self, monkeypatch, pools):
         # one slice, decided in this process by the pool's slice function
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(suites, "_usable_cpus", lambda: 2)
         spec = pm.CorpusSpec(n=2, d=2)
         pooled = pm.run_theorem_suite(spec, jobs=2).to_json()
         events = []
@@ -772,12 +801,12 @@ class TestWorkerPool:
         monkeypatch.setattr(suites, "_theorem_verdict", judging)
         report = pm.run_theorem_suite(spec, jobs=1)
         assert len(pools) == 1  # the jobs=2 run's
-        assert events == [("chunk", 0)] + [("verdict", i) for i in range(7)]
+        assert events == [("chunk", range(7))] + [("verdict", i) for i in range(7)]
         assert report.to_json() == pooled
 
     @pytest.mark.parametrize("cpus, slices", [(1, 1), (2, 2)])
     def test_one_layer_per_slice(self, monkeypatch, pools, cpus, slices):
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(suites, "_usable_cpus", lambda: cpus)
         built = []
         layer = suites._CorpusLayer
 
@@ -794,11 +823,55 @@ class TestWorkerPool:
         assert len(pools) == (3 if slices > 1 else 0)
 
     def test_one_mask_corpus_starts_no_pool(self, monkeypatch, pools):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(suites, "_usable_cpus", lambda: 2)
         spec = pm.CorpusSpec(n=2, d=1, start_mask=3)
         report = pm.run_theorem_suite(spec, jobs=2)
         assert pools == []
         assert [v["mask"] for v in report.verdicts] == [3]
+
+    @pytest.mark.parametrize("cpus, jobs, size, workers", [
+        (2, 2, 1, 1), (2, 2, 2 * suites._MIN_SLICE - 1, 1), (2, 2, 2 * suites._MIN_SLICE, 2),
+        (2, 8, 3 * suites._MIN_SLICE, 2), (3, 8, 3 * suites._MIN_SLICE - 1, 2),
+        (3, 8, 3 * suites._MIN_SLICE, 3), (3, 2, 3 * suites._MIN_SLICE, 2),
+        (1, 8, 3 * suites._MIN_SLICE, 1),
+    ])
+    def test_worker_count_at_the_boundaries(self, monkeypatch, started, cpus, jobs, size,
+                                            workers):
+        # each worker needs _MIN_SLICE masks, and jobs and the CPUs cap them
+        monkeypatch.setattr(suites, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(suites, "_verdict_chunk", lambda task: list(task[3]))
+        spec = pm.CorpusSpec(n=4, d=3, start_mask=2**20 - size)
+        report = pm.run_theorem_suite(spec, jobs=jobs)
+        assert [(max_workers, len(tasks)) for max_workers, tasks in started] == \
+            ([(workers, workers)] if workers > 1 else [])
+        assert report.verdicts == list(range(size))
+
+    def test_small_corpus_starts_no_pool(self, monkeypatch, started):
+        # fewer than _MIN_SLICE masks per worker: this process decides them
+        monkeypatch.setattr(suites, "_usable_cpus", lambda: 2)
+        spec = pm.CorpusSpec(n=4, d=3, mode="random", m=10, count=1_500, seed=3)
+        for runner in (pm.run_theorem_suite, pm.run_conjecture_search):
+            assert runner(spec, jobs=2).to_json() == runner(spec, jobs=1).to_json()
+        assert started == []
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("spec", [
+        pm.CorpusSpec(n=3, d=2, start_mask=11),
+        pm.CorpusSpec(n=3, d=2, start_mask=12),
+        pm.CorpusSpec(n=4, d=2, mode="random", m=3, count=61, seed=9),
+        pm.CorpusSpec(n=3, d=3, dedupe_isomorphic=True),
+    ])
+    def test_round_robin_keeps_every_index_once_in_order(self, monkeypatch, pools, cpus, spec):
+        monkeypatch.setattr(suites, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(suites, "_verdict_chunk",
+                            lambda task: list(zip(task[3], task[4], strict=True)))
+        masks = corpus_masks(spec)
+        report = pm.run_theorem_suite(spec, jobs=cpus)
+        ((workers, tasks),) = pools
+        assert workers == len(tasks) == cpus
+        assert all(type(task[3]) is range for task in tasks)
+        assert all(type(task[4]) is type(masks) for task in tasks)
+        assert report.verdicts == list(enumerate(masks))
 
     def test_layer_rows_are_built_only_for_the_masks_met(self):
         # a random (8,5) layer has 792 monomials, about 626,000 ordered pairs
@@ -834,8 +907,9 @@ class TestEquivariance:
 
 class TestReportDeterminism:
     def test_byte_identical_across_runs_and_jobs(self, monkeypatch):
-        # two CPUs, so that jobs=2 runs a real pool on any host
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        # two CPUs and one mask per worker, so that jobs=2 runs a real pool on any host
+        monkeypatch.setattr(suites, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(suites, "_MIN_SLICE", 1)
         cases = [
             (pm.run_theorem_suite, pm.CorpusSpec(n=3, d=2)),
             (pm.run_conjecture_search,
@@ -847,6 +921,25 @@ class TestReportDeterminism:
         for runner, spec in cases:
             blobs = {runner(spec, jobs=jobs).to_json() for jobs in (1, 2, 1)}
             assert len(blobs) == 1, spec
+
+    def test_real_pool_above_the_size_is_byte_identical(self, monkeypatch):
+        # two workers at the real _MIN_SLICE, in a forked pool
+        monkeypatch.setattr(suites, "_usable_cpus", lambda: 2)
+        started = []
+
+        class CountingPool(suites.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(suites, "ProcessPoolExecutor", CountingPool)
+        spec = pm.CorpusSpec(n=3, d=4, start_mask=2**15 - 2 * suites._MIN_SLICE - 1)
+        # to_json's indented rendering is the pure-Python encoder, about 1.5 s
+        # a report here; the C encoder renders the same keys and values
+        blobs = [json.dumps(pm.run_theorem_suite(spec, jobs=jobs).to_json_dict(), sort_keys=True)
+                 for jobs in (1, 2)]
+        assert started == [2]
+        assert blobs[0] == blobs[1]
 
     def test_schema_fields(self):
         report = pm.run_theorem_suite(pm.CorpusSpec(n=2, d=2))
