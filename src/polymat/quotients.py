@@ -5,10 +5,12 @@ decreasing order under the lex or revlex order that a variable permutation
 induces, so prefixes are exactly the sets of strictly greater generators.
 linear_quotients_failure and has_quotients_with_linear_resolution test
 that tuple, or any non-empty sequence of monomials in one ring.
-qwlr_by_order runs the latter on the sequence that each of several
-orders induces.  Those sequences share most prefix colon ideals, so it
-memoizes the linear-resolution verdict of each ideal in a dict that lives
-for that one call; the library keeps no cache between calls.
+qwlr_by_order decides the latter for the sequence that each of several
+orders induces, on the colon tables below: a prefix colon that the tables
+show to be generated by variables has a linear resolution, the Koszul
+complex, so only the others reach homology, each once per (generator,
+predecessor mask) in a memo that lives for that one call; the library
+keeps no cache between calls.
 
 The quantified check lq_all_orders_failure covers all n! permutations and
 reports the first failing one in lexicographic permutation order.  It runs
@@ -70,6 +72,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
+from itertools import accumulate
 from operator import itemgetter, or_
 from typing import Callable, Iterable, Sequence
 
@@ -82,6 +85,7 @@ from .core import (
     _instance,
     _monomials,
     canonical_key,
+    colon_monomial,
 )
 from .errors import AmbientMismatchError, InvalidArgumentError
 from .polymatroid import (
@@ -435,24 +439,6 @@ def conjecture_probe(I: MonomialIdeal) -> ConjectureProbe:
     return ConjectureProbe(ConjectureOutcome.COUNTEREXAMPLE, witness, None, None)
 
 
-def _qwlr(seq: tuple[Monomial, ...], linear) -> bool:
-    """Whether linear holds for the ideal of seq and then for each prefix
-    colon ideal in turn, stopping at the first that fails.
-
-    linear gets each ideal as the frozenset of the exponent vectors that
-    generate it, the colons u_i : u_j of a prefix, so a memo keyed by them
-    answers a repeat without building a monomial.
-    """
-    exps = [m.exponents for m in seq]
-    colons = (frozenset(tuple(a - b if a > b else 0 for a, b in zip(u, v)) for u in exps[:j])
-              for j, v in enumerate(exps[1:], 1))
-    return linear(frozenset(exps)) and all(map(linear, colons))
-
-
-def _ideal(n: int, vectors: frozenset[tuple[int, ...]]) -> MonomialIdeal:
-    return MonomialIdeal(n, map(Monomial, vectors))
-
-
 def has_quotients_with_linear_resolution(seq: Sequence[Monomial]) -> bool:
     """The ideal of the sequence and every prefix colon ideal have linear
     resolutions.
@@ -464,33 +450,42 @@ def has_quotients_with_linear_resolution(seq: Sequence[Monomial]) -> bool:
     """
     seq = _monomials(seq, "a generator sequence")
     n = seq[0].n
-    return _qwlr(seq, lambda vectors: has_linear_resolution(_ideal(n, vectors)))
+    colons = (MonomialIdeal(n, [colon_monomial(u, v) for u in seq[:j]])
+              for j, v in enumerate(seq[1:], 1))
+    return has_linear_resolution(MonomialIdeal(n, seq)) and all(map(has_linear_resolution, colons))
 
 
 def qwlr_by_order(
     I: MonomialIdeal, kind: str, orders: Iterable[VariableOrder]
 ) -> dict[VariableOrder, bool]:
     """has_quotients_with_linear_resolution of the sequence that each order
-    induces, with each ideal's linear-resolution verdict computed once for
-    the whole call: the sequences of one ideal share most prefix colons.
+    induces, decided on _ColonTables over the generators of I.
 
-    The memo is asked first by the generating vectors, which a repeated
-    prefix colon repeats exactly, and on a miss by the ideal they
-    generate, which other generating sets of the same ideal share.
+    A prefix colon (preds) : g with uncovered(g, preds) == 0 is generated
+    by variables, so the Koszul complex resolves it linearly and it needs
+    no homology.  Every other one is built and asked once per (g, preds)
+    for the whole call, and the ideal itself once, after the first order
+    passes sort_generators' checks; nothing is cached between calls.
     """
     require_equigenerated(I)
     _check_kind(kind)
-    by_vectors: dict[frozenset[tuple[int, ...]], bool] = {}
-    by_ideal: dict[MonomialIdeal, bool] = {}
+    gens = I.gens
+    layer = _Layer([g.exponents for g in gens])
+    tables = _ColonTables(layer, kind)
 
-    def linear(vectors: frozenset[tuple[int, ...]]) -> bool:
-        holds = by_vectors.get(vectors)
-        if holds is None:
-            J = _ideal(I.n, vectors)
-            holds = by_ideal.get(J)
-            if holds is None:
-                holds = by_ideal[J] = has_linear_resolution(J)
-            by_vectors[vectors] = holds
-        return holds
+    def colon_is_linear(key: tuple[int, int]) -> bool:
+        g, preds = key
+        colons = [colon_monomial(gens[u], gens[g]) for u in _bits(preds)]
+        return has_linear_resolution(MonomialIdeal(I.n, colons))
 
-    return {order: _qwlr(sort_generators(I, kind, order), linear) for order in orders}
+    linear = _Built(colon_is_linear)
+    held: dict[VariableOrder, bool] = {}
+    whole = None
+    for order in orders:
+        seq = [layer.index[m.exponents] for m in sort_generators(I, kind, order)]
+        if whole is None:
+            whole = has_linear_resolution(I)
+        preds = accumulate((1 << g for g in seq), or_, initial=0)
+        held[order] = whole and all(
+            linear[g, p] for g, p in zip(seq, preds) if tables.uncovered(g, p))
+    return held

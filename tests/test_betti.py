@@ -578,6 +578,21 @@ class TestHasLinearResolution:
     def test_unit_ideal(self):
         assert pm.has_linear_resolution(pm.unit_ideal(2))
 
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_variables_have_the_koszul_resolution(self, n):
+        # the premise that lets quotients skip homology on a prefix colon
+        # generated by variables: k variables give the Koszul complex,
+        # beta_{i,i+1} = C(k, i+1) and nothing else
+        for k in range(1, n + 1):
+            for support in itertools.combinations(range(n), k):
+                ideal = pm.MonomialIdeal(n, [
+                    pm.Monomial(tuple(int(t == v) for t in range(n))) for v in support
+                ])
+                assert pm.has_linear_resolution(ideal), ideal
+                assert pm.graded_betti(ideal).as_dict() == {
+                    (i, i + 1): comb(k, i + 1) for i in range(k)
+                }, ideal
+
     def test_two_variable_linear_resolution_matches_exchange(self):
         for d in range(1, 6):
             for item in pm.enumerate_corpus(pm.CorpusSpec(n=2, d=d)):

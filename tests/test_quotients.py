@@ -1,11 +1,12 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polymat as pm
-from conftest import I, M, small_ideals, squarefree_veronese, veronese
+from conftest import I, M, random_ideal, small_ideals, squarefree_veronese, veronese
 from polymat import quotients
 from polymat.polymatroid import _Layer
 
@@ -474,34 +475,71 @@ class TestQuotientsWithLinearResolution:
         assert len(linear_calls) == 1
 
     def test_by_order_matches_each_sequence(self, remark_ideal):
-        cases = [(remark_ideal, "lex"), (remark_ideal, "revlex"),
-                 (veronese(4, 2), "lex"), (veronese(4, 2), "revlex"), (I(MIXED), "lex")]
-        for ideal, kind in cases:
+        rng = random.Random(32)
+        cases = [remark_ideal, veronese(4, 2), I(MIXED)]
+        for n, d in ((3, 2), (2, 4)):
+            cases += [item.ideal for item in pm.enumerate_corpus(pm.CorpusSpec(n=n, d=d))]
+        cases += [random_ideal(rng, 4, 3, 10) for _ in range(25)]
+        for ideal in cases:
             orders = list(pm.all_variable_orders(ideal.n))
-            expected = {
-                order: pm.has_quotients_with_linear_resolution(
-                    pm.sort_generators(ideal, kind, order))
-                for order in orders
-            }
-            assert quotients.qwlr_by_order(ideal, kind, orders) == expected, (ideal, kind)
+            for kind in ("lex", "revlex"):
+                expected = {
+                    order: pm.has_quotients_with_linear_resolution(
+                        pm.sort_generators(ideal, kind, order))
+                    for order in orders
+                }
+                assert quotients.qwlr_by_order(ideal, kind, orders) == expected, (ideal, kind)
         held = quotients.qwlr_by_order(I(MIXED), "lex", pm.all_variable_orders(3))
         assert [order for order, holds in held.items() if not holds] == [O((3, 2, 1))]
 
     def test_by_order_checks_each_ideal_once(self, linear_calls):
         held = quotients.qwlr_by_order(veronese(4, 2), "lex", pm.all_variable_orders(4))
         assert len(held) == 24 and all(held.values())
-        # the ideal and its distinct prefix colon ideals over all 24 orders
-        assert len(linear_calls) == len(set(linear_calls)) == 15
+        # every prefix colon is generated by variables: only the ideal is asked
+        assert linear_calls == [veronese(4, 2)]
+        linear_calls.clear()
+        # MIXED: the ideal, then the two prefix colons not generated by variables
+        quotients.qwlr_by_order(I(MIXED), "lex", pm.all_variable_orders(3))
+        assert linear_calls[0] == I(MIXED)
+        assert len(linear_calls) == len(set(linear_calls)) == 3
+
+    @pytest.mark.parametrize("kind", ["lex", "revlex"])
+    def test_transversal_ideal_asks_homology_once(self, kind, linear_calls):
+        factors = ((1, 2), (2, 3, 4), (4, 5, 6, 7))
+        ideal = pm.MonomialIdeal(7, [
+            pm.Monomial(tuple(sum(t + 1 == v for v in pick) for t in range(7)))
+            for pick in itertools.product(*factors)
+        ])
+        assert len(ideal.gens) == 24
+        held = quotients.qwlr_by_order(ideal, kind, pm.all_variable_orders(7))
+        assert len(held) == 5040 and all(held.values())
+        assert linear_calls == [ideal]
+
+    @pytest.mark.parametrize("orders, error", [
+        ([O.identity(2)], pm.AmbientMismatchError),
+        ([(1, 2, 3)], pm.InvalidArgumentError),
+        ([None, O.identity(3)], pm.InvalidArgumentError),
+    ], ids=["wrong size", "tuple", "None"])
+    def test_by_order_refuses_before_homology(self, orders, error, linear_calls):
+        with pytest.raises(error):
+            quotients.qwlr_by_order(pm.remark_ideal(), "lex", orders)
+        assert linear_calls == []
+
+    def test_by_order_with_no_orders_asks_nothing(self, linear_calls):
+        assert quotients.qwlr_by_order(pm.remark_ideal(), "revlex", []) == {}
+        assert linear_calls == []
 
     def test_memo_hit_builds_no_ideal(self, monkeypatch):
         built = []
         post_init = pm.MonomialIdeal.__post_init__
         monkeypatch.setattr(pm.MonomialIdeal, "__post_init__",
                             lambda J: built.append(J) or post_init(J))
-        identity = O.identity(4)
-        quotients.qwlr_by_order(veronese(4, 2), "lex", [identity])
-        once = len(built)
+        ideal, orders = I(MIXED), list(pm.all_variable_orders(3))
         built.clear()
-        # the second pass over the same order asks only what the first answered
-        quotients.qwlr_by_order(veronese(4, 2), "lex", [identity, identity])
-        assert len(built) == once
+        quotients.qwlr_by_order(ideal, "lex", orders)
+        # only the two prefix colons that are not generated by variables
+        assert len(built) == 2
+        built.clear()
+        # the second pass over the same orders asks only what the first answered
+        quotients.qwlr_by_order(ideal, "lex", orders + orders)
+        assert len(built) == 2
