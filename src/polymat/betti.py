@@ -5,16 +5,17 @@ the lcm lattice of the generators and, at each lattice multidegree a,
 takes reduced simplicial homology of the upper-Koszul complex
 K^a = {squarefree b on supp(a) : x^(a-b) in the ideal}; the rank of
 reduced homology in dimension i-1 there is the Betti number in
-homological index i at multidegree a (Miller-Sturmfels, Thm 1.34).  K^a
-is closed from the slack masks {t : a_t > g_t} of the generators g
-dividing x^a, card (number of bits) by card from the top down: each face
-adds its one-bit-smaller masks to the card below, so each face is
-expanded once.  The facets come from the same walk, as the slack masks
-that no face of the card above produced, and so does the cone test: when
-one vertex lies in every facet, K^a is a cone and contributes nothing,
-so that point is skipped.  The oracle route reads the same numbers off
-the multigraded strands of the Taylor complex on the generators, which
-costs 2^|G| and is gated accordingly.
+homological index i at multidegree a (Miller-Sturmfels, Thm 1.34).  The
+facets of K^a are the maximal slack masks {t : a_t > g_t} of the
+generators g dividing x^a, and the cone test runs on those masks first:
+when one vertex lies in every facet, K^a is a cone and contributes
+nothing, so that point is skipped before any face is built.  Any other
+K^a is closed card (number of bits) by card from the top down, and each
+face's signed boundary row is recorded as the face is expanded into the
+card below, so each face is expanded once and the ranks read those rows.
+The oracle route reads the same numbers off the multigraded strands of
+the Taylor complex on the generators, which costs 2^|G| and is gated
+accordingly.
 
 The default route packs an exponent vector into one int: variable t takes
 the w bits from bit t*w, with w one more than the bit length of the largest
@@ -28,7 +29,7 @@ Homology ranks come from integer row reduction of the +-1 boundary maps,
 one sparse row per face: the row of a face of card (size) c holds its
 boundary over the faces of card c-1, at most c entries, so each map is
 ranked as its transpose.  The cards are reduced from the top down with
-clearing, so the faces that would add no rank are never built into rows.
+clearing, so the rows of faces that would add no rank are never reduced.
 Unit pivots eliminate with one integer multiple, and any other pivot
 with a fraction-free combination of the two rows.  There is no floating
 point and no modular arithmetic anywhere in this module, so the ranks
@@ -83,50 +84,27 @@ def integer_rank(rows: list[dict[int, int]]) -> dict[int, dict[int, int]]:
     return pivots
 
 
-def _ranks_by_card(faces_by_card: dict[int, set[int]]) -> dict[int, int]:
-    """Ranks of the boundary maps card -> card-1 between face masks grouped by
-    card, each from one boundary row per face, top card first, with clearing.
+def _reduced_ranks(cards: list[dict[int, dict[int, int]]]) -> list[int]:
+    """Reduced homology ranks indexed from dimension -1 upward, from the
+    boundary rows of a complex by card, ranked top card first with clearing.
 
-    Each face of card c becomes the row of its boundary over the faces of
-    card c-1, keyed by those faces' masks, and the rows go in increasing
-    mask order.  Every face that leads a pivot of the card above is left
-    out (clearing: Chen-Kerber, Persistent homology computation with a
-    twist, 2011; Bauer-Kerber-Reininghaus, Clear and Compress, 2014).
-    That pivot is a combination of boundaries, so a cycle, and its leading
-    entry writes the left-out face's boundary as a combination of earlier
-    faces' boundaries, which by induction lie in the span of the rows
-    ranked: leaving it out keeps the rank.
+    cards[c] maps each face of card c to its boundary row over the faces
+    of card c-1, and the rows of each card go in increasing face order.
+    Every face that leads a pivot of the card above is left out
+    (clearing: Chen-Kerber, Persistent homology computation with a twist,
+    2011; Bauer-Kerber-Reininghaus, Clear and Compress, 2014).  That pivot
+    is a combination of boundaries, so a cycle, and its leading entry
+    writes the left-out face's boundary as a combination of earlier faces'
+    boundaries, which by induction lie in the span of the rows ranked:
+    leaving it out keeps the rank.
     """
-    ranks: dict[int, int] = {}
+    ranks = [0] * (len(cards) + 1)
     cleared: dict[int, dict[int, int]] = {}  # the pivots of the card above
-    for card in range(max(faces_by_card, default=0), 0, -1):
-        below = faces_by_card.get(card - 1, ())
-        rows = []
-        for face in sorted(faces_by_card.get(card, ())):
-            if face in cleared:
-                continue
-            row = {}
-            for t, target in enumerate(_mask_boundary(face)):
-                if target in below:
-                    row[target] = -1 if t % 2 else 1
-            rows.append(row)
-        pivots = integer_rank(rows)
-        ranks[card] = len(pivots)
-        cleared = pivots
-    return ranks
-
-
-def _reduced_ranks(faces_by_card: dict[int, set[int]]) -> list[int]:
-    """Reduced homology ranks indexed from dimension -1 upward."""
-    if not faces_by_card:
-        return []
-    ranks = _ranks_by_card(faces_by_card)
-    top = max(faces_by_card)
-    out = []
-    for card in range(top + 1):
-        count = len(faces_by_card.get(card, ()))
-        out.append(count - ranks.get(card, 0) - ranks.get(card + 1, 0))
-    return out
+    for card in range(len(cards) - 1, 0, -1):
+        cleared = integer_rank(
+            [row for face, row in sorted(cards[card].items()) if face not in cleared])
+        ranks[card] = len(cleared)
+    return [len(faces) - ranks[card] - ranks[card + 1] for card, faces in enumerate(cards)]
 
 
 @dataclass(frozen=True)
@@ -220,49 +198,47 @@ def _koszul_slack(gens: list[int], alpha: int, guards: int, width: int) -> set[i
     return {(d - ones) & guards for d in differences if d & guards == guards}
 
 
-def _mask_boundary(mask: int) -> list[int]:
-    """The masks one bit smaller, lowest removed bit first."""
-    out = []
-    rest = mask
-    while rest:
-        low = rest & -rest
-        out.append(mask ^ low)
-        rest ^= low
-    return out
+def _is_cone(masks) -> bool:
+    """Whether one vertex lies in every facet, the maximal given masks.
 
-
-def _by_card(masks) -> dict[int, set[int]]:
-    """Masks grouped by their number of bits."""
-    by_card: dict[int, set[int]] = {}
-    for mask in masks:
-        by_card.setdefault(mask.bit_count(), set()).add(mask)
-    return by_card
-
-
-def _closure(masks) -> tuple[dict[int, set[int]], int]:
-    """Every submask of the given masks grouped by card, and the AND of the
-    facets, the maximal given masks (-1 when no mask is given).
-
-    The walk goes from the top card down: every face of card c adds its
-    one-bit-smaller masks to card c-1, so each face is expanded once, and a
-    given mask that no face of the card above produced is a facet.
+    Largest card first, a mask is a facet unless it lies in a facet
+    already kept.  The AND of the facets kept so far only shrinks, so the
+    answer is no as soon as it reaches 0.
     """
-    faces = _by_card(masks)
+    facets: list[int] = []
     apex = -1
-    below: set[int] = set()  # the masks the faces of the card above produced
-    for card in range(max(faces, default=-1), -1, -1):
-        layer = faces.setdefault(card, set())
-        for facet in layer - below:
-            apex &= facet
-        layer |= below
-        below = set()
-        for face in layer:
-            rest = face
+    for mask in sorted(masks, key=int.bit_count, reverse=True):
+        if all(mask & facet != mask for facet in facets):
+            apex &= mask
+            if not apex:
+                return False
+            facets.append(mask)
+    return True
+
+
+def _closure(masks) -> list[dict[int, dict[int, int]]]:
+    """Every submask of the given masks with its boundary row, by card.
+
+    cards[c] maps each face of card c to its boundary over card c-1: the
+    masks one bit smaller, lowest removed bit first, signed +1, -1, +1, ...
+    The walk goes from the top card down, and each face's row is built as
+    the face is expanded into the card below, so each face is expanded once.
+    """
+    faces = [set() for _ in range(max(map(int.bit_count, masks), default=-1) + 1)]
+    for mask in masks:
+        faces[mask.bit_count()].add(mask)
+    cards: list[dict[int, dict[int, int]]] = [{} for _ in faces]
+    for card in range(len(faces) - 1, -1, -1):
+        rows, below = cards[card], faces[card - 1] if card else set()
+        for face in faces[card]:
+            row = rows[face] = {}
+            sign, rest = 1, face
             while rest:
                 low = rest & -rest
-                below.add(face ^ low)
-                rest ^= low
-    return faces, apex
+                row[face ^ low] = sign
+                sign, rest = -sign, rest ^ low
+            below.update(row)
+    return cards
 
 
 def graded_betti(I: MonomialIdeal) -> BettiTable:
@@ -274,15 +250,33 @@ def graded_betti(I: MonomialIdeal) -> BettiTable:
     table: dict[tuple[int, int], int] = {}
     for alpha in lcm_lattice(gens, guards, width):
         # alpha is a multiple of some generator, so there is at least one facet
-        faces, apex = _closure(_koszul_slack(gens, alpha, guards, width))
-        if apex:
-            continue  # a vertex in every facet: K^alpha is a cone
-        homology = _reduced_ranks(faces)
+        slack = _koszul_slack(gens, alpha, guards, width)
+        if _is_cone(slack):
+            continue  # a vertex in every facet: K^alpha is acyclic
+        homology = _reduced_ranks(_closure(slack))
         deg = sum(alpha >> s & field for s in range(0, I.n * width, width))
         for i, h in enumerate(homology):
             if h:
                 table[(i, deg)] = table.get((i, deg), 0) + h
     return BettiTable.from_dict(table)
+
+
+def _strand_rows(masks: list[int]) -> list[dict[int, dict[int, int]]]:
+    """Rows by card as _closure gives them, for a Taylor strand, which is not
+    closed: each row keeps only the targets among the given masks, signed
+    by the place of the removed bit."""
+    strand = set(masks)
+    top = max(map(int.bit_count, masks))
+    cards: list[dict[int, dict[int, int]]] = [{} for _ in range(top + 1)]
+    for mask in masks:
+        row = cards[mask.bit_count()][mask] = {}
+        sign, rest = 1, mask
+        while rest:
+            low = rest & -rest
+            if mask ^ low in strand:
+                row[mask ^ low] = sign
+            sign, rest = -sign, rest ^ low
+    return cards
 
 
 def taylor_strand_betti(I: MonomialIdeal) -> BettiTable:
@@ -313,7 +307,7 @@ def taylor_strand_betti(I: MonomialIdeal) -> BettiTable:
     for alpha, masks in strands.items():
         deg = sum(alpha)
         # the subsets of size p sit at homological index p - 1
-        for i, h in enumerate(_reduced_ranks(_by_card(masks)), start=-1):
+        for i, h in enumerate(_reduced_ranks(_strand_rows(masks)), start=-1):
             if h:
                 table[(i, deg)] = table.get((i, deg), 0) + h
     return BettiTable.from_dict(table)

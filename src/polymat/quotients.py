@@ -8,9 +8,10 @@ that tuple, or any non-empty sequence of monomials in one ring.
 qwlr_by_order decides the latter for the sequence that each of several
 orders induces, on the colon tables below: a prefix colon that the tables
 show to be generated by variables has a linear resolution, the Koszul
-complex, so only the others reach homology, each once per (generator,
-predecessor mask) in a memo that lives for that one call; the library
-keeps no cache between calls.
+complex, and so has a principal one, resolved by one free module; only
+the others reach homology, each once per (generator, predecessor mask)
+in a memo that lives for that one call.  The library keeps no cache
+between calls.
 
 The quantified check lq_all_orders_failure covers all n! permutations and
 reports the first failing one in lexicographic permutation order.  It runs
@@ -463,9 +464,10 @@ def qwlr_by_order(
 
     A prefix colon (preds) : g with uncovered(g, preds) == 0 is generated
     by variables, so the Koszul complex resolves it linearly and it needs
-    no homology.  Every other one is built and asked once per (g, preds)
-    for the whole call, and the ideal itself once, after the first order
-    passes sort_generators' checks; nothing is cached between calls.
+    no homology.  Every other one is built once per (g, preds) for the
+    whole call and asked unless it is principal, which one free module
+    resolves linearly; the ideal itself is asked once, after the first
+    order passes sort_generators' checks.  Nothing is cached between calls.
     """
     require_equigenerated(I)
     _check_kind(kind)
@@ -475,8 +477,8 @@ def qwlr_by_order(
 
     def colon_is_linear(key: tuple[int, int]) -> bool:
         g, preds = key
-        colons = [colon_monomial(gens[u], gens[g]) for u in _bits(preds)]
-        return has_linear_resolution(MonomialIdeal(I.n, colons))
+        colon = MonomialIdeal(I.n, [colon_monomial(gens[u], gens[g]) for u in _bits(preds)])
+        return len(colon.gens) == 1 or has_linear_resolution(colon)
 
     linear = _Built(colon_is_linear)
     held: dict[VariableOrder, bool] = {}

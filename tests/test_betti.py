@@ -33,8 +33,7 @@ def homology_ranks(facets) -> list[int]:
     """Reduced homology ranks of the complex with these facets (index k is
     dimension k-1), through the mask route graded_betti takes; no facets
     at all give the void complex."""
-    faces, _ = betti._closure(vertex_masks(facets))
-    return betti._reduced_ranks(faces)
+    return betti._reduced_ranks(betti._closure(vertex_masks(facets)))
 
 
 def faces_of(masks) -> set[int]:
@@ -57,9 +56,21 @@ def maximal(masks) -> set[int]:
     return {f for f in masks if not any(f != h and f & h == f for h in masks)}
 
 
-def all_faces(faces_by_card: dict[int, set[int]]) -> set[int]:
-    """The faces of a complex grouped by card, as one set."""
-    return set().union(*faces_by_card.values())
+def all_faces(cards: list[dict[int, dict[int, int]]]) -> set[int]:
+    """The faces of a complex given by card as {face: boundary row}, as one set."""
+    return set().union(*cards)
+
+
+def faces_by_card(cards: list[dict[int, dict[int, int]]]) -> dict[int, set[int]]:
+    """The faces of each card, without their rows."""
+    return {card: set(rows) for card, rows in enumerate(cards)}
+
+
+def signed_boundary(face: int) -> dict[int, int]:
+    """The masks one bit smaller, signed +1, -1, +1, ... by the place of the
+    removed bit from the lowest up, written out bit by bit."""
+    bits = [b for b in range(face.bit_length()) if face >> b & 1]
+    return {face ^ (1 << b): (-1) ** t for t, b in enumerate(bits)}
 
 
 def fraction_rank(rows: list[list[int]]) -> int:
@@ -129,17 +140,17 @@ def rank(mat: list[list[int]]) -> int:
     return len(integer_rank(sparse_rows(mat)))
 
 
-def boundary_matrix(faces_by_card: dict[int, set[int]], card: int) -> list[list[int]]:
+def boundary_matrix(by_card: dict[int, set[int]], card: int) -> list[list[int]]:
     """The whole boundary matrix card -> card-1, without clearing: rows the
-    faces of card-1, columns those of card, each in increasing order, +-1
-    where _mask_boundary says."""
-    index = {f: i for i, f in enumerate(sorted(faces_by_card.get(card - 1, ())))}
-    cols = sorted(faces_by_card.get(card, ()))
+    faces of card-1, columns those of card, each in increasing order, with
+    the signs of signed_boundary wherever the target is a face."""
+    index = {f: i for i, f in enumerate(sorted(by_card.get(card - 1, ())))}
+    cols = sorted(by_card.get(card, ()))
     mat = [[0] * len(cols) for _ in index]
     for c, face in enumerate(cols):
-        for t, target in enumerate(betti._mask_boundary(face)):
+        for target, sign in signed_boundary(face).items():
             if target in index:
-                mat[index[target]][c] = -1 if t % 2 else 1
+                mat[index[target]][c] = sign
     return mat
 
 
@@ -153,11 +164,10 @@ def taylor_strands(ideal: pm.MonomialIdeal) -> list[list[int]]:
     return list(strands.values())
 
 
-def koszul_closures(ideal: pm.MonomialIdeal) -> list[tuple[dict[int, set[int]], int]]:
-    """The faces of K^alpha by card and its apex at every lcm-lattice point,
-    cones included."""
+def koszul_slacks(ideal: pm.MonomialIdeal) -> list[set[int]]:
+    """The slack masks of K^alpha at every lcm-lattice point, cones included."""
     gens, guards, width = betti._packed([g.exponents for g in ideal.gens])
-    return [betti._closure(betti._koszul_slack(gens, alpha, guards, width))
+    return [betti._koszul_slack(gens, alpha, guards, width)
             for alpha in betti.lcm_lattice(gens, guards, width)]
 
 
@@ -347,29 +357,67 @@ class TestClearing:
     """Ranks from the top card down with clearing against the whole boundary
     matrices, built here without it."""
 
-    def test_ranks_match_whole_boundary_matrices(self):
+    def test_ranks_match_whole_boundary_matrices(self, monkeypatch):
+        ranks = []  # the rank of each integer_rank call, top card first
+
+        def counted(rows):
+            pivots = integer_rank(rows)
+            ranks.append(len(pivots))
+            return pivots
+
+        monkeypatch.setattr(betti, "integer_rank", counted)
         rng = random.Random(9)
         ideals = [random_mixed_ideal(rng) for _ in range(40)]
-        complexes = [faces for ideal in ideals + [veronese(4, 2)]
-                     for faces, _ in koszul_closures(ideal)]
+        complexes = [betti._closure(slack) for ideal in ideals + [veronese(4, 2)]
+                     for slack in koszul_slacks(ideal)]
         complexes += [
-            betti._closure(vertex_masks(facets))[0]
+            betti._closure(vertex_masks(facets))
             for facets in (RP2_FACETS, list(itertools.combinations(range(4), 3)))
         ]
-        strands = [betti._by_card(masks) for ideal in ideals for masks in taylor_strands(ideal)]
-        for by_card in complexes + strands:
-            top = max(by_card, default=0)
-            assert betti._ranks_by_card(by_card) == {
-                card: bareiss_rank(boundary_matrix(by_card, card)) for card in range(1, top + 1)
-            }
+        strands = [betti._strand_rows(masks) for ideal in ideals for masks in taylor_strands(ideal)]
+        for cards in complexes + strands:
+            by_card = faces_by_card(cards)
+            whole = [0] + [bareiss_rank(boundary_matrix(by_card, card))
+                           for card in range(1, len(cards))] + [0]
+            ranks.clear()
+            assert betti._reduced_ranks(cards) == [
+                len(by_card[card]) - whole[card] - whole[card + 1] for card in range(len(cards))
+            ]
+            assert ranks == whole[-2:0:-1]
 
     def test_cleared_faces_are_not_ranked(self, ranked):
         ideal = veronese(4, 2)
         betti.graded_betti(ideal)
         # the non-empty faces of every K^alpha that is not a cone
-        faces = sum(len(all_faces(faces)) - 1 for faces, apex in koszul_closures(ideal)
-                    if not apex)
+        faces = sum(len(all_faces(betti._closure(slack))) - 1
+                    for slack in koszul_slacks(ideal) if not betti._is_cone(slack))
         assert 0 < sum(map(len, ranked)) < faces
+
+    def test_exactly_the_uncleared_faces_are_ranked(self, monkeypatch):
+        # each card ranks the rows of its faces, in increasing face order,
+        # except the faces that lead a pivot of the card above
+        calls = []  # (the ids of the rows given, the pivots found), top card first
+
+        def recorded(rows):
+            calls.append((list(map(id, rows)), integer_rank(rows)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(betti, "integer_rank", recorded)
+        rng = random.Random(9)
+        slacks = [slack for _ in range(40) for slack in koszul_slacks(random_mixed_ideal(rng))]
+        cleared_some = False
+        for cards in [betti._closure(slack) for slack in slacks if not betti._is_cone(slack)] + [
+            betti._closure(vertex_masks(RP2_FACETS))
+        ]:
+            face_of = {id(row): face for rows in cards for face, row in rows.items()}
+            calls.clear()
+            betti._reduced_ranks(cards)
+            pivots: dict = {}
+            for card, (ids, found) in zip(range(len(cards) - 1, 0, -1), calls):
+                assert [face_of[i] for i in ids] == sorted(set(cards[card]) - set(pivots))
+                cleared_some |= bool(pivots)
+                pivots = found
+        assert cleared_some
 
 
 class TestKoszulFaces:
@@ -388,12 +436,11 @@ class TestKoszulFaces:
             for packed_alpha in lattice:
                 alpha = unpack(packed_alpha, ideal.n, width)
                 slack = betti._koszul_slack(gens, packed_alpha, guards, width)
-                closure, apex = betti._closure(slack)
                 faces = brute_force_faces(exps, alpha)
-                assert {variable_bits(f, width) for f in all_faces(closure)} == faces
+                assert {variable_bits(f, width) for f in all_faces(betti._closure(slack))} == faces
                 assert {variable_bits(f, width) for f in maximal(slack)} == maximal(faces)
                 cone = brute_force_is_cone(faces, alpha)
-                assert bool(apex) == cone
+                assert betti._is_cone(slack) == cone
                 cones += cone
                 nested += len(slack - maximal(slack))
                 points += 1
@@ -401,6 +448,25 @@ class TestKoszulFaces:
         # another one, and a cone
         assert nested > 0
         assert 0 < cones < points
+
+    def test_graded_betti_skips_exactly_the_cones(self, monkeypatch):
+        # Veronese (5,2): a cone at 131 of its 237 lattice points, named here
+        # by the AND of the brute-force facets over the variables
+        ideal = veronese(5, 2)
+        exps = [g.exponents for g in ideal.gens]
+        gens, guards, width = betti._packed(exps)
+        cones, others = [], []
+        for alpha in betti.lcm_lattice(gens, guards, width):
+            facets = maximal(brute_force_faces(exps, unpack(alpha, ideal.n, width)))
+            slack = frozenset(betti._koszul_slack(gens, alpha, guards, width))
+            (cones if reduce(and_, facets) else others).append(slack)
+        assert (len(cones), len(others)) == (131, 106)
+        closed = []
+        closure = betti._closure
+        monkeypatch.setattr(betti, "_closure", lambda masks: closed.append(frozenset(masks))
+                            or closure(masks))
+        betti.graded_betti(ideal)
+        assert Counter(closed) == Counter(others)
 
     @given(exponent_pairs())
     @settings(max_examples=300, deadline=None)
@@ -421,21 +487,43 @@ class TestKoszulFaces:
             )
 
     @given(st.lists(six_bit_masks, max_size=8), st.lists(six_bit_masks, max_size=8), st.booleans())
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=1000, deadline=None)
     def test_closure_matches_submask_oracle(self, masks, cuts, with_empty):
         # nested masks (each mask cut down by another), repeats and the empty mask
         masks = masks + [m & c for m, c in zip(masks, cuts)] + masks[:2] + [0] * with_empty
-        faces, apex = betti._closure(masks)
-        assert all_faces(faces) == faces_of(masks)
-        assert all(f.bit_count() == card for card, layer in faces.items() for f in layer)
-        assert apex == reduce(and_, maximal(masks), -1)
+        cards = betti._closure(masks)
+        assert all_faces(cards) == faces_of(masks)
+        assert all(f.bit_count() == card for card, rows in enumerate(cards) for f in rows)
+        # each row: exactly the one-bit-smaller masks, signed by place
+        assert all(row == signed_boundary(f) for rows in cards for f, row in rows.items())
+        assert betti._is_cone(masks) == bool(reduce(and_, maximal(masks), -1))
 
-    def test_closure_takes_only_maximal_masks_as_facets(self):
+    def test_cone_test_takes_only_maximal_masks_as_facets(self):
         # the masks inside 0b111 would leave no vertex common to all of them
-        assert betti._closure([0b111, 0b011, 0b100])[1] == 0b111
-        assert betti._closure([0b110, 0b011, 0b010])[1] == 0b010
-        assert betti._closure([0b1, 0b10, 0]) == ({1: {0b1, 0b10}, 0: {0}}, 0)
-        assert betti._closure([]) == ({}, -1)
+        assert betti._is_cone([0b111, 0b011, 0b100])
+        assert betti._is_cone([0b011, 0b110, 0b010, 0b110])
+        assert not betti._is_cone([0b1, 0b10, 0])
+        assert not betti._is_cone([0])
+        assert betti._closure([0b1, 0b10, 0]) == [{0: {}}, {0b1: {0: 1}, 0b10: {0: 1}}]
+        assert betti._closure([0b11]) == [{0: {}}, {0b1: {0: 1}, 0b10: {0: 1}},
+                                          {0b11: {0b10: 1, 0b1: -1}}]
+        assert betti._closure([]) == []
+
+    @given(st.sets(st.integers(1, 2**6 - 1), min_size=1, max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_strand_rows_keep_only_the_given_targets(self, masks):
+        cards = betti._strand_rows(sorted(masks))
+        assert all_faces(cards) == masks
+        assert all(f.bit_count() == card for card, rows in enumerate(cards) for f in rows)
+        assert all(row == {t: sign for t, sign in signed_boundary(f).items() if t in masks}
+                   for rows in cards for f, row in rows.items())
+
+    def test_strand_rows_sign_by_place(self):
+        # 0b111 drops 0b110 (place 0, not in the strand), keeps 0b101 at
+        # place 1 (-1) and 0b011 at place 2 (+1)
+        assert betti._strand_rows([0b011, 0b100, 0b101, 0b111]) == [
+            {}, {0b100: {}}, {0b011: {}, 0b101: {0b100: 1}}, {0b111: {0b101: -1, 0b011: 1}},
+        ]
 
 
 class TestReducedHomology:
@@ -461,10 +549,10 @@ class TestReducedHomology:
     def test_closure_validation(self):
         # faces are built from facets, so they must come out closed under subsets
         for facets in (RP2_FACETS, list(itertools.combinations(range(4), 3)), [(1, 2), (3,)]):
-            faces = all_faces(betti._closure(vertex_masks(facets))[0])
+            faces = all_faces(betti._closure(vertex_masks(facets)))
             assert faces == faces_of(vertex_masks(facets))
             assert 0 in faces
-            assert all(set(betti._mask_boundary(f)) <= faces for f in faces)
+            assert all(set(signed_boundary(f)) <= faces for f in faces)
 
 
 class TestGradedBetti:
@@ -526,6 +614,13 @@ class TestTaylorOracle:
     @given(small_ideals())
     @settings(max_examples=40, deadline=None)
     def test_agreement_random(self, ideal):
+        assert pm.taylor_strand_betti(ideal) == pm.graded_betti(ideal)
+
+    @pytest.mark.parametrize("n, d", [(4, 2), (3, 3)])
+    def test_agreement_on_cone_heavy_veronese(self, n, d):
+        # 10 generators each, under the gate, and most lattice points are cones
+        ideal = veronese(n, d)
+        assert len(ideal.gens) == 10 <= betti.TAYLOR_GENERATOR_LIMIT
         assert pm.taylor_strand_betti(ideal) == pm.graded_betti(ideal)
 
 

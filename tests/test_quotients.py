@@ -498,10 +498,22 @@ class TestQuotientsWithLinearResolution:
         # every prefix colon is generated by variables: only the ideal is asked
         assert linear_calls == [veronese(4, 2)]
         linear_calls.clear()
-        # MIXED: the ideal, then the two prefix colons not generated by variables
+        # MIXED: the ideal, then the one prefix colon neither generated by
+        # variables nor principal
         quotients.qwlr_by_order(I(MIXED), "lex", pm.all_variable_orders(3))
-        assert linear_calls[0] == I(MIXED)
-        assert len(linear_calls) == len(set(linear_calls)) == 3
+        assert linear_calls == [I(MIXED), I("x1*x3 + x2", 3)]
+
+    @pytest.mark.parametrize("kind", ["lex", "revlex"])
+    @pytest.mark.parametrize("ideal", [pm.remark_ideal(), I(MIXED)], ids=["remark", "mixed"])
+    def test_principal_colons_skip_homology(self, ideal, kind, linear_calls):
+        # a principal colon, from one predecessor (remark: x1*x3 under lex,
+        # x2^2 under revlex) or from several (MIXED revlex 3,2,1: x2^3, x2^2),
+        # has a linear resolution without homology
+        orders = list(pm.all_variable_orders(3))
+        held = quotients.qwlr_by_order(ideal, kind, orders)
+        assert linear_calls and all(len(J.gens) > 1 for J in linear_calls), linear_calls
+        assert held == {order: pm.has_quotients_with_linear_resolution(
+            pm.sort_generators(ideal, kind, order)) for order in orders}
 
     @pytest.mark.parametrize("kind", ["lex", "revlex"])
     def test_transversal_ideal_asks_homology_once(self, kind, linear_calls):

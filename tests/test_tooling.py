@@ -87,6 +87,22 @@ def test_betti_imports_only_core_and_errors():
     assert not found, found
 
 
+def test_faces_are_expanded_in_one_walk():
+    # each K^alpha face's boundary is built once, as _closure expands it;
+    # only the Taylor oracle, whose strands are not closed, expands masks
+    # on its own (its strand rows and its lcm_of table)
+    path = SOURCE / "betti.py"
+    found = []
+    for top in ast.parse(path.read_text(), filename=str(path)).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitAnd) \
+                    and isinstance(node.right, ast.UnaryOp) \
+                    and isinstance(node.right.op, ast.USub) \
+                    and ast.unparse(node.right.operand) == ast.unparse(node.left):
+                found.append(getattr(top, "name", None))
+    assert sorted(found) == ["_closure", "_strand_rows", "taylor_strand_betti"], found
+
+
 def test_factorial_loops_stay_behind_the_permutation_guard():
     # every n! enumeration goes through all_variable_orders, which checks the
     # guard first; the guard is the one reader of the environment
