@@ -5,14 +5,14 @@ from fractions import Fraction
 from functools import reduce
 from itertools import compress
 from math import comb
-from operator import and_, gt, le
+from operator import and_, gt, le, or_
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polymat as pm
-from conftest import I, M, small_ideals, squarefree_veronese, veronese
+from conftest import I, M, random_ideal, small_ideals, squarefree_veronese, veronese
 from polymat import betti
 
 # The minimal triangulation of the real projective plane: rational
@@ -211,6 +211,20 @@ def variable_bits(mask: int, width: int) -> int:
     bits = [b for b in range(mask.bit_length()) if mask >> b & 1]
     assert all(b % width == width - 1 for b in bits), (bin(mask), width)
     return sum(1 << (b // width) for b in bits)
+
+
+def relabeled(slack, width: int) -> tuple[int, ...]:
+    """Slack masks over the guard bits, read back over the variables, with
+    the variables they use renumbered 0, 1, ... in increasing order: the
+    shape of the complex, as a sorted tuple, written out variable by variable."""
+    masks = [variable_bits(f, width) for f in slack]
+    used = [t for t in range(max(masks).bit_length()) if any(m >> t & 1 for m in masks)]
+    return tuple(sorted(sum(1 << k for k, t in enumerate(used) if m >> t & 1) for m in masks))
+
+
+def non_cone_slacks(ideal: pm.MonomialIdeal) -> list[set[int]]:
+    """The slack masks of K^alpha at every lattice point that is not a cone."""
+    return [slack for slack in koszul_slacks(ideal) if not betti._is_cone(slack)]
 
 
 # exponents either side of a field-width step: 0, 2^k - 1 and 2^k
@@ -451,7 +465,9 @@ class TestKoszulFaces:
 
     def test_graded_betti_skips_exactly_the_cones(self, monkeypatch):
         # Veronese (5,2): a cone at 131 of its 237 lattice points, named here
-        # by the AND of the brute-force facets over the variables
+        # by the AND of the brute-force facets over the variables.  Exactly
+        # the other 106 slack sets are shaped, and each of their 17 distinct
+        # shapes is closed once
         ideal = veronese(5, 2)
         exps = [g.exponents for g in ideal.gens]
         gens, guards, width = betti._packed(exps)
@@ -461,12 +477,16 @@ class TestKoszulFaces:
             slack = frozenset(betti._koszul_slack(gens, alpha, guards, width))
             (cones if reduce(and_, facets) else others).append(slack)
         assert (len(cones), len(others)) == (131, 106)
-        closed = []
-        closure = betti._closure
-        monkeypatch.setattr(betti, "_closure", lambda masks: closed.append(frozenset(masks))
+        shaped, closed = [], []
+        shape, closure = betti._shape, betti._closure
+        monkeypatch.setattr(betti, "_shape", lambda masks, n, width: shaped.append(
+            frozenset(masks)) or shape(masks, n, width))
+        monkeypatch.setattr(betti, "_closure", lambda masks: closed.append(tuple(masks))
                             or closure(masks))
         betti.graded_betti(ideal)
-        assert Counter(closed) == Counter(others)
+        assert Counter(shaped) == Counter(others)
+        assert Counter(closed) == Counter({relabeled(slack, width): 1 for slack in others})
+        assert len(closed) == 17
 
     @given(exponent_pairs())
     @settings(max_examples=300, deadline=None)
@@ -524,6 +544,85 @@ class TestKoszulFaces:
         assert betti._strand_rows([0b011, 0b100, 0b101, 0b111]) == [
             {}, {0b100: {}}, {0b011: {}, 0b101: {0b100: 1}}, {0b111: {0b101: -1, 0b011: 1}},
         ]
+
+
+@st.composite
+def guard_bit_masks(draw):
+    """Masks over n variables, as a set, and the guard-bit masks standing
+    for them at a field width w: variable t at bit t*w + w - 1."""
+    n = draw(st.integers(1, 7))
+    width = draw(st.integers(2, 5))
+    masks = draw(st.sets(st.integers(0, 2**n - 1), min_size=1, max_size=10))
+    guard = {sum(1 << (t * width + width - 1) for t in range(n) if m >> t & 1) for m in masks}
+    return n, width, masks, guard
+
+
+class TestShapeMemo:
+    """graded_betti ranks each complex through its shape, once per call."""
+
+    @pytest.mark.parametrize("ideal", [
+        veronese(5, 2), veronese(4, 3), squarefree_veronese(7, 3), pm.remark_ideal(),
+    ], ids=["veronese-5-2", "veronese-4-3", "sqfree-veronese-7-3", "remark"])
+    def test_shape_ranks_equal_slack_ranks(self, ideal):
+        width = betti._packed([g.exponents for g in ideal.gens])[2]
+        slacks = non_cone_slacks(ideal)
+        assert slacks
+        for slack in slacks:
+            shape = betti._shape(slack, ideal.n, width)
+            assert shape == relabeled(slack, width)
+            assert betti._reduced_ranks(betti._closure(shape)) == \
+                betti._reduced_ranks(betti._closure(slack))
+
+    @given(st.one_of(small_ideals(), st.randoms(use_true_random=False).map(random_mixed_ideal)))
+    @settings(max_examples=60, deadline=None)
+    def test_shape_ranks_equal_slack_ranks_random(self, ideal):
+        width = betti._packed([g.exponents for g in ideal.gens])[2]
+        for slack in non_cone_slacks(ideal):
+            assert betti._reduced_ranks(betti._closure(betti._shape(slack, ideal.n, width))) == \
+                betti._reduced_ranks(betti._closure(slack))
+
+    @given(guard_bit_masks())
+    @settings(max_examples=500, deadline=None)
+    def test_shape_is_an_order_preserving_bijection_onto_range_k(self, case):
+        n, width, masks, guard = case
+        shape = betti._shape(guard, n, width)
+        used = [t for t in range(n) if any(m >> t & 1 for m in masks)]
+        label = {t: k for k, t in enumerate(used)}  # increasing, onto range(len(used))
+        assert shape == tuple(sorted(sum(1 << label[t] for t in used if m >> t & 1)
+                                     for m in masks))
+        assert reduce(or_, shape) == (1 << len(used)) - 1
+        assert len(set(shape)) == len(masks)
+
+    def test_table_equals_the_ranks_of_every_slack_set(self):
+        # no memo: each non-cone K^alpha closed and ranked on its own slack
+        # masks.  Random (4,3) ideals of up to 14 generators have many
+        # non-cone points, some of whose shapes differ in one mask only
+        ideals = [random_ideal(random.Random(seed), 4, 3, 14) for seed in range(60)]
+        for ideal in ideals + [veronese(5, 2), veronese(4, 3), squarefree_veronese(7, 3)]:
+            gens, guards, width = betti._packed([g.exponents for g in ideal.gens])
+            table = Counter()
+            for alpha in betti.lcm_lattice(gens, guards, width):
+                slack = betti._koszul_slack(gens, alpha, guards, width)
+                if not betti._is_cone(slack):
+                    deg = sum(unpack(alpha, ideal.n, width))
+                    for i, h in enumerate(betti._reduced_ranks(betti._closure(slack))):
+                        table[i, deg] += h
+            assert pm.graded_betti(ideal) == pm.BettiTable.from_dict(table), ideal
+
+    def test_memo_lives_for_one_call(self, monkeypatch):
+        # squarefree Veronese (7,3): 99 non-cone points of 5 shapes; a second
+        # call closes all 5 again
+        ideal = squarefree_veronese(7, 3)
+        assert len(non_cone_slacks(ideal)) == 99
+        closed = []
+        closure = betti._closure
+        monkeypatch.setattr(betti, "_closure", lambda masks: closed.append(tuple(masks))
+                            or closure(masks))
+        table = betti.graded_betti(ideal)
+        first = list(closed)
+        assert len(first) == len(set(first)) == 5
+        assert betti.graded_betti(ideal) == table
+        assert sorted(closed[5:]) == sorted(first)
 
 
 class TestReducedHomology:
@@ -687,6 +786,32 @@ class TestHasLinearResolution:
                 assert pm.graded_betti(ideal).as_dict() == {
                     (i, i + 1): comb(k, i + 1) for i in range(k)
                 }, ideal
+
+    @pytest.mark.parametrize("n, d", [(3, 2), (2, 4), (4, 2), (3, 3)])
+    def test_agrees_with_the_table_on_every_mask(self, n, d):
+        # the early exit gives the same answer as the whole table
+        size = len(pm.monomials_of_degree(n, d).elems)
+        verdicts = Counter()
+        for mask in range(1, 1 << size):
+            ideal = pm.ideal_from_mask(n, d, mask)
+            linear = pm.has_linear_resolution(ideal)
+            assert linear == pm.graded_betti(ideal).is_linear(d), ideal
+            verdicts[linear] += 1
+        assert verdicts[True] and verdicts[False]
+
+    def test_stops_at_the_first_point_off_the_strand(self, monkeypatch):
+        # x1^2 + x1*x2 + x2^2 + x3^2 has 13 lattice points; the answer is no
+        # at the third one visited
+        ideal = I("x1^2 + x1*x2 + x2^2 + x3^2")
+        visited = []
+        slack = betti._koszul_slack
+        monkeypatch.setattr(betti, "_koszul_slack", lambda *args: visited.append(args[1])
+                            or slack(*args))
+        assert not pm.graded_betti(ideal).is_linear(2)
+        points = len(visited)
+        visited.clear()
+        assert not pm.has_linear_resolution(ideal)
+        assert (points, len(visited)) == (13, 3)
 
     def test_two_variable_linear_resolution_matches_exchange(self):
         for d in range(1, 6):

@@ -103,6 +103,34 @@ def test_faces_are_expanded_in_one_walk():
     assert sorted(found) == ["_closure", "_strand_rows", "taylor_strand_betti"], found
 
 
+def test_betti_holds_no_module_level_container():
+    # the shape memo of graded_betti lives for one call: betti.py binds no
+    # dict, set or list at module level, in a class body or as a default
+    # argument, where it would outlive the call and grow for the process
+    path = SOURCE / "betti.py"
+    displays = (ast.Dict, ast.Set, ast.List, ast.DictComp, ast.SetComp, ast.ListComp)
+    found = []
+
+    def is_container(node):
+        return isinstance(node, displays) or isinstance(node, ast.Call) \
+            and ast.unparse(node.func) in ("dict", "set", "list")
+
+    def visit(body):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(node.body)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defaults = node.args.defaults + [v for v in node.args.kw_defaults if v]
+                found.extend(f"betti.py:{v.lineno} default {ast.unparse(v)}"
+                             for v in defaults if is_container(v))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)) \
+                    and node.value is not None and is_container(node.value):
+                found.append(f"betti.py:{node.lineno} {ast.unparse(node)}")
+
+    visit(ast.parse(path.read_text(), filename=str(path)).body)
+    assert not found, found
+
+
 def test_factorial_loops_stay_behind_the_permutation_guard():
     # every n! enumeration goes through all_variable_orders, which checks the
     # guard first; the guard is the one reader of the environment
