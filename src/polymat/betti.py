@@ -17,8 +17,8 @@ card (number of bits) by card from the top down, each face's signed
 boundary row recorded as the face is expanded into the card below, and
 ranked once from those rows; the other points of that shape reuse its
 ranks.  Polymatroidal ideals have few shapes: squarefree Veronese (10,3)
-has 8 among its 968 lattice points.  has_linear_resolution walks the
-same points and says no at the first homology off the linear strand.
+has 8 among its 968 lattice points.  has_linear_resolution reads the
+whole table, with no early exit at the first homology off the strand.
 The oracle route reads the same numbers off the multigraded strands of
 the Taylor complex on the generators, which costs 2^|G| and is gated
 accordingly; it ranks every strand on its own.
@@ -46,7 +46,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterator
 
 from .core import MonomialIdeal, _instance, _integers
 from .errors import OracleUnavailableError, UnitIdealError
@@ -266,16 +265,18 @@ def _shape(masks, n: int, width: int) -> tuple[int, ...]:
     return tuple(sorted(sum(mask >> shift & bit for shift, bit in moves) for mask in masks))
 
 
-def _koszul_homology(I: MonomialIdeal) -> Iterator[tuple[int, int, int]]:
-    """(i, degree, rank) for each non-zero reduced homology rank of a K^alpha,
-    lattice point by lattice point: beta_{i, degree} gets rank.
+def graded_betti(I: MonomialIdeal) -> BettiTable:
+    """Graded Betti numbers via homology of upper-Koszul complexes over the lcm lattice.
 
     A cone is skipped; any other K^alpha is ranked through its shape, and
     each distinct shape is closed and ranked once per call.
     """
+    if _instance(I, MonomialIdeal, "ideal").is_unit:
+        raise UnitIdealError("the unit ideal has nothing to resolve")
     gens, guards, width = _packed([g.exponents for g in I.gens])
     field = (1 << width) - 1
     ranked: dict[tuple[int, ...], list[int]] = {}  # shape -> reduced ranks, this call only
+    table: dict[tuple[int, int], int] = {}
     for alpha in lcm_lattice(gens, guards, width):
         # alpha is a multiple of some generator, so there is at least one facet
         slack = _koszul_slack(gens, alpha, guards, width)
@@ -288,16 +289,7 @@ def _koszul_homology(I: MonomialIdeal) -> Iterator[tuple[int, int, int]]:
         deg = sum(alpha >> s & field for s in range(0, I.n * width, width))
         for i, h in enumerate(homology):
             if h:
-                yield i, deg, h
-
-
-def graded_betti(I: MonomialIdeal) -> BettiTable:
-    """Graded Betti numbers via homology of upper-Koszul complexes over the lcm lattice."""
-    if _instance(I, MonomialIdeal, "ideal").is_unit:
-        raise UnitIdealError("the unit ideal has nothing to resolve")
-    table: dict[tuple[int, int], int] = {}
-    for i, deg, h in _koszul_homology(I):
-        table[(i, deg)] = table.get((i, deg), 0) + h
+                table[(i, deg)] = table.get((i, deg), 0) + h
     return BettiTable.from_dict(table)
 
 
@@ -356,13 +348,13 @@ def taylor_strand_betti(I: MonomialIdeal) -> BettiTable:
 def has_linear_resolution(I: MonomialIdeal) -> bool:
     """Equigenerated in degree d with every Betti entry on the strand j = i + d.
 
-    The answer is no at the first lattice point with homology off the
-    strand, without the rest of the table.  The unit ideal counts as
-    having a linear resolution.
+    The whole table is computed, whatever the answer, so the cost does not
+    depend on where the first entry off the strand lies.  The unit ideal
+    counts as having a linear resolution.
     """
     if _instance(I, MonomialIdeal, "ideal").is_unit:
         return True
     d = I.is_equigenerated()
     if d is None:
         return False
-    return all(deg == i + d for i, deg, _ in _koszul_homology(I))
+    return graded_betti(I).is_linear(d)

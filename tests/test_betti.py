@@ -789,7 +789,7 @@ class TestHasLinearResolution:
 
     @pytest.mark.parametrize("n, d", [(3, 2), (2, 4), (4, 2), (3, 3)])
     def test_agrees_with_the_table_on_every_mask(self, n, d):
-        # the early exit gives the same answer as the whole table
+        # the verdict is the table's, and both verdicts occur
         size = len(pm.monomials_of_degree(n, d).elems)
         verdicts = Counter()
         for mask in range(1, 1 << size):
@@ -798,20 +798,6 @@ class TestHasLinearResolution:
             assert linear == pm.graded_betti(ideal).is_linear(d), ideal
             verdicts[linear] += 1
         assert verdicts[True] and verdicts[False]
-
-    def test_stops_at_the_first_point_off_the_strand(self, monkeypatch):
-        # x1^2 + x1*x2 + x2^2 + x3^2 has 13 lattice points; the answer is no
-        # at the third one visited
-        ideal = I("x1^2 + x1*x2 + x2^2 + x3^2")
-        visited = []
-        slack = betti._koszul_slack
-        monkeypatch.setattr(betti, "_koszul_slack", lambda *args: visited.append(args[1])
-                            or slack(*args))
-        assert not pm.graded_betti(ideal).is_linear(2)
-        points = len(visited)
-        visited.clear()
-        assert not pm.has_linear_resolution(ideal)
-        assert (points, len(visited)) == (13, 3)
 
     def test_two_variable_linear_resolution_matches_exchange(self):
         for d in range(1, 6):
