@@ -14,11 +14,13 @@ K^a is determined by its slack masks, and relabeling the vertices they
 use onto 0..k-1 in increasing order gives the same complex with the same
 boundary signs: its shape.  Each distinct shape is closed once per call,
 card (number of bits) by card from the top down, each face's signed
-boundary row recorded as the face is expanded into the card below, and
-ranked once from those rows; the other points of that shape reuse its
-ranks.  Polymatroidal ideals have few shapes: squarefree Veronese (10,3)
-has 8 among its 968 lattice points.  has_linear_resolution reads the
-whole table, with no early exit at the first homology off the strand.
+boundary row recorded as the face is expanded into the card below; each
+card is ranked as soon as it is closed and is then released, so only the
+pivots of the card above outlive it.  The other points of that shape
+reuse its ranks.  Polymatroidal ideals have few shapes: squarefree
+Veronese (10,3) has 8 among its 968 lattice points.  has_linear_resolution
+reads the whole table, with no early exit at the first homology off the
+strand.
 The oracle route reads the same numbers off the multigraded strands of
 the Taylor complex on the generators, which costs 2^|G| and is gated
 accordingly; it ranks every strand on its own.
@@ -90,11 +92,12 @@ def integer_rank(rows: list[dict[int, int]]) -> dict[int, dict[int, int]]:
     return pivots
 
 
-def _reduced_ranks(cards: list[dict[int, dict[int, int]]]) -> list[int]:
+def _reduced_ranks(cards) -> list[int]:
     """Reduced homology ranks indexed from dimension -1 upward, from the
-    boundary rows of a complex by card, ranked top card first with clearing.
+    boundary rows of a complex by card, top card first, each card ranked
+    with clearing as it arrives.
 
-    cards[c] maps each face of card c to its boundary row over the faces
+    Each card maps each face of card c to its boundary row over the faces
     of card c-1, and the rows of each card go in increasing face order.
     Every face that leads a pivot of the card above is left out
     (clearing: Chen-Kerber, Persistent homology computation with a twist,
@@ -102,15 +105,17 @@ def _reduced_ranks(cards: list[dict[int, dict[int, int]]]) -> list[int]:
     is a combination of boundaries, so a cycle, and its leading entry
     writes the left-out face's boundary as a combination of earlier faces'
     boundaries, which by induction lie in the span of the rows ranked:
-    leaving it out keeps the rank.
+    leaving it out keeps the rank.  Only those pivots outlive their card,
+    and the homology of a card is its faces less the rank of its boundary
+    and of the boundary above.
     """
-    ranks = [0] * (len(cards) + 1)
+    homology: list[int] = []  # top card first
     cleared: dict[int, dict[int, int]] = {}  # the pivots of the card above
-    for card in range(len(cards) - 1, 0, -1):
-        cleared = integer_rank(
-            [row for face, row in sorted(cards[card].items()) if face not in cleared])
-        ranks[card] = len(cleared)
-    return [len(faces) - ranks[card] - ranks[card + 1] for card, faces in enumerate(cards)]
+    for rows in cards:
+        above = len(cleared)
+        cleared = integer_rank([row for face, row in sorted(rows.items()) if face not in cleared])
+        homology.append(len(rows) - len(cleared) - above)
+    return homology[::-1]
 
 
 @dataclass(frozen=True)
@@ -222,21 +227,22 @@ def _is_cone(masks) -> bool:
     return True
 
 
-def _closure(masks) -> list[dict[int, dict[int, int]]]:
-    """Every submask of the given masks with its boundary row, by card.
+def _closure(masks):
+    """Every submask of the given masks with its boundary row, one card at
+    a time from the top card down.
 
-    cards[c] maps each face of card c to its boundary over card c-1: the
-    masks one bit smaller, lowest removed bit first, signed +1, -1, +1, ...
-    The walk goes from the top card down, and each face's row is built as
-    the face is expanded into the card below, so each face is expanded once.
+    Each card yielded maps each face of card c to its boundary over card
+    c-1: the masks one bit smaller, lowest removed bit first, signed +1,
+    -1, +1, ...  Each face's row is built as the face is expanded into the
+    card below, so each face is expanded once, and a card's face set is
+    dropped as its rows are yielded.
     """
     faces = [set() for _ in range(max(map(int.bit_count, masks), default=-1) + 1)]
     for mask in masks:
         faces[mask.bit_count()].add(mask)
-    cards: list[dict[int, dict[int, int]]] = [{} for _ in faces]
     for card in range(len(faces) - 1, -1, -1):
-        rows, below = cards[card], faces[card - 1] if card else set()
-        for face in faces[card]:
+        rows, below = {}, faces[card - 1] if card else set()
+        for face in faces.pop():
             row = rows[face] = {}
             sign, rest = 1, face
             while rest:
@@ -244,7 +250,7 @@ def _closure(masks) -> list[dict[int, dict[int, int]]]:
                 row[face ^ low] = sign
                 sign, rest = -sign, rest ^ low
             below.update(row)
-    return cards
+        yield rows
 
 
 def _shape(masks, n: int, width: int) -> tuple[int, ...]:
@@ -294,14 +300,14 @@ def graded_betti(I: MonomialIdeal) -> BettiTable:
 
 
 def _strand_rows(masks: list[int]) -> list[dict[int, dict[int, int]]]:
-    """Rows by card as _closure gives them, for a Taylor strand, which is not
-    closed: each row keeps only the targets among the given masks, signed
-    by the place of the removed bit."""
+    """Rows by card, top card first, as _closure yields them, for a Taylor
+    strand, which is not closed: each row keeps only the targets among the
+    given masks, signed by the place of the removed bit."""
     strand = set(masks)
     top = max(map(int.bit_count, masks))
     cards: list[dict[int, dict[int, int]]] = [{} for _ in range(top + 1)]
     for mask in masks:
-        row = cards[mask.bit_count()][mask] = {}
+        row = cards[top - mask.bit_count()][mask] = {}
         sign, rest = 1, mask
         while rest:
             low = rest & -rest

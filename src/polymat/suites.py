@@ -28,7 +28,6 @@ from __future__ import annotations
 import os
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
 from operator import or_
@@ -180,6 +179,9 @@ def _run_suite(
     if workers == 1:
         verdicts = _verdict_chunk(tasks[0])
     else:
+        # imported where a pool starts: its modules (multiprocessing, logging,
+        # socket, pickle) would otherwise load on every `import polymat`
+        from concurrent.futures import ProcessPoolExecutor
         verdicts = [None] * len(masks)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for k, part in enumerate(pool.map(_verdict_chunk, tasks)):
@@ -296,11 +298,6 @@ def _linear_on_tables(layer: _CorpusLayer, z: int, members: list[int],
     return tables.failure_at(lifted, tables.identity) is None
 
 
-def _variables(z: int) -> list[int]:
-    """The 1-based variables of a substitution mask, bit i - 1 standing for x_i."""
-    return [i + 1 for i in range(z.bit_length()) if z >> i & 1]
-
-
 def _localization_verdict(layer: _CorpusLayer, index: int, mask: int) -> dict:
     out = layer.fields(index, mask)
     if layer.exchange_failure(mask) is not None:
@@ -309,9 +306,6 @@ def _localization_verdict(layer: _CorpusLayer, index: int, mask: int) -> dict:
     out["checked"] = proper = (1 << layer.n) - 1  # every substitution but the one of all variables
     out["violations"] = []
     out["verdict"] = "all_linear"
-    if not mask & (mask - 1):
-        # one generator: every localization is principal or the unit ideal
-        return out
     members = _bits(mask)
     images_of = [layer.images[b] for b in members]
     # a substitution acts through the variables of the ideal's support only, so
@@ -329,7 +323,9 @@ def _localization_verdict(layer: _CorpusLayer, index: int, mask: int) -> dict:
                 violating.add(z)
         z = (z - support) & support  # the next submask of support, ascending
     if violating:
-        out["violations"] = [_variables(sub) for sub in range(proper) if sub & support in violating]
+        # bit i - 1 of a substitution stands for x_i
+        out["violations"] = [[i + 1 for i in _bits(sub)]
+                             for sub in range(proper) if sub & support in violating]
         out["verdict"] = "VIOLATION"
     return out
 
@@ -339,13 +335,13 @@ def run_localization_probe(spec: CorpusSpec, jobs: int = 1) -> CheckReport:
     x_i -> 1 must leave an ideal with a linear resolution.
 
     A polymatroidal mask builds no localization where the slice's tables
-    certify it linear.  One generator leaves principal or unit ideals, both
-    linear.  A substitution that sends a generator to 1 leaves the unit
-    ideal, which counts as linear, and one whose images of least degree
-    generate the localization and have identity revlex linear quotients
-    leaves a linear ideal (Herzog-Takayama).  Any other substitution builds
-    its localization from the generators' exponents and asks
-    has_linear_resolution, so a VIOLATION always comes from homology.
+    certify it linear.  A substitution that sends a generator to 1 leaves
+    the unit ideal, which counts as linear, and one whose images of least
+    degree generate the localization and have identity revlex linear
+    quotients leaves a linear ideal (Herzog-Takayama); one generator always
+    does.  Any other substitution builds its localization from the
+    generators' exponents and asks has_linear_resolution, so a VIOLATION
+    always comes from homology.
     """
     return _run_suite("localization", _localization_verdict, spec, jobs)
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
@@ -62,8 +63,9 @@ def all_faces(cards: list[dict[int, dict[int, int]]]) -> set[int]:
 
 
 def faces_by_card(cards: list[dict[int, dict[int, int]]]) -> dict[int, set[int]]:
-    """The faces of each card, without their rows."""
-    return {card: set(rows) for card, rows in enumerate(cards)}
+    """The faces of each card, without their rows, from the cards top card
+    first down to card 0."""
+    return {len(cards) - 1 - k: set(rows) for k, rows in enumerate(cards)}
 
 
 def signed_boundary(face: int) -> dict[int, int]:
@@ -342,10 +344,10 @@ class TestIntegerRank:
 
     def test_projective_plane_boundaries(self, gcd_calls, ranked):
         assert homology_ranks(RP2_FACETS) == [0, 0, 0, 0]
-        # one row per face, top card first; clearing leaves 5 of the 15 edges
-        # and 1 of the 6 vertices
-        assert [(len(rows), len(dense(rows)[0])) for rows in ranked] == [
-            (10, 15), (5, 6), (1, 1)
+        # (rows, columns) of each card, top card first; clearing leaves 5 of
+        # the 15 edges, 1 of the 6 vertices and not the empty face
+        assert [(len(rows), len(set().union(*rows))) for rows in ranked] == [
+            (10, 15), (5, 6), (1, 1), (0, 0)
         ]
         for rows in ranked:
             mat = dense(rows)
@@ -382,10 +384,10 @@ class TestClearing:
         monkeypatch.setattr(betti, "integer_rank", counted)
         rng = random.Random(9)
         ideals = [random_mixed_ideal(rng) for _ in range(40)]
-        complexes = [betti._closure(slack) for ideal in ideals + [veronese(4, 2)]
+        complexes = [list(betti._closure(slack)) for ideal in ideals + [veronese(4, 2)]
                      for slack in koszul_slacks(ideal)]
         complexes += [
-            betti._closure(vertex_masks(facets))
+            list(betti._closure(vertex_masks(facets)))
             for facets in (RP2_FACETS, list(itertools.combinations(range(4), 3)))
         ]
         strands = [betti._strand_rows(masks) for ideal in ideals for masks in taylor_strands(ideal)]
@@ -397,7 +399,8 @@ class TestClearing:
             assert betti._reduced_ranks(cards) == [
                 len(by_card[card]) - whole[card] - whole[card + 1] for card in range(len(cards))
             ]
-            assert ranks == whole[-2:0:-1]
+            # card 0 is ranked too, and its boundary has rank 0
+            assert ranks == whole[-2::-1]
 
     def test_cleared_faces_are_not_ranked(self, ranked):
         ideal = veronese(4, 2)
@@ -408,8 +411,9 @@ class TestClearing:
         assert 0 < sum(map(len, ranked)) < faces
 
     def test_exactly_the_uncleared_faces_are_ranked(self, monkeypatch):
-        # each card ranks the rows of its faces, in increasing face order,
-        # except the faces that lead a pivot of the card above
+        # each card, top card first, ranks the rows of its faces, in
+        # increasing face order, except the faces that lead a pivot of the
+        # card above
         calls = []  # (the ids of the rows given, the pivots found), top card first
 
         def recorded(rows):
@@ -420,15 +424,17 @@ class TestClearing:
         rng = random.Random(9)
         slacks = [slack for _ in range(40) for slack in koszul_slacks(random_mixed_ideal(rng))]
         cleared_some = False
-        for cards in [betti._closure(slack) for slack in slacks if not betti._is_cone(slack)] + [
-            betti._closure(vertex_masks(RP2_FACETS))
+        for cards in [list(betti._closure(slack)) for slack in slacks
+                      if not betti._is_cone(slack)] + [
+            list(betti._closure(vertex_masks(RP2_FACETS)))
         ]:
             face_of = {id(row): face for rows in cards for face, row in rows.items()}
             calls.clear()
             betti._reduced_ranks(cards)
+            assert len(calls) == len(cards)
             pivots: dict = {}
-            for card, (ids, found) in zip(range(len(cards) - 1, 0, -1), calls):
-                assert [face_of[i] for i in ids] == sorted(set(cards[card]) - set(pivots))
+            for rows, (ids, found) in zip(cards, calls):
+                assert [face_of[i] for i in ids] == sorted(set(rows) - set(pivots))
                 cleared_some |= bool(pivots)
                 pivots = found
         assert cleared_some
@@ -511,9 +517,11 @@ class TestKoszulFaces:
     def test_closure_matches_submask_oracle(self, masks, cuts, with_empty):
         # nested masks (each mask cut down by another), repeats and the empty mask
         masks = masks + [m & c for m, c in zip(masks, cuts)] + masks[:2] + [0] * with_empty
-        cards = betti._closure(masks)
+        cards = list(betti._closure(masks))
         assert all_faces(cards) == faces_of(masks)
-        assert all(f.bit_count() == card for card, rows in enumerate(cards) for f in rows)
+        # top card first, down to card 0
+        assert all(f.bit_count() == len(cards) - 1 - k for k, rows in enumerate(cards)
+                   for f in rows)
         # each row: exactly the one-bit-smaller masks, signed by place
         assert all(row == signed_boundary(f) for rows in cards for f, row in rows.items())
         assert betti._is_cone(masks) == bool(reduce(and_, maximal(masks), -1))
@@ -524,17 +532,28 @@ class TestKoszulFaces:
         assert betti._is_cone([0b011, 0b110, 0b010, 0b110])
         assert not betti._is_cone([0b1, 0b10, 0])
         assert not betti._is_cone([0])
-        assert betti._closure([0b1, 0b10, 0]) == [{0: {}}, {0b1: {0: 1}, 0b10: {0: 1}}]
-        assert betti._closure([0b11]) == [{0: {}}, {0b1: {0: 1}, 0b10: {0: 1}},
-                                          {0b11: {0b10: 1, 0b1: -1}}]
-        assert betti._closure([]) == []
+        assert list(betti._closure([0b1, 0b10, 0])) == [{0b1: {0: 1}, 0b10: {0: 1}}, {0: {}}]
+        assert list(betti._closure([0b11])) == [{0b11: {0b10: 1, 0b1: -1}},
+                                                {0b1: {0: 1}, 0b10: {0: 1}}, {0: {}}]
+        assert list(betti._closure([])) == []
+
+    def test_closure_yields_one_card_at_a_time_top_first(self):
+        # a generator: the top card comes out before any card below is built
+        cards = betti._closure([0b111, 0b1000])
+        assert iter(cards) is cards
+        assert next(cards) == {0b111: {0b110: 1, 0b101: -1, 0b011: 1}}
+        assert [sorted(rows) for rows in cards] == [
+            [0b011, 0b101, 0b110], [0b1, 0b10, 0b100, 0b1000], [0]
+        ]
 
     @given(st.sets(st.integers(1, 2**6 - 1), min_size=1, max_size=12))
     @settings(max_examples=300, deadline=None)
     def test_strand_rows_keep_only_the_given_targets(self, masks):
         cards = betti._strand_rows(sorted(masks))
         assert all_faces(cards) == masks
-        assert all(f.bit_count() == card for card, rows in enumerate(cards) for f in rows)
+        # top card first, down to card 0, as _closure yields them
+        assert all(f.bit_count() == len(cards) - 1 - k for k, rows in enumerate(cards)
+                   for f in rows)
         assert all(row == {t: sign for t, sign in signed_boundary(f).items() if t in masks}
                    for rows in cards for f, row in rows.items())
 
@@ -542,7 +561,7 @@ class TestKoszulFaces:
         # 0b111 drops 0b110 (place 0, not in the strand), keeps 0b101 at
         # place 1 (-1) and 0b011 at place 2 (+1)
         assert betti._strand_rows([0b011, 0b100, 0b101, 0b111]) == [
-            {}, {0b100: {}}, {0b011: {}, 0b101: {0b100: 1}}, {0b111: {0b101: -1, 0b011: 1}},
+            {0b111: {0b101: -1, 0b011: 1}}, {0b011: {}, 0b101: {0b100: 1}}, {0b100: {}}, {},
         ]
 
 
@@ -683,6 +702,19 @@ class TestGradedBetti:
         assert first > 0
         assert pm.graded_betti(ideal) == table
         assert len(ranked) == 2 * first
+
+    def test_memory_holds_one_card_at_a_time(self):
+        # squarefree Veronese (10,3): each card's rows are released once the
+        # card is ranked, so a warm call peaks near 0.34 MB; holding every
+        # card of a complex until all are ranked peaked at 0.54 MB
+        ideal = squarefree_veronese(10, 3)
+        table = pm.graded_betti(ideal)
+        tracemalloc.start()
+        again = pm.graded_betti(ideal)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert again == table
+        assert peak < 450_000, peak
 
 
 class TestTaylorOracle:

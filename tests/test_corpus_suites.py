@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import itertools
 import json
@@ -463,10 +464,14 @@ class TestLocalizationSuite:
                 assert verdict["verdict"] == "all_linear"
 
     def test_memory_does_not_grow_with_the_substitutions(self, monkeypatch):
-        # one linear generator: 2^n - 1 proper substitutions, half of them leave
-        # the unit ideal.  The fallback's homology is stubbed out, so the peak is
-        # the loop's own: a set of the unit substitutions would grow with 2^n
-        monkeypatch.setattr(suites, "has_linear_resolution", lambda ideal: True)
+        # one linear generator x_n: the verdict counts 2^n - 1 proper
+        # substitutions, but the walk decides only the restriction z = 0 to its
+        # one-variable support, on the tables alone.  The peak of a cold verdict,
+        # its tables built on the way, must not grow with the substitutions
+        def refused(ideal):
+            raise AssertionError(f"homology asked for {ideal}")
+
+        monkeypatch.setattr(suites, "has_linear_resolution", refused)
         peaks = []
         for n in (10, 16):
             layer = suites._CorpusLayer(n, 1)
@@ -478,9 +483,9 @@ class TestLocalizationSuite:
         assert peaks[1] < peaks[0] + 20_000, peaks
 
     def test_two_generators_decide_in_memory_independent_of_n(self):
-        # a one-generator mask returns before the loop, so two linear generators
-        # run it: their support has 3 proper restrictions whatever n is, and the
-        # peak of a warm verdict must not grow with the 2^n - 1 substitutions
+        # two linear generators: their support has 3 proper restrictions
+        # whatever n is, and the peak of a warm verdict must not grow with the
+        # 2^n - 1 substitutions
         peaks = []
         for n in (10, 16):
             layer = suites._CorpusLayer(n, 1)
@@ -518,13 +523,12 @@ class TestLocalizationSuite:
                 if not local.is_unit:
                     assert linear == certified(local), (ideal, sub)
                 checked += 1
-            if len(members) > 1:  # one generator returns before the loop
-                fallback.clear()
-                with monkeypatch.context() as forced:
-                    forced.setattr(suites, "_linear_on_tables", lambda *args: False)
-                    suites._localization_verdict(layer, 0, mask)
-                assert fallback == [ideal.localize(substituted(n, z))
-                                    for z in restrictions(ideal)], ideal
+            fallback.clear()
+            with monkeypatch.context() as forced:
+                forced.setattr(suites, "_linear_on_tables", lambda *args: False)
+                suites._localization_verdict(layer, 0, mask)
+            assert fallback == [ideal.localize(substituted(n, z))
+                                for z in restrictions(ideal)], ideal
         assert checked > 0
 
     @pytest.mark.parametrize("n, d", [(3, 3), (4, 2)])
@@ -706,7 +710,7 @@ class TestWorkerPool:
                 calls.append((self.max_workers, tasks))
                 return map(fn, [pickle.loads(pickle.dumps(task)) for task in tasks])
 
-        monkeypatch.setattr(suites, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         return calls
 
     @pytest.fixture
@@ -927,12 +931,12 @@ class TestReportDeterminism:
         monkeypatch.setattr(suites, "_usable_cpus", lambda: 2)
         started = []
 
-        class CountingPool(suites.ProcessPoolExecutor):
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, max_workers):
                 started.append(max_workers)
                 super().__init__(max_workers)
 
-        monkeypatch.setattr(suites, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
         spec = pm.CorpusSpec(n=3, d=4, start_mask=2**15 - 2 * suites._MIN_SLICE - 1)
         # to_json's indented rendering is the pure-Python encoder, about 1.5 s
         # a report here; the C encoder renders the same keys and values

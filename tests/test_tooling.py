@@ -2,7 +2,10 @@ import ast
 import builtins
 import importlib
 import io
+import os
 import re
+import subprocess
+import sys
 import tokenize
 import types
 from pathlib import Path
@@ -185,6 +188,20 @@ def test_suites_localize_no_ideal():
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
              and node.func.attr == "localize"]
     assert not found, found
+
+
+def test_import_loads_no_process_pool():
+    # concurrent.futures and multiprocessing load where a pool starts, which
+    # no corpus under suites._MIN_SLICE needs; a fresh interpreter shows what
+    # `import polymat` itself brings in
+    paths = [str(SOURCE.parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    code = ("import sys, polymat; print(sorted(m for m in sys.modules"
+            " if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    child = subprocess.run([sys.executable, "-c", code],
+                           capture_output=True, text=True, env=env, check=False)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == "[]\n", child.stdout
 
 
 def test_permutation_guard_is_checked_where_orders_are_searched():
