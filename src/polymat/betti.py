@@ -12,18 +12,31 @@ first: when one vertex lies in every facet, K^a is a cone and contributes
 nothing, so that point is skipped before any face is built.  Any other
 K^a is determined by its slack masks, and relabeling the vertices they
 use onto 0..k-1 in increasing order gives the same complex with the same
-boundary signs: its shape.  Each distinct shape is closed once per call,
-card (number of bits) by card from the top down, each face's signed
-boundary row recorded as the face is expanded into the card below; each
-card is ranked as soon as it is closed and is then released, so only the
-pivots of the card above outlive it.  The other points of that shape
-reuse its ranks.  Polymatroidal ideals have few shapes: squarefree
-Veronese (10,3) has 8 among its 968 lattice points.  has_linear_resolution
-reads the whole table, with no early exit at the first homology off the
-strand.
+boundary signs: its shape.  Each distinct shape is ranked once per call,
+as the pair (deletion, link) at its busiest vertex v, the vertex in the
+most slack masks: the star of v is a cone, so reduced H_i(K) = H_i(K, st
+v) = H_i(del v, lk v) by excision (Hatcher, Algebraic Topology, 2.1).
+The chains of that pair are the faces of K without v whose join with v
+is no face: the faces with v are never built, and the faces of the link
+are met only to be left out.  The cone test stays in front, as it is
+cheaper than relabeling a cone to find it acyclic.  Polymatroidal ideals
+have few shapes: squarefree Veronese (10,3) has 8 among its 968 lattice
+points.
+has_linear_resolution reads the whole table, with no early exit at the
+first homology off the strand.
 The oracle route reads the same numbers off the multigraded strands of
 the Taylor complex on the generators, which costs 2^|G| and is gated
-accordingly; it ranks every strand on its own.
+accordingly.  The strand at a is itself a relative complex: the subsets
+of the generators dividing x^a less those inside some L_t = {g : g_t <
+a_t}, the subsets whose lcm falls short of a in variable t.  It walks
+subsets of generators, not faces of K^a, so it checks the default route
+without sharing its complexes.
+
+Both routes build their boundary rows in one relative walk, card (number
+of bits) by card from the top down, each kept face's signed boundary row
+recorded as the face is expanded into the card below; each card is
+ranked as soon as it is built and is then released, so only the pivots
+of the card above outlive it.
 
 The default route packs an exponent vector into one int: variable t takes
 the w bits from bit t*w, with w one more than the bit length of the largest
@@ -227,27 +240,37 @@ def _is_cone(masks) -> bool:
     return True
 
 
-def _closure(masks):
-    """Every submask of the given masks with its boundary row, one card at
-    a time from the top card down.
+def _closure(masks, link):
+    """Every submask of the given masks that lies in no mask of the link,
+    with its boundary row, one card at a time from the top card down.
 
-    Each card yielded maps each face of card c to its boundary over card
-    c-1: the masks one bit smaller, lowest removed bit first, signed +1,
-    -1, +1, ...  Each face's row is built as the face is expanded into the
-    card below, so each face is expanded once, and a card's face set is
-    dropped as its rows are yielded.
+    The faces kept are the relative complex of the closure of `masks`
+    modulo the subcomplex the link masks span; an empty link keeps the
+    whole closure, the empty face included.  Each card yielded maps each
+    kept face of card c to its boundary over the kept faces of card c-1:
+    the masks one bit smaller, lowest removed bit first, signed +1, -1,
+    +1, ...  A face inside a link mask has every submask there too, so it
+    is tested once per card, left out of every row and never expanded.
+    Each kept face's row is built as the face is expanded into the card
+    below, so each face is expanded once, and a card's face set is dropped
+    as its rows are yielded.
     """
     faces = [set() for _ in range(max(map(int.bit_count, masks), default=-1) + 1)]
     for mask in masks:
-        faces[mask.bit_count()].add(mask)
+        if all(mask & m != mask for m in link):
+            faces[mask.bit_count()].add(mask)
     for card in range(len(faces) - 1, -1, -1):
-        rows, below = {}, faces[card - 1] if card else set()
+        rows, below, kept = {}, faces[card - 1] if card else set(), {}
         for face in faces.pop():
             row = rows[face] = {}
             sign, rest = 1, face
             while rest:
                 low = rest & -rest
-                row[face ^ low] = sign
+                target = face ^ low
+                if target not in kept:
+                    kept[target] = all(target & m != target for m in link)
+                if kept[target]:
+                    row[target] = sign
                 sign, rest = -sign, rest ^ low
             below.update(row)
         yield rows
@@ -275,7 +298,10 @@ def graded_betti(I: MonomialIdeal) -> BettiTable:
     """Graded Betti numbers via homology of upper-Koszul complexes over the lcm lattice.
 
     A cone is skipped; any other K^alpha is ranked through its shape, and
-    each distinct shape is closed and ranked once per call.
+    each distinct shape is ranked once per call, as the relative complex
+    (del v, lk v) at its busiest vertex v, which has the reduced homology
+    of the shape.  Only the shape (0,), K = {empty face}, has no vertex;
+    there the link is empty and the walk ranks the whole complex.
     """
     if _instance(I, MonomialIdeal, "ideal").is_unit:
         raise UnitIdealError("the unit ideal has nothing to resolve")
@@ -291,30 +317,16 @@ def graded_betti(I: MonomialIdeal) -> BettiTable:
         shape = _shape(slack, I.n, width)
         homology = ranked.get(shape)
         if homology is None:
-            homology = ranked[shape] = _reduced_ranks(_closure(shape))
+            # the pair (deletion, link) at the vertex in the most masks, lowest on ties
+            v = 1 << max(range(shape[-1].bit_length()), default=0,
+                         key=lambda b: sum(m >> b & 1 for m in shape))
+            homology = ranked[shape] = _reduced_ranks(_closure(
+                [m for m in shape if not m & v], [m ^ v for m in shape if m & v]))
         deg = sum(alpha >> s & field for s in range(0, I.n * width, width))
         for i, h in enumerate(homology):
             if h:
                 table[(i, deg)] = table.get((i, deg), 0) + h
     return BettiTable.from_dict(table)
-
-
-def _strand_rows(masks: list[int]) -> list[dict[int, dict[int, int]]]:
-    """Rows by card, top card first, as _closure yields them, for a Taylor
-    strand, which is not closed: each row keeps only the targets among the
-    given masks, signed by the place of the removed bit."""
-    strand = set(masks)
-    top = max(map(int.bit_count, masks))
-    cards: list[dict[int, dict[int, int]]] = [{} for _ in range(top + 1)]
-    for mask in masks:
-        row = cards[top - mask.bit_count()][mask] = {}
-        sign, rest = 1, mask
-        while rest:
-            low = rest & -rest
-            if mask ^ low in strand:
-                row[mask ^ low] = sign
-            sign, rest = -sign, rest ^ low
-    return cards
 
 
 def taylor_strand_betti(I: MonomialIdeal) -> BettiTable:
@@ -324,6 +336,9 @@ def taylor_strand_betti(I: MonomialIdeal) -> BettiTable:
     multidegree the surviving boundary maps have coefficients +-1 exactly
     where dropping a generator keeps the lcm.  The homology of that strand
     in subset-size p gives the Betti number at homological index p - 1.
+    Each strand is walked as a relative complex: the subsets of the
+    divisors of x^alpha that lie in no set L_t of divisors g with g_t <
+    alpha_t, for the variables t of alpha.
     """
     if _instance(I, MonomialIdeal, "ideal").is_unit:
         raise UnitIdealError("the unit ideal has nothing to resolve")
@@ -334,18 +349,19 @@ def taylor_strand_betti(I: MonomialIdeal) -> BettiTable:
             f"Taylor oracle gated to {TAYLOR_GENERATOR_LIMIT} generators, got {m}"
         )
     lcm_of = [()] * (1 << m)
-    strands: dict[tuple[int, ...], list[int]] = {}
     for mask in range(1, 1 << m):
         low = mask & -mask
         t = low.bit_length() - 1
         rest = mask ^ low
         lcm_of[mask] = gens[t] if rest == 0 else tuple(map(max, lcm_of[rest], gens[t]))
-        strands.setdefault(lcm_of[mask], []).append(mask)
     table: dict[tuple[int, int], int] = {}
-    for alpha, masks in strands.items():
+    for alpha in set(lcm_of[1:]):
         deg = sum(alpha)
+        divisors = [j for j, g in enumerate(gens) if all(x <= y for x, y in zip(g, alpha))]
+        short = [sum(1 << j for j in divisors if gens[j][t] < a) for t, a in enumerate(alpha) if a]
+        strand = _closure([sum(1 << j for j in divisors)], short)
         # the subsets of size p sit at homological index p - 1
-        for i, h in enumerate(_reduced_ranks(_strand_rows(masks)), start=-1):
+        for i, h in enumerate(_reduced_ranks(strand), start=-1):
             if h:
                 table[(i, deg)] = table.get((i, deg), 0) + h
     return BettiTable.from_dict(table)

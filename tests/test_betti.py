@@ -34,7 +34,7 @@ def homology_ranks(facets) -> list[int]:
     """Reduced homology ranks of the complex with these facets (index k is
     dimension k-1), through the mask route graded_betti takes; no facets
     at all give the void complex."""
-    return betti._reduced_ranks(betti._closure(vertex_masks(facets)))
+    return betti._reduced_ranks(betti._closure(vertex_masks(facets), ()))
 
 
 def faces_of(masks) -> set[int]:
@@ -156,14 +156,35 @@ def boundary_matrix(by_card: dict[int, set[int]], card: int) -> list[list[int]]:
     return mat
 
 
-def taylor_strands(ideal: pm.MonomialIdeal) -> list[list[int]]:
+def taylor_strands(ideal: pm.MonomialIdeal) -> dict[tuple[int, ...], set[int]]:
     """The non-empty subsets of the generators, as masks, grouped by their lcm."""
     exps = [g.exponents for g in ideal.gens]
-    strands: dict[tuple[int, ...], list[int]] = {}
+    strands: dict[tuple[int, ...], set[int]] = {}
     for mask in range(1, 1 << len(exps)):
         chosen = [e for t, e in enumerate(exps) if mask >> t & 1]
-        strands.setdefault(tuple(map(max, zip(*chosen))), []).append(mask)
-    return list(strands.values())
+        strands.setdefault(tuple(map(max, zip(*chosen))), set()).add(mask)
+    return strands
+
+
+def taylor_pair(ideal: pm.MonomialIdeal, alpha) -> tuple[list[int], list[int]]:
+    """The Taylor strand at alpha as the arguments of the relative walk:
+    [D], D the mask of the generators dividing x^alpha, and the masks
+    L_t = {g in D : g_t < alpha_t}, one for each t with alpha_t > 0."""
+    exps = [g.exponents for g in ideal.gens]
+    divisors = {j for j, e in enumerate(exps) if all(map(le, e, alpha))}
+    short = [{j for j in divisors if exps[j][t] < a} for t, a in enumerate(alpha) if a > 0]
+    return [sum(1 << j for j in divisors)], [sum(1 << j for j in lower) for lower in short]
+
+
+def busiest_pair(masks) -> tuple[list[int], list[int]]:
+    """The pair (deletion, link) at the vertex in the most masks, lowest on
+    ties, as the arguments of the relative walk: the masks without the
+    vertex, and the masks with it less the vertex, in the given order.
+    With no vertex in any mask, the vertex is bit 0 and the link is empty."""
+    counts = Counter(b for m in masks for b in range(m.bit_length()) if m >> b & 1)
+    top = max(counts.values(), default=0)
+    v = 1 << min((b for b, c in counts.items() if c == top), default=0)
+    return [m for m in masks if not m & v], [m ^ v for m in masks if m & v]
 
 
 def koszul_slacks(ideal: pm.MonomialIdeal) -> list[set[int]]:
@@ -384,14 +405,19 @@ class TestClearing:
         monkeypatch.setattr(betti, "integer_rank", counted)
         rng = random.Random(9)
         ideals = [random_mixed_ideal(rng) for _ in range(40)]
-        complexes = [list(betti._closure(slack)) for ideal in ideals + [veronese(4, 2)]
+        complexes = [list(betti._closure(slack, ())) for ideal in ideals + [veronese(4, 2)]
                      for slack in koszul_slacks(ideal)]
         complexes += [
-            list(betti._closure(vertex_masks(facets)))
+            list(betti._closure(vertex_masks(facets), ()))
             for facets in (RP2_FACETS, list(itertools.combinations(range(4), 3)))
         ]
-        strands = [betti._strand_rows(masks) for ideal in ideals for masks in taylor_strands(ideal)]
-        for cards in complexes + strands:
+        # relative complexes: the pair graded_betti ranks at each non-cone
+        # point, and each Taylor strand
+        pairs = [list(betti._closure(*busiest_pair(sorted(slack))))
+                 for ideal in ideals + [veronese(4, 2)] for slack in non_cone_slacks(ideal)]
+        strands = [list(betti._closure(*taylor_pair(ideal, alpha)))
+                   for ideal in ideals for alpha in taylor_strands(ideal)]
+        for cards in complexes + pairs + strands:
             by_card = faces_by_card(cards)
             whole = [0] + [bareiss_rank(boundary_matrix(by_card, card))
                            for card in range(1, len(cards))] + [0]
@@ -406,7 +432,7 @@ class TestClearing:
         ideal = veronese(4, 2)
         betti.graded_betti(ideal)
         # the non-empty faces of every K^alpha that is not a cone
-        faces = sum(len(all_faces(betti._closure(slack))) - 1
+        faces = sum(len(all_faces(betti._closure(slack, ()))) - 1
                     for slack in koszul_slacks(ideal) if not betti._is_cone(slack))
         assert 0 < sum(map(len, ranked)) < faces
 
@@ -424,10 +450,11 @@ class TestClearing:
         rng = random.Random(9)
         slacks = [slack for _ in range(40) for slack in koszul_slacks(random_mixed_ideal(rng))]
         cleared_some = False
-        for cards in [list(betti._closure(slack)) for slack in slacks
+        for cards in [list(betti._closure(slack, ())) for slack in slacks
                       if not betti._is_cone(slack)] + [
-            list(betti._closure(vertex_masks(RP2_FACETS)))
-        ]:
+            list(betti._closure(*busiest_pair(sorted(slack)))) for slack in slacks
+            if not betti._is_cone(slack)
+        ] + [list(betti._closure(vertex_masks(RP2_FACETS), ()))]:
             face_of = {id(row): face for rows in cards for face, row in rows.items()}
             calls.clear()
             betti._reduced_ranks(cards)
@@ -457,7 +484,8 @@ class TestKoszulFaces:
                 alpha = unpack(packed_alpha, ideal.n, width)
                 slack = betti._koszul_slack(gens, packed_alpha, guards, width)
                 faces = brute_force_faces(exps, alpha)
-                assert {variable_bits(f, width) for f in all_faces(betti._closure(slack))} == faces
+                assert {variable_bits(f, width) for f in all_faces(betti._closure(slack, ()))} \
+                    == faces
                 assert {variable_bits(f, width) for f in maximal(slack)} == maximal(faces)
                 cone = brute_force_is_cone(faces, alpha)
                 assert betti._is_cone(slack) == cone
@@ -487,11 +515,14 @@ class TestKoszulFaces:
         shape, closure = betti._shape, betti._closure
         monkeypatch.setattr(betti, "_shape", lambda masks, n, width: shaped.append(
             frozenset(masks)) or shape(masks, n, width))
-        monkeypatch.setattr(betti, "_closure", lambda masks: closed.append(tuple(masks))
-                            or closure(masks))
+        monkeypatch.setattr(betti, "_closure", lambda masks, link: closed.append(
+            (tuple(masks), tuple(link))) or closure(masks, link))
         betti.graded_betti(ideal)
         assert Counter(shaped) == Counter(others)
-        assert Counter(closed) == Counter({relabeled(slack, width): 1 for slack in others})
+        # each shape closed as its pair at the busiest vertex
+        expected = {relabeled(slack, width) for slack in others}
+        assert Counter(closed) == Counter(
+            tuple(map(tuple, busiest_pair(shape))) for shape in expected)
         assert len(closed) == 17
 
     @given(exponent_pairs())
@@ -517,7 +548,7 @@ class TestKoszulFaces:
     def test_closure_matches_submask_oracle(self, masks, cuts, with_empty):
         # nested masks (each mask cut down by another), repeats and the empty mask
         masks = masks + [m & c for m, c in zip(masks, cuts)] + masks[:2] + [0] * with_empty
-        cards = list(betti._closure(masks))
+        cards = list(betti._closure(masks, ()))
         assert all_faces(cards) == faces_of(masks)
         # top card first, down to card 0
         assert all(f.bit_count() == len(cards) - 1 - k for k, rows in enumerate(cards)
@@ -532,37 +563,62 @@ class TestKoszulFaces:
         assert betti._is_cone([0b011, 0b110, 0b010, 0b110])
         assert not betti._is_cone([0b1, 0b10, 0])
         assert not betti._is_cone([0])
-        assert list(betti._closure([0b1, 0b10, 0])) == [{0b1: {0: 1}, 0b10: {0: 1}}, {0: {}}]
-        assert list(betti._closure([0b11])) == [{0b11: {0b10: 1, 0b1: -1}},
-                                                {0b1: {0: 1}, 0b10: {0: 1}}, {0: {}}]
-        assert list(betti._closure([])) == []
+        assert list(betti._closure([0b1, 0b10, 0], ())) == [{0b1: {0: 1}, 0b10: {0: 1}}, {0: {}}]
+        assert list(betti._closure([0b11], ())) == [{0b11: {0b10: 1, 0b1: -1}},
+                                                    {0b1: {0: 1}, 0b10: {0: 1}}, {0: {}}]
+        assert list(betti._closure([], ())) == []
 
     def test_closure_yields_one_card_at_a_time_top_first(self):
         # a generator: the top card comes out before any card below is built
-        cards = betti._closure([0b111, 0b1000])
+        cards = betti._closure([0b111, 0b1000], ())
         assert iter(cards) is cards
         assert next(cards) == {0b111: {0b110: 1, 0b101: -1, 0b011: 1}}
         assert [sorted(rows) for rows in cards] == [
             [0b011, 0b101, 0b110], [0b1, 0b10, 0b100, 0b1000], [0]
         ]
 
-    @given(st.sets(st.integers(1, 2**6 - 1), min_size=1, max_size=12))
-    @settings(max_examples=300, deadline=None)
-    def test_strand_rows_keep_only_the_given_targets(self, masks):
-        cards = betti._strand_rows(sorted(masks))
-        assert all_faces(cards) == masks
-        # top card first, down to card 0, as _closure yields them
+    @given(st.lists(six_bit_masks, max_size=8), st.lists(six_bit_masks, max_size=6))
+    @settings(max_examples=1000, deadline=None)
+    def test_relative_walk_matches_submask_oracle(self, masks, link):
+        cards = list(betti._closure(masks, link))
+        kept = {f for f in faces_of(masks) if not any(f & m == f for m in link)}
+        assert all_faces(cards) == kept
+        # top card first, one card for each size from the largest mask down to 0
+        assert len(cards) == max(map(int.bit_count, masks), default=-1) + 1
         assert all(f.bit_count() == len(cards) - 1 - k for k, rows in enumerate(cards)
                    for f in rows)
-        assert all(row == {t: sign for t, sign in signed_boundary(f).items() if t in masks}
+        # each row: the one-bit-smaller masks that are kept, signed by place
+        assert all(row == {t: sign for t, sign in signed_boundary(f).items() if t in kept}
                    for rows in cards for f, row in rows.items())
 
-    def test_strand_rows_sign_by_place(self):
-        # 0b111 drops 0b110 (place 0, not in the strand), keeps 0b101 at
-        # place 1 (-1) and 0b011 at place 2 (+1)
-        assert betti._strand_rows([0b011, 0b100, 0b101, 0b111]) == [
-            {0b111: {0b101: -1, 0b011: 1}}, {0b011: {}, 0b101: {0b100: 1}}, {0b100: {}}, {},
+    def test_relative_walk_signs_by_place(self):
+        # 0b111 drops 0b110 (place 0, inside the link mask 0b110), keeps
+        # 0b101 at place 1 (-1) and 0b011 at place 2 (+1); every face of
+        # card 1 lies in a link mask, and so does the empty face
+        assert list(betti._closure([0b111], [0b110, 0b001])) == [
+            {0b111: {0b101: -1, 0b011: 1}}, {0b011: {}, 0b101: {}}, {}, {},
         ]
+
+    def test_relative_walk_gives_each_taylor_strand(self):
+        # the subsets of the generators dividing x^alpha that lie in no L_t
+        # are exactly the subsets whose lcm is alpha
+        rng = random.Random(9)
+        ideals = [random_mixed_ideal(rng) for _ in range(40)] + [veronese(3, 3), pm.remark_ideal()]
+        for ideal in ideals:
+            for alpha, strand in taylor_strands(ideal).items():
+                assert all_faces(betti._closure(*taylor_pair(ideal, alpha))) == strand, alpha
+
+    @given(st.lists(six_bit_masks, min_size=1, max_size=8), st.booleans())
+    @settings(max_examples=1000, deadline=None)
+    def test_pair_at_busiest_vertex_ranks_as_whole_closure(self, masks, cone):
+        # excision: for a vertex v of K, reduced H_i(K) = H_i(del v, lk v).
+        # The pair's top card may lie below K's, where K has no homology
+        if cone:
+            masks = [m | 1 << 6 for m in masks]  # every mask holds vertex 6
+        whole = betti._reduced_ranks(betti._closure(masks, ()))
+        pair = betti._reduced_ranks(betti._closure(*busiest_pair(masks)))
+        assert len(pair) <= len(whole)
+        assert pair + [0] * (len(whole) - len(pair)) == whole
 
 
 @st.composite
@@ -589,16 +645,16 @@ class TestShapeMemo:
         for slack in slacks:
             shape = betti._shape(slack, ideal.n, width)
             assert shape == relabeled(slack, width)
-            assert betti._reduced_ranks(betti._closure(shape)) == \
-                betti._reduced_ranks(betti._closure(slack))
+            assert betti._reduced_ranks(betti._closure(shape, ())) == \
+                betti._reduced_ranks(betti._closure(slack, ()))
 
     @given(st.one_of(small_ideals(), st.randoms(use_true_random=False).map(random_mixed_ideal)))
     @settings(max_examples=60, deadline=None)
     def test_shape_ranks_equal_slack_ranks_random(self, ideal):
         width = betti._packed([g.exponents for g in ideal.gens])[2]
         for slack in non_cone_slacks(ideal):
-            assert betti._reduced_ranks(betti._closure(betti._shape(slack, ideal.n, width))) == \
-                betti._reduced_ranks(betti._closure(slack))
+            assert betti._reduced_ranks(betti._closure(betti._shape(slack, ideal.n, width), ())) \
+                == betti._reduced_ranks(betti._closure(slack, ()))
 
     @given(guard_bit_masks())
     @settings(max_examples=500, deadline=None)
@@ -624,7 +680,7 @@ class TestShapeMemo:
                 slack = betti._koszul_slack(gens, alpha, guards, width)
                 if not betti._is_cone(slack):
                     deg = sum(unpack(alpha, ideal.n, width))
-                    for i, h in enumerate(betti._reduced_ranks(betti._closure(slack))):
+                    for i, h in enumerate(betti._reduced_ranks(betti._closure(slack, ()))):
                         table[i, deg] += h
             assert pm.graded_betti(ideal) == pm.BettiTable.from_dict(table), ideal
 
@@ -635,8 +691,8 @@ class TestShapeMemo:
         assert len(non_cone_slacks(ideal)) == 99
         closed = []
         closure = betti._closure
-        monkeypatch.setattr(betti, "_closure", lambda masks: closed.append(tuple(masks))
-                            or closure(masks))
+        monkeypatch.setattr(betti, "_closure", lambda masks, link: closed.append(
+            (tuple(masks), tuple(link))) or closure(masks, link))
         table = betti.graded_betti(ideal)
         first = list(closed)
         assert len(first) == len(set(first)) == 5
@@ -667,7 +723,7 @@ class TestReducedHomology:
     def test_closure_validation(self):
         # faces are built from facets, so they must come out closed under subsets
         for facets in (RP2_FACETS, list(itertools.combinations(range(4), 3)), [(1, 2), (3,)]):
-            faces = all_faces(betti._closure(vertex_masks(facets)))
+            faces = all_faces(betti._closure(vertex_masks(facets), ()))
             assert faces == faces_of(vertex_masks(facets))
             assert 0 in faces
             assert all(set(signed_boundary(f)) <= faces for f in faces)
@@ -705,8 +761,10 @@ class TestGradedBetti:
 
     def test_memory_holds_one_card_at_a_time(self):
         # squarefree Veronese (10,3): each card's rows are released once the
-        # card is ranked, so a warm call peaks near 0.34 MB; holding every
-        # card of a complex until all are ranked peaked at 0.54 MB
+        # card is ranked, and each shape is ranked as its pair at the busiest
+        # vertex, so a warm call peaks near 0.13 MB; ranking the whole closure
+        # of each shape peaked at 0.34 MB, and holding every card of a complex
+        # until all were ranked at 0.54 MB
         ideal = squarefree_veronese(10, 3)
         table = pm.graded_betti(ideal)
         tracemalloc.start()
@@ -714,7 +772,7 @@ class TestGradedBetti:
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         assert again == table
-        assert peak < 450_000, peak
+        assert peak < 250_000, peak
 
 
 class TestTaylorOracle:

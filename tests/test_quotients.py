@@ -417,6 +417,16 @@ class TestConjectureProbe:
         assert probe.outcome is pm.ConjectureOutcome.REFUTED
         assert probe.refuting_order == O((1, 2, 3, 4))
 
+    def test_counterexample_outcome(self, monkeypatch):
+        # no known ideal reaches this return, so stand in an all-orders
+        # search that finds no failing order on a non-polymatroidal ideal
+        ideal = I("x1*x2 + x3*x4")
+        monkeypatch.setattr(quotients, "lq_all_orders_failure", lambda I, kind: None)
+        probe = pm.conjecture_probe(ideal)
+        assert probe.outcome is pm.ConjectureOutcome.COUNTEREXAMPLE
+        assert probe.exchange_witness == pm.exchange_failure(ideal)
+        assert probe.refuting_order is None and probe.lq_failure is None
+
     def test_no_counterexamples_small_corpus(self):
         for d in (1, 2):
             for item in pm.enumerate_corpus(pm.CorpusSpec(n=3, d=d)):
