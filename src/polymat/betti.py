@@ -1,13 +1,16 @@
 """Graded Betti numbers of monomial ideals, exactly, over the rationals.
 
 Two independent routes compute the same table.  The default route walks
-the lcm lattice of the generators, built one generator at a time, and,
-at each lattice multidegree a, takes reduced simplicial homology of the
-upper-Koszul complex K^a = {squarefree b on supp(a) : x^(a-b) in the
-ideal}; the rank of reduced homology in dimension i-1 there is the Betti
-number in homological index i at multidegree a (Miller-Sturmfels, Thm
-1.34).  The facets of K^a are the maximal slack masks {t : a_t > g_t} of
-the generators g dividing x^a, and the cone test runs on those masks
+the lcm lattice of the generators and, at each lattice multidegree a,
+takes reduced simplicial homology of the upper-Koszul complex K^a =
+{squarefree b on supp(a) : x^(a-b) in the ideal}; the rank of reduced
+homology in dimension i-1 there is the Betti number in homological index
+i at multidegree a (Miller-Sturmfels, Thm 1.34).  The lattice is walked
+one variable at a time, and each point comes with its divisor mask, the
+generators dividing x^a: a is a lattice point exactly when it is the lcm
+of its divisors (Gasharov-Peeva-Welker, The lcm-lattice in monomial
+resolutions, 1999).  The facets of K^a are the maximal slack masks {t :
+a_t > g_t} of those divisors g, and the cone test runs on those masks
 first: when one vertex lies in every facet, K^a is a cone and contributes
 nothing, so that point is skipped before any face is built.  Any other
 K^a is determined by its slack masks, and relabeling the vertices they
@@ -41,10 +44,12 @@ of the card above outlive it.
 The default route packs an exponent vector into one int: variable t takes
 the w bits from bit t*w, with w one more than the bit length of the largest
 exponent, so the top bit of each field, its guard bit, is always zero.
-With H the mask of all guard bits, (a | H) - g keeps field t's guard bit
-exactly when a_t >= g_t, and no borrow crosses a field (Warren, Hacker's
-Delight, ch. 2).  Face masks sit on the guard bits; bit t -> t*w + w - 1
-is monotone, so faces sort, and boundaries take signs, as variable masks.
+With H the mask of all guard bits and g a divisor of x^a, (a | H) - g
+keeps every guard bit and borrows across no field, so taking one more
+from each field keeps field t's guard bit exactly when a_t > g_t (Warren,
+Hacker's Delight, ch. 2).  Face masks sit on the guard bits; bit t ->
+t*w + w - 1 is monotone, so faces sort, and boundaries take signs, as
+variable masks.
 
 Homology ranks come from integer row reduction of the +-1 boundary maps,
 one sparse row per face: the row of a face of card (size) c holds its
@@ -186,40 +191,69 @@ def _packed(exps: list[tuple[int, ...]]) -> tuple[list[int], int, int]:
     return packed, sum(1 << (s + width - 1) for s in shifts), width
 
 
-def lcm_lattice(gens: list[int], guards: int, width: int) -> set[int]:
-    """All coordinatewise maxima of non-empty generator subsets, packed.
+def lcm_lattice(gens: list[int], guards: int, width: int) -> dict[int, int]:
+    """Every lcm-lattice point, packed, mapped to its divisor mask.
 
-    The lattice is built one generator at a time: the lcm of a subset that
-    holds g is g joined with the lcm of the rest, so the lattice of the
-    first generators and g gains g and the join of g with each point so
-    far.  That is one join per point and generator taken, and scales with
-    the lattice size instead of 2^|G|.  In the join, d marks the fields
-    with a_t >= g_t and m = d - (d >> (w-1)) fills the w-1 bits under each
-    mark.
+    The divisor mask D(a) has bit j set when generator j divides x^a, and
+    a is a lattice point exactly when a = lcm(D(a)): when every field with
+    a_t > 0 has a divisor g with g_t = a_t.  The walk fixes one variable at
+    a time.  For a_t it tries each exponent v that the generators have
+    there, in increasing order, and keeps the divisors with g_t <= v
+    (`below`).  Divisors only shrink as more variables are fixed, so a
+    prefix is cut as soon as some field fixed at v > 0 has no divisor with
+    g_t = v left (`exact`); the fields fixed before are checked again only
+    when this variable removed a divisor.  Once no divisor is removed, no
+    larger v has one with g_t = v, so the values stop there.  Every prefix
+    kept extends to a lattice point of its own (each later a_t the largest
+    exponent among its divisors), so no level holds more prefixes than the
+    lattice has points.  A column on which every generator agrees gives no
+    choice and removes no divisor: its exponent goes into every point.
     """
-    shift = width - 1
-    lattice: set[int] = set()
-    for g in gens:
-        joins = {g}
-        for a in lattice:
-            d = ((a | guards) - g) & guards
-            m = d - (d >> shift)
-            joins.add((a & m) | (g & ~m))
-        lattice |= joins
+    field = (1 << width) - 1
+    base, columns = 0, []  # one list of (v << shift, below, exact) per column left
+    for shift in range(0, guards.bit_length(), width):
+        exps = [g >> shift & field for g in gens]
+        values = sorted(set(exps))
+        if len(values) == 1:
+            base |= values[0] << shift
+            continue
+        columns.append([(v << shift,
+                         sum(1 << j for j, e in enumerate(exps) if e <= v),
+                         sum(1 << j for j, e in enumerate(exps) if e == v)) for v in values])
+    lattice: dict[int, int] = {}
+    stack = [(0, base, (1 << len(gens)) - 1, ())]  # (columns fixed, a, divisors, exact masks)
+    while stack:
+        depth, alpha, divisors, met = stack.pop()
+        if depth == len(columns):
+            lattice[alpha] = divisors
+            continue
+        for value, below, exact in columns[depth]:
+            kept = divisors & below
+            # at v = 0, exact is below, so the first test asks only for a divisor
+            if kept & exact and (kept == divisors or all(kept & e for e in met)):
+                stack.append((depth + 1, alpha | value, kept, met + (exact,) if value else met))
+            if kept == divisors:
+                break
     return lattice
 
 
-def _koszul_slack(gens: list[int], alpha: int, guards: int, width: int) -> set[int]:
-    """The slack masks of K^alpha, as masks of guard bits.
+def _koszul_slack(gens: list[int], alpha: int, divisors: int, guards: int, width: int) -> set[int]:
+    """The slack masks of K^alpha, as masks of guard bits, from its divisor mask.
 
     A squarefree b on supp(alpha) is a face exactly when some generator g
-    divides x^(alpha-b): when g <= alpha (every guard bit of (alpha | H) - g
-    survives) and b lies in the slack mask {t : alpha_t > g_t} (the guard
-    bits that also survive one more from each field).
+    divides x^(alpha-b): when g is a divisor of x^alpha and b lies in its
+    slack mask {t : alpha_t > g_t}.  With one taken from every field in
+    advance, (alpha | H) - 1 - g borrows across no field for a divisor g
+    and keeps field t's guard bit exactly when alpha_t > g_t, so each
+    divisor costs one packed subtraction.
     """
-    ones = guards >> (width - 1)
-    differences = ((alpha | guards) - g for g in gens)
-    return {(d - ones) & guards for d in differences if d & guards == guards}
+    top = (alpha | guards) - (guards >> (width - 1))
+    masks = set()
+    while divisors:
+        low = divisors & -divisors
+        masks.add((top - gens[low.bit_length() - 1]) & guards)
+        divisors ^= low
+    return masks
 
 
 def _is_cone(masks) -> bool:
@@ -279,19 +313,27 @@ def _closure(masks, link):
 def _shape(masks, n: int, width: int) -> tuple[int, ...]:
     """The given masks of guard bits relabeled onto bits 0..k-1, sorted.
 
-    The k guard bits the masks use, found by walking the n fields, go to
-    bits 0, 1, ..., k-1 in increasing order.  The relabel keeps the order
-    of the vertices, so the complex the masks span keeps its faces, cards
-    and boundary signs, and equal shapes have equal homology.
+    The k guard bits the masks use go to bits 0, 1, ..., k-1 in increasing
+    order.  The relabel keeps the order of the vertices, so the complex
+    the masks span keeps its faces, cards and boundary signs, and equal
+    shapes have equal homology; it also keeps the order of the masks, so
+    they are sorted first, packed one to a slot of n*width bits, and
+    relabeled together with one shift and mask per field used.
     """
-    used = 0
-    for mask in masks:
+    ordered = sorted(masks)
+    slot = n * width
+    packed = used = 0
+    for mask in reversed(ordered):
+        packed = packed << slot | mask
         used |= mask
-    moves = []  # (shift, bit): guard bit shift + k goes to bit k
-    for s in range(width - 1, n * width, width):
+    ones = ((1 << slot * len(ordered)) - 1) // ((1 << slot) - 1)  # bit 0 of every slot
+    out = k = 0
+    for s in range(width - 1, used.bit_length(), width):
         if used >> s & 1:
-            moves.append((s - len(moves), 1 << len(moves)))
-    return tuple(sorted(sum(mask >> shift & bit for shift, bit in moves) for mask in masks))
+            out |= packed >> (s - k) & ones << k  # guard bit s goes to bit k
+            k += 1
+    low = (1 << k) - 1
+    return tuple(out >> s & low for s in range(0, slot * len(ordered), slot))
 
 
 def graded_betti(I: MonomialIdeal) -> BettiTable:
@@ -309,9 +351,9 @@ def graded_betti(I: MonomialIdeal) -> BettiTable:
     field = (1 << width) - 1
     ranked: dict[tuple[int, ...], list[int]] = {}  # shape -> reduced ranks, this call only
     table: dict[tuple[int, int], int] = {}
-    for alpha in lcm_lattice(gens, guards, width):
+    for alpha, divisors in lcm_lattice(gens, guards, width).items():
         # alpha is a multiple of some generator, so there is at least one facet
-        slack = _koszul_slack(gens, alpha, guards, width)
+        slack = _koszul_slack(gens, alpha, divisors, guards, width)
         if _is_cone(slack):
             continue  # a vertex in every facet: K^alpha is acyclic
         shape = _shape(slack, I.n, width)

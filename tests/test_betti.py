@@ -9,7 +9,7 @@ from math import comb
 from operator import and_, gt, le, or_
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import polymat as pm
@@ -190,8 +190,8 @@ def busiest_pair(masks) -> tuple[list[int], list[int]]:
 def koszul_slacks(ideal: pm.MonomialIdeal) -> list[set[int]]:
     """The slack masks of K^alpha at every lcm-lattice point, cones included."""
     gens, guards, width = betti._packed([g.exponents for g in ideal.gens])
-    return [betti._koszul_slack(gens, alpha, guards, width)
-            for alpha in betti.lcm_lattice(gens, guards, width)]
+    return [betti._koszul_slack(gens, alpha, divisors, guards, width)
+            for alpha, divisors in betti.lcm_lattice(gens, guards, width).items()]
 
 
 def brute_force_faces(gens, alpha) -> set[int]:
@@ -212,6 +212,29 @@ def brute_force_is_cone(faces: set[int], alpha) -> bool:
     return any(
         all(f | 1 << t in faces for f in faces) for t, a in enumerate(alpha) if a > 0
     )
+
+
+def join_closure(gens: list[int], guards: int, width: int) -> set[int]:
+    """The packed generators closed under the guard-bit join, one generator
+    at a time (the former production lattice): the lattice of the first
+    generators and g gains g and the join of g with each point so far.  In
+    the join, d marks the fields with a_t >= g_t and m = d - (d >> (w-1))
+    fills the w-1 bits under each mark."""
+    shift = width - 1
+    lattice: set[int] = set()
+    for g in gens:
+        joins = {g}
+        for a in lattice:
+            d = ((a | guards) - g) & guards
+            m = d - (d >> shift)
+            joins.add((a & m) | (g & ~m))
+        lattice |= joins
+    return lattice
+
+
+def divisor_mask(exps, alpha) -> int:
+    """The generators dividing x^alpha, as a mask over their places in exps."""
+    return sum(1 << j for j, e in enumerate(exps) if all(map(le, e, alpha)))
 
 
 def tuple_lcm_lattice(exps) -> set[tuple[int, ...]]:
@@ -265,6 +288,25 @@ def exponent_pairs(draw):
     n = draw(st.integers(1, 5))
     vector = st.tuples(*[boundary_exponents] * n)
     return draw(vector), draw(vector)
+
+
+@st.composite
+def lattice_inputs(draw):
+    """Up to 7 non-zero exponent vectors for a lattice walk, repeats
+    allowed: mixed degrees with exponents either side of a field-width
+    step, where each column is free, all zero or shared by every vector;
+    or squarefree vectors in 33 to 40 variables, so the packed width is
+    over 64 bits."""
+    if draw(st.booleans()):
+        n = draw(st.integers(33, 40))
+        supports = st.sets(st.integers(0, n - 1), min_size=1, max_size=4)
+        return [tuple(int(t in s) for t in range(n))
+                for s in draw(st.lists(supports, min_size=1, max_size=7))]
+    n = draw(st.integers(1, 5))
+    columns = [draw(st.one_of(st.none(), st.just(0), boundary_exponents)) for _ in range(n)]
+    columns[draw(st.integers(0, n - 1))] = None  # a free column, so a vector can be non-zero
+    vector = st.tuples(*[boundary_exponents if c is None else st.just(c) for c in columns])
+    return draw(st.lists(vector.filter(any), min_size=1, max_size=7))
 
 
 def random_mixed_ideal(rng: random.Random) -> pm.MonomialIdeal:
@@ -480,9 +522,9 @@ class TestKoszulFaces:
             gens, guards, width = betti._packed(exps)
             lattice = betti.lcm_lattice(gens, guards, width)
             assert {unpack(a, ideal.n, width) for a in lattice} == tuple_lcm_lattice(exps)
-            for packed_alpha in lattice:
+            for packed_alpha, divisors in lattice.items():
                 alpha = unpack(packed_alpha, ideal.n, width)
-                slack = betti._koszul_slack(gens, packed_alpha, guards, width)
+                slack = betti._koszul_slack(gens, packed_alpha, divisors, guards, width)
                 faces = brute_force_faces(exps, alpha)
                 assert {variable_bits(f, width) for f in all_faces(betti._closure(slack, ()))} \
                     == faces
@@ -506,9 +548,9 @@ class TestKoszulFaces:
         exps = [g.exponents for g in ideal.gens]
         gens, guards, width = betti._packed(exps)
         cones, others = [], []
-        for alpha in betti.lcm_lattice(gens, guards, width):
+        for alpha, divisors in betti.lcm_lattice(gens, guards, width).items():
             facets = maximal(brute_force_faces(exps, unpack(alpha, ideal.n, width)))
-            slack = frozenset(betti._koszul_slack(gens, alpha, guards, width))
+            slack = frozenset(betti._koszul_slack(gens, alpha, divisors, guards, width))
             (cones if reduce(and_, facets) else others).append(slack)
         assert (len(cones), len(others)) == (131, 106)
         shaped, closed = [], []
@@ -533,15 +575,39 @@ class TestKoszulFaces:
         (pa, pg, pj), guards, width = betti._packed([a, g, joined])
         assert width == max(joined).bit_length() + 1
         # the closure of {a, g} under the packed join adds exactly max(a, g)
-        assert betti.lcm_lattice([pa, pg], guards, width) == {pa, pg, pj}
-        # one generator leaves one slack mask exactly when g <= alpha
+        assert join_closure([pa, pg], guards, width) == {pa, pg, pj}
+        lattice = betti.lcm_lattice([pa, pg], guards, width)
+        assert set(lattice) == {pa, pg, pj}
+        assert lattice[pj] == 0b11
+        # the other generator leaves a slack mask beside alpha's own 0
+        # exactly when it divides x^alpha
         bits = [1 << t for t in range(len(a))]
-        for alpha, gen, p_alpha, p_gen in ((a, g, pa, pg), (g, a, pg, pa)):
-            slack = betti._koszul_slack([p_gen], p_alpha, guards, width)
+        for alpha, gen, p_alpha in ((a, g, pa), (g, a, pg)):
+            divisors = lattice[p_alpha]
+            assert divisors == divisor_mask([a, g], alpha)
+            slack = betti._koszul_slack([pa, pg], p_alpha, divisors, guards, width)
             expected = {sum(compress(bits, map(gt, alpha, gen)))}
-            assert {variable_bits(f, width) for f in slack} == (
+            assert {variable_bits(f, width) for f in slack} == {0} | (
                 expected if all(map(le, gen, alpha)) else set()
             )
+
+    @given(lattice_inputs())
+    @example([(2, 3, 1)])  # one generator
+    @example([(0, 1, 2), (0, 2, 1), (0, 3, 3)])  # an all-zero column
+    @example([(2, 1, 0, 3), (2, 0, 1, 1), (2, 3, 3, 0)])  # a shared column
+    @example([(1, 2, 0), (0, 1, 1)])  # the field fixed first loses its only witness
+    @example([tuple(int(t in s) for t in range(34)) for s in ({0, 33}, {1, 33}, {0, 2}, {5})])
+    @settings(max_examples=500, deadline=None)
+    def test_lattice_walk_matches_join_closure(self, exps):
+        gens, guards, width = betti._packed(exps)
+        lattice = betti.lcm_lattice(gens, guards, width)
+        points = tuple_lcm_lattice(exps)
+        assert set(lattice) == join_closure(gens, guards, width)
+        assert {unpack(a, len(exps[0]), width) for a in lattice} == points
+        assert len(lattice) == len(points)
+        # each point carries exactly the generators dividing it
+        for packed_alpha, divisors in lattice.items():
+            assert divisors == divisor_mask(exps, unpack(packed_alpha, len(exps[0]), width))
 
     @given(st.lists(six_bit_masks, max_size=8), st.lists(six_bit_masks, max_size=8), st.booleans())
     @settings(max_examples=1000, deadline=None)
@@ -676,8 +742,8 @@ class TestShapeMemo:
         for ideal in ideals + [veronese(5, 2), veronese(4, 3), squarefree_veronese(7, 3)]:
             gens, guards, width = betti._packed([g.exponents for g in ideal.gens])
             table = Counter()
-            for alpha in betti.lcm_lattice(gens, guards, width):
-                slack = betti._koszul_slack(gens, alpha, guards, width)
+            for alpha, divisors in betti.lcm_lattice(gens, guards, width).items():
+                slack = betti._koszul_slack(gens, alpha, divisors, guards, width)
                 if not betti._is_cone(slack):
                     deg = sum(unpack(alpha, ideal.n, width))
                     for i, h in enumerate(betti._reduced_ranks(betti._closure(slack, ()))):
@@ -762,9 +828,10 @@ class TestGradedBetti:
     def test_memory_holds_one_card_at_a_time(self):
         # squarefree Veronese (10,3): each card's rows are released once the
         # card is ranked, and each shape is ranked as its pair at the busiest
-        # vertex, so a warm call peaks near 0.13 MB; ranking the whole closure
-        # of each shape peaked at 0.34 MB, and holding every card of a complex
-        # until all were ranked at 0.54 MB
+        # vertex, so a warm call peaks near 0.18 MB, its 968 lattice points
+        # with their divisor masks included (0.12 MB with the points alone);
+        # ranking the whole closure of each shape peaked at 0.34 MB, and
+        # holding every card of a complex until all were ranked at 0.54 MB
         ideal = squarefree_veronese(10, 3)
         table = pm.graded_betti(ideal)
         tracemalloc.start()
