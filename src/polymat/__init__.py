@@ -8,6 +8,8 @@ lexsegments and their shadows, and ships exhaustive/randomized search
 suites behind the `polymat` command-line tool.
 """
 
+from types import ModuleType as _ModuleType
+
 from .betti import (
     BettiTable,
     graded_betti,
@@ -89,4 +91,6 @@ from .suites import (
 )
 from .version import __version__
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the submodules stay attributes of the package, but a star import binds none
+__all__ = [name for name in dir()
+           if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]

@@ -11,6 +11,8 @@ ideal the toolkit builds (sums, products, powers, localizations, parsed
 and corpus ideals) goes through that one minimalization.
 Each public argument, these generators included, passes one of three rules
 once per call: _integers, _monomials, and _instance for every other type.
+The substitution x_i -> 1 is one rule too, _substituted, for localize and
+the corpus localization probe alike.
 
 All values are immutable and hashable and every operation is a pure
 function, so they can be shared across worker processes without
@@ -187,6 +189,12 @@ def colon_monomial(u: Monomial, v: Monomial) -> Monomial:
     return Monomial(tuple(a - b if a > b else 0 for a, b in zip(u.exponents, v.exponents)))
 
 
+def _substituted(exponents: tuple[int, ...], z: int) -> tuple[int, ...]:
+    """The exponents with the entry of x<i+1> zeroed for every set bit i of z:
+    the substitution x<i+1> -> 1, the one rule for every localization."""
+    return tuple(0 if z >> i & 1 else a for i, a in enumerate(exponents))
+
+
 @dataclass(frozen=True)
 class VariableOrder:
     """A permutation of {1..n}; perm[0] names the greatest variable."""
@@ -295,16 +303,13 @@ class MonomialIdeal:
     def localize(self, off: Iterable[int]) -> MonomialIdeal:
         """Substitute x_i -> 1 for every 1-based index i in `off`, then minimalize.
 
-        A generator whose support misses `off` is passed on as the same object.
+        A generator whose support misses `off` is passed on as the same object:
+        the constructor drops repeated images, and no other generator's image
+        equals it, since G(I) holds no multiple of it.
         """
-        off = set(_integers(off, "variable index", 1, self.n))
-        keep = tuple(0 if i + 1 in off else 1 for i in range(self.n))
-        zeroed: dict[tuple[int, ...], Monomial] = {}
-        for g in self.gens:
-            e = tuple(map(operator.mul, g.exponents, keep))
-            if e not in zeroed:
-                zeroed[e] = g if e == g.exponents else Monomial(e)
-        return MonomialIdeal(self.n, zeroed.values())
+        z = sum(1 << i - 1 for i in set(_integers(off, "variable index", 1, self.n)))
+        images = [(g, _substituted(g.exponents, z)) for g in self.gens]
+        return MonomialIdeal(self.n, [g if e == g.exponents else Monomial(e) for g, e in images])
 
     def __add__(self, other: MonomialIdeal) -> MonomialIdeal:
         return MonomialIdeal(self.n, self.gens + _instance(other, MonomialIdeal, "ideal").gens)

@@ -27,7 +27,7 @@ from math import comb
 from operator import or_
 from typing import Iterator
 
-from .core import MonomialIdeal, _instance, _integers, all_variable_orders
+from .core import MonomialIdeal, _instance, _integers, _substituted, all_variable_orders
 from .errors import BoundExceededError, InvalidArgumentError
 from .lexsegment import monomials_of_degree
 from .polymatroid import _bits, _Built, _Layer
@@ -123,7 +123,9 @@ class _CorpusLayer(_Layer):
     The localization suite reads two more, both on this layer.  images[b]
     is the support of bit b as a variable mask, with its image under a
     substitution z, keyed by z & support: (w, c), w being the degree that
-    z removes from bit b and c the bit of the image times x1^w.
+    z removes from bit b and c the bit of the image times x1^w.  The image
+    is core._substituted of bit b's exponents, the rule
+    MonomialIdeal.localize applies.
     divides[b, z] masks the elements whose exponents outside z are at most
     bit b's: those whose image under z divides bit b's.
 
@@ -144,7 +146,7 @@ class _CorpusLayer(_Layer):
         e = self.exps[b]
 
         def image(z: int) -> tuple[int, int]:
-            kept = tuple(0 if z >> i & 1 else a for i, a in enumerate(e))
+            kept = _substituted(e, z)
             w = self.d - sum(kept)
             return w, self.index[(kept[0] + w,) + kept[1:]]
 

@@ -36,7 +36,7 @@ from typing import Callable
 from .betti import has_linear_resolution
 from .core import (
     Monomial, MonomialIdeal, VariableOrder, _check_perm_guard, _instance, _integers,
-    all_variable_orders,
+    _substituted, all_variable_orders,
 )
 from .corpus import CorpusSpec, _CorpusLayer, corpus_masks, ideal_from_mask
 from .corpus import enumerate_corpus  # noqa: F401  not called here; perfbench's corpus.build hook
@@ -299,6 +299,11 @@ def _linear_on_tables(layer: _CorpusLayer, z: int, members: list[int],
 
 
 def _localization_verdict(layer: _CorpusLayer, index: int, mask: int) -> dict:
+    """The localization verdict of the ideal of mask.  Each restriction z
+    of a substitution to the ideal's support is decided on the layer's
+    tables where they certify it linear; otherwise the homology of the
+    ideal of the generators' core._substituted images at z decides it,
+    which is the ideal MonomialIdeal.localize builds for z."""
     out = layer.fields(index, mask)
     if layer.exchange_failure(mask) is not None:
         out["verdict"] = "not_polymatroidal"
@@ -317,9 +322,8 @@ def _localization_verdict(layer: _CorpusLayer, index: int, mask: int) -> dict:
     while z != support:
         images = [image[z & s] for s, image in images_of]
         if not _linear_on_tables(layer, z, members, images):
-            zeroed = (tuple(0 if z >> i & 1 else a for i, a in enumerate(layer.exps[b]))
-                      for b in members)
-            if not has_linear_resolution(MonomialIdeal(layer.n, map(Monomial, zeroed))):
+            zeroed = [Monomial(_substituted(layer.exps[b], z)) for b in members]
+            if not has_linear_resolution(MonomialIdeal(layer.n, zeroed)):
                 violating.add(z)
         z = (z - support) & support  # the next submask of support, ascending
     if violating:

@@ -257,19 +257,26 @@ class TestIdealOperations:
         with pytest.raises(pm.InvalidArgumentError, match="non-integer"):
             I("x1*x2 + x2*x3").localize(off)
 
-    @given(generating_lists())
+    @given(generating_lists(), st.data())
     @settings(max_examples=150)
-    def test_localize_matches_substitution_oracle(self, data):
-        # substitute into every Monomial, then minimalize by brute force
+    def test_localize_matches_substitution_oracle(self, data, draws):
+        # every set of variables, the empty one and all of them included, given
+        # as a list in any order that may repeat indices: substitute into every
+        # Monomial, then minimalize by brute force
         n, mons = data
         ideal = pm.MonomialIdeal(n, mons)
         for bits in range(1 << n):
             off = {t + 1 for t in range(n) if bits >> t & 1}
+            repeats = draws.draw(st.lists(st.sampled_from(sorted(off)), max_size=3)) if off else []
+            local = ideal.localize(draws.draw(st.permutations(sorted(off) + repeats)))
             substituted = [
                 pm.Monomial(tuple(0 if t + 1 in off else e for t, e in enumerate(g.exponents)))
                 for g in ideal.gens
             ]
-            assert ideal.localize(off).gens == brute_force_minimal_gens(substituted)
+            assert local.gens == brute_force_minimal_gens(substituted)
+            # a generator the substitution leaves alone is passed on as itself
+            untouched = {g: g for g in ideal.gens if off.isdisjoint(g.support)}
+            assert all(g is untouched[g] for g in local.gens if g in untouched)
 
     def test_localize_composes(self):
         ideal = I("x1^2*x2 + x2*x3^2 + x1*x3*x4", 4)

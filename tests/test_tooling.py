@@ -191,6 +191,54 @@ def test_suites_localize_no_ideal():
     assert not found, found
 
 
+def _definitions(tree):
+    """(name, node) for each top-level statement, a class's methods named
+    Class.method; a function's nested definitions stay inside its node."""
+    for top in tree.body:
+        if isinstance(top, ast.ClassDef):
+            for member in top.body:
+                yield f"{top.name}.{getattr(member, 'name', None)}", member
+        else:
+            yield getattr(top, "name", None), top
+
+
+def _zeroes_by_variables(node):
+    # an entry chosen as 0 by a variable set, `0 if z >> i & 1 else a` or
+    # `0 if i + 1 in off else a`, or a 0/1 mask multiplied into the exponents
+    if isinstance(node, ast.IfExp):
+        zero = any(isinstance(branch, ast.Constant) and branch.value == 0
+                   for branch in (node.body, node.orelse))
+        by_set = any(isinstance(n, ast.BinOp) and isinstance(n.op, (ast.RShift, ast.BitAnd))
+                     or isinstance(n, ast.Compare)
+                     and any(isinstance(op, (ast.In, ast.NotIn)) for op in n.ops)
+                     for n in ast.walk(node.test))
+        return zero and by_set
+    return isinstance(node, (ast.Name, ast.Attribute)) \
+        and ast.unparse(node) in ("mul", "operator.mul")
+
+
+def test_substitutions_are_zeroed_in_one_place():
+    # core._substituted is the one rule for the substitution x_i -> 1, so the
+    # ideal behind a localization VIOLATION is the one `polymat localize`
+    # prints: MonomialIdeal.localize, the images of the corpus layer and the
+    # homology fallback of the localization verdict all call it
+    found = []
+    callers = set()
+    for path in sorted(SOURCE.glob("*.py")):
+        for name, top in _definitions(ast.parse(path.read_text(), filename=str(path))):
+            for node in ast.walk(top):
+                if _zeroes_by_variables(node):
+                    found.append((path.name, name, ast.unparse(node)))
+                elif isinstance(node, ast.Call) \
+                        and ast.unparse(node.func).rsplit(".", 1)[-1] == "_substituted":
+                    callers.add((path.name, name))
+    rule = [entry for entry in found if entry[:2] == ("core.py", "_substituted")]
+    assert rule and len(rule) == len(found), found
+    assert callers == {("core.py", "MonomialIdeal.localize"),
+                       ("corpus.py", "_CorpusLayer._images"),
+                       ("suites.py", "_localization_verdict")}, sorted(callers)
+
+
 def test_import_loads_no_process_pool():
     # concurrent.futures and multiprocessing load where a pool starts, which
     # no corpus under suites._MIN_SLICE needs; a fresh interpreter shows what
@@ -307,11 +355,13 @@ def test_monomials_are_decided_in_one_place():
 def test_types_are_decided_in_one_place():
     # core._instance is the one type rule: a check of its own elsewhere would
     # word one fault two ways, and a missing one lets a stand-in get an answer.
-    # The other isinstance tests are the integer and monomial rules and the
-    # shape checks of parsed JSON and of verdict records.  The mask kernels
-    # never call the rule, so no corpus verdict pays for it
+    # The other isinstance tests are the integer and monomial rules, the
+    # shape checks of parsed JSON and of verdict records, and the package's
+    # export list, which leaves the submodules out.  The mask kernels never
+    # call the rule, so no corpus verdict pays for it
     allowed = {("core.py", "_instance"), ("core.py", "_integers"), ("core.py", "_monomials"),
-               ("ioformats.py", "ideal_from_json_dict"), ("suites.py", "_record")}
+               ("ioformats.py", "ideal_from_json_dict"), ("suites.py", "_record"),
+               ("__init__.py", None)}
     kernels = {("polymatroid.py", "_Layer"), ("quotients.py", "_ColonTables"),
                ("corpus.py", "_CorpusLayer"), ("suites.py", "_verdict_chunk"),
                ("suites.py", "_localization_verdict"), ("suites.py", "_local_generators"),
@@ -445,6 +495,38 @@ def test_readme_export_list_matches_package():
     unknown = {name for name in listed - set(polymat.__all__)
                if not hasattr(polymat.MonomialIdeal, name) and not hasattr(builtins, name)}
     assert not unknown, sorted(unknown)
+
+
+def test_star_import_binds_no_module():
+    # the submodules stay attributes of the package, so `from polymat import
+    # betti` still works, but `from polymat import *` binds no module name
+    namespace = {}
+    exec("from polymat import *", namespace)
+    modules = sorted(name for name, value in namespace.items()
+                     if isinstance(value, types.ModuleType))
+    assert not modules, modules
+    assert set(namespace) - {"__builtins__"} == set(polymat.__all__)
+    assert all(isinstance(getattr(polymat, name), types.ModuleType)
+               for name in ("betti", "corpus", "quotients", "suites"))
+
+
+def test_library_imports_only_the_standard_library():
+    # README promises no runtime dependency beyond the standard library; the
+    # imports are read from the syntax tree, since docstrings hold import-like
+    # lines
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name != "__future__"
+                      and name.split(".")[0] not in sys.stdlib_module_names]
+    assert not found, found
 
 
 def test_readme_example_runs():
