@@ -54,12 +54,11 @@ class MonomialSet:
 
 
 def monomials_of_degree(n: int, d: int) -> MonomialSet:
-    """All C(n+d-1, d) monomials of degree d, lex-descending."""
+    """All C(n+d-1, d) monomials of degree d, lex-descending: the lexsegment
+    L(x1^d, xn^d)."""
     (n,) = _integers((n,), "n", 1, sys.maxsize)
     (d,) = _integers((d,), "d", 0, sys.maxsize)
-    # ascending variable multisets give descending exponent vectors: the sort is one pass
-    layer = combinations_with_replacement(range(n), d)
-    return MonomialSet(n, d, (Monomial(tuple(map(c.count, range(n)))) for c in layer))
+    return lexsegment(Monomial((d,) + (0,) * (n - 1)), Monomial((0,) * (n - 1) + (d,)))
 
 
 def _check_endpoints(u: Monomial, v: Monomial) -> None:

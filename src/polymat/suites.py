@@ -48,9 +48,9 @@ from .quotients import (
     LQFailure,
     _lq_witness,
     linear_quotients_failure,
-    lq_all_orders_failure,
     qwlr_by_order,
     sort_generators,
+    theorem_equivalence,
 )
 
 REMARK_GENS = ((1, 0, 2), (2, 0, 1), (1, 1, 1), (0, 2, 1))
@@ -206,14 +206,13 @@ def _theorem_verdict(layer: _CorpusLayer, index: int, mask: int) -> dict:
         consistent = consistent and linear == polymatroidal
     out["verdict"] = "consistent" if consistent else "MISMATCH"
     if not consistent:
-        # headline event: record every witness the ideal has, as the public checks find them
-        I = layer.ideal(mask)
-        witness = exchange_failure(I)
-        if witness is not None:
-            out["exchange_witness"] = witness.to_json_dict()
-        lq_witness = lq_all_orders_failure(I, "lex")
-        if lq_witness is not None:
-            out["lq_witness"] = _order_witness("lex", *lq_witness)
+        # headline event: record every witness the ideal has, as the public
+        # quotients.theorem_equivalence finds them
+        check = theorem_equivalence(layer.ideal(mask))
+        if check.exchange_witness is not None:
+            out["exchange_witness"] = check.exchange_witness.to_json_dict()
+        if check.lq_witness is not None:
+            out["lq_witness"] = _order_witness("lex", *check.lq_witness)
     return out
 
 
@@ -243,7 +242,9 @@ def _conjecture_verdict(layer: _CorpusLayer, index: int, mask: int) -> dict:
         return out
     # headline event: serialize everything needed to re-verify
     out["verdict"] = ConjectureOutcome.COUNTEREXAMPLE.value
-    out["exchange_witness"] = exchange_failure(layer.ideal(mask)).to_json_dict()
+    witness = exchange_failure(layer.ideal(mask))
+    if witness is not None:
+        out["exchange_witness"] = witness.to_json_dict()
     out["revlex_orders_checked"] = [list(o.perm) for o in all_variable_orders(layer.n)]
     return out
 
@@ -412,7 +413,9 @@ def _record(value: object, what: str, keys: tuple[str, ...]) -> dict:
 def reverify_witness(verdict: dict, n: int, d: int) -> bool:
     """Replay every serialized failure witness a verdict carries.
 
-    Returns True when each recorded failure reproduces exactly.
+    Returns True when each recorded failure reproduces exactly: every order
+    and exchange witness, and every listed localization violation, as a
+    substitution whose MonomialIdeal.localize has no linear resolution.
     """
     I = ideal_from_mask(n, d, _record(verdict, "a verdict", ("mask", "gens"))["mask"])
     if ideal_to_json_dict(I)["gens"] != verdict["gens"]:
@@ -427,6 +430,9 @@ def reverify_witness(verdict: dict, n: int, d: int) -> bool:
     if "exchange_witness" in verdict:
         failure = exchange_failure(I)
         if failure is None or failure.to_json_dict() != verdict["exchange_witness"]:
+            return False
+    for off in _instance(verdict.get("violations", []), list, "violations"):
+        if has_linear_resolution(I.localize(off)):
             return False
     return True
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -80,6 +81,27 @@ def test_lexsegment_command(capsys):
     out = capsys.readouterr().out
     assert "3 monomials" in out
     assert "completely lexsegment" in out
+
+
+@pytest.mark.parametrize("u, v, n, given", [
+    ("x1^2", "x1*x3", 3, True),
+    ("x2^2", "x2*x3", 3, False),
+    ("x1*x2", "x1*x3", 4, True),
+    ("x1*x2^2", "x1*x2*x3", 3, False),
+    ("x1^3", "x3^3", 3, False),
+    ("1", "1", 2, True),
+])
+def test_lexsegment_default_shadow_depth(capsys, u, v, n, given):
+    # without --shadow-depth the command prints the library's default depth,
+    # max(1, n*d), and the answer is_completely_lexsegment gives at its default
+    argv = ["lexsegment", "--u", u, "--v", v] + (["--n", str(n)] if given else [])
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    ((depth, answer),) = re.findall(
+        r"^completely lexsegment \(shadow depth (\d+)\): (yes|no)$", out, re.M)
+    um, vm = pm.parse_monomial(u, n), pm.parse_monomial(v, n)
+    assert int(depth) == max(1, n * um.degree)
+    assert answer == ("yes" if pm.is_completely_lexsegment(um, vm) else "no")
 
 
 def test_localize_command(capsys):

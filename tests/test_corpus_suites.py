@@ -13,7 +13,7 @@ import pytest
 
 import polymat as pm
 from conftest import I, veronese
-from polymat import corpus, suites
+from polymat import corpus, quotients, suites
 from polymat.corpus import corpus_masks
 
 
@@ -327,7 +327,7 @@ def forced_theorem_mismatch(monkeypatch, with_exchange: bool) -> dict:
     mask = next(m for m in range(1, 64) if not pm.is_polymatroidal(pm.ideal_from_mask(3, 2, m)))
     monkeypatch.setattr(suites._CorpusLayer, "exchange_failure", lambda layer, mask: None)
     if not with_exchange:
-        monkeypatch.setattr(suites, "exchange_failure", lambda ideal: None)
+        monkeypatch.setattr(quotients, "exchange_failure", lambda ideal: None)
     return suites._theorem_verdict(suites._CorpusLayer(3, 2), 0, mask)
 
 
@@ -374,6 +374,43 @@ class TestReverifyLexWitness:
         verdict = forced_theorem_mismatch(monkeypatch, with_exchange=True)
         verdict["gens"] = verdict["gens"][1:]
         assert not pm.reverify_witness(verdict, 3, 2)
+
+
+class TestReverifyViolations:
+    def test_forced_violation_refused(self, monkeypatch):
+        # the (3,2) Veronese has linear localizations only; with the tables and
+        # homology made to deny it, the verdict lists every substitution, and
+        # with them lifted none of the listed localizations replays
+        with monkeypatch.context() as forced:
+            forced.setattr(suites, "_linear_on_tables", lambda *args: False)
+            forced.setattr(suites, "has_linear_resolution", lambda ideal: False)
+            verdict = suites._localization_verdict(suites._CorpusLayer(3, 2), 0, 63)
+        assert verdict["verdict"] == "VIOLATION"
+        assert len(verdict["violations"]) == 7
+        assert not pm.reverify_witness(verdict, 3, 2)
+        assert pm.reverify_witness({**verdict, "violations": []}, 3, 2)
+
+    def test_genuine_violations_reverify(self):
+        # x1x2 + x3x4 has a Koszul syzygy in degree 4, so its resolution is not
+        # linear; x2 + x3x4 is generated in two degrees, and x2 + x4 is linear
+        ideal = I("x1*x2 + x3*x4", 4)
+        assert not pm.has_linear_resolution(ideal)
+        layer = suites._CorpusLayer(4, 2)
+        mask = sum(1 << layer.index[g.exponents] for g in ideal.gens)
+        verdict = {"mask": mask, "gens": pm.ideal_to_json_dict(ideal)["gens"]}
+        assert pm.reverify_witness({**verdict, "violations": [[]]}, 4, 2)
+        assert pm.reverify_witness({**verdict, "violations": [[], [1], [3, 3]]}, 4, 2)
+        assert not pm.reverify_witness({**verdict, "violations": [[], [1, 3]]}, 4, 2)
+
+    @pytest.mark.parametrize("violations", [
+        3, None, "1", {"1": [1]}, ([1],), [1], [[0]], [[5]], [["x1"]], [[True]], [[1.0]],
+    ])
+    def test_malformed_violations_refused(self, violations):
+        # an InvalidArgumentError, not a TypeError: the list rule refuses the
+        # value, and localize's index rule refuses an entry
+        verdict = {"mask": 3, "gens": [[2, 0, 0, 0], [1, 1, 0, 0]], "violations": violations}
+        with pytest.raises(pm.InvalidArgumentError, match="is not a list|variable index"):
+            pm.reverify_witness(verdict, 4, 2)
 
 
 class TestRemarkSuite:

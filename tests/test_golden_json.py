@@ -112,3 +112,29 @@ def test_suite_prints_failing_verdicts(monkeypatch, capsys):
         '  {"gens": [[1, 0], [0, 1]], "index": 2, "lex_all_orders": false, '
         '"linear_resolution": true, "mask": 3, "polymatroidal": true, "verdict": "MISMATCH"}',
     ]
+
+
+def forced_veronese_counterexample(monkeypatch):
+    """The (3,2) Veronese, mask 63, taken for a COUNTEREXAMPLE: the exchange
+    kernel misreports it as not polymatroidal and the revlex search finds no
+    refuting order, while the public exchange check finds no witness."""
+    monkeypatch.setattr(suites._CorpusLayer, "exchange_failure", lambda layer, mask: (0, 1, 0))
+    monkeypatch.setattr(suites._CorpusLayer, "search", lambda layer, kind, mask: None)
+
+
+def test_counterexample_without_a_public_witness(monkeypatch):
+    forced_veronese_counterexample(monkeypatch)
+    assert pm.is_polymatroidal(pm.ideal_from_mask(3, 2, 63))
+    verdict = suites._conjecture_verdict(suites._CorpusLayer(3, 2), 0, 63)
+    assert verdict["verdict"] == "COUNTEREXAMPLE"
+    assert "exchange_witness" not in verdict
+    assert verdict["revlex_orders_checked"] == [list(o.perm) for o in pm.all_variable_orders(3)]
+
+
+def test_suite_exits_1_on_a_counterexample_without_a_public_witness(monkeypatch, capsys):
+    # the CLI reports the failing verdicts instead of a traceback
+    forced_veronese_counterexample(monkeypatch)
+    assert main(["suite", "conjecture", "--n", "3", "--d", "2", "--jobs", "1"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("suite conjecture: FAIL (COUNTEREXAMPLE=63)")
+    assert '"mask": 63' in lines[-1] and "exchange_witness" not in lines[-1]

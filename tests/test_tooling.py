@@ -15,6 +15,7 @@ import polymat
 SOURCE = Path(polymat.__file__).parent
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 README = Path(__file__).resolve().parents[1] / "README.md"
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
 def test_no_assert_statements_in_library():
@@ -182,10 +183,14 @@ def test_induced_orders_are_read_in_one_place():
 
 def test_suites_localize_no_ideal():
     # every corpus localization is read off the slice's tables, the undecided
-    # ones included; MonomialIdeal.localize serves the CLI and the tests
+    # ones included; MonomialIdeal.localize serves the CLI, the tests and
+    # reverify_witness, which replays a listed violation on the ideal that
+    # `polymat localize` prints
     path = SOURCE / "suites.py"
     found = [f"suites.py:{node.lineno} {ast.unparse(node)}"
-             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             for name, top in _definitions(ast.parse(path.read_text(), filename=str(path)))
+             if name != "reverify_witness"
+             for node in ast.walk(top)
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
              and node.func.attr == "localize"]
     assert not found, found
@@ -237,6 +242,25 @@ def test_substitutions_are_zeroed_in_one_place():
     assert callers == {("core.py", "MonomialIdeal.localize"),
                        ("corpus.py", "_CorpusLayer._images"),
                        ("suites.py", "_localization_verdict")}, sorted(callers)
+
+
+def test_layer_walk_and_theorem_witnesses_are_written_once():
+    # the degree-d layer is the lexsegment L(x1^d, xn^d), so lexsegment.lexsegment
+    # is the one walk over the variable multisets; a theorem MISMATCH records
+    # the witnesses of quotients.theorem_equivalence, the paper's theorem for
+    # one ideal, rather than a second copy of its two checks
+    calls = {}
+    for path in sorted(SOURCE.glob("*.py")):
+        for name, top in _definitions(ast.parse(path.read_text(), filename=str(path))):
+            calls[path.name, name] = {ast.unparse(node.func).rsplit(".", 1)[-1]
+                                      for node in ast.walk(top) if isinstance(node, ast.Call)}
+    walkers = {where for where, names in calls.items() if "combinations_with_replacement" in names}
+    assert walkers == {("lexsegment.py", "lexsegment")}, sorted(walkers)
+    assert "lexsegment" in calls["lexsegment.py", "monomials_of_degree"]
+    searches = {name for (file, name), names in calls.items()
+                if file == "suites.py" and "lq_all_orders_failure" in names}
+    assert not searches, sorted(searches)
+    assert "theorem_equivalence" in calls["suites.py", "_theorem_verdict"]
 
 
 def test_import_loads_no_process_pool():
@@ -546,3 +570,12 @@ def test_readme_example_runs():
         else:
             exec(line, namespace)
     assert checked >= 5, checked
+
+
+def test_package_version_matches_pyproject():
+    # the version is declared twice, in pyproject.toml's [project] table and in
+    # polymat/version.py; a regex reads the table, since tomllib needs 3.11
+    (project,) = re.findall(r"^\[project\]\n(.*?)(?=^\[|\Z)", PYPROJECT.read_text(), re.M | re.S)
+    (declared,) = re.findall(r'^version = "([^"]+)"$', project, re.M)
+    assert declared == importlib.import_module("polymat.version").__version__
+    assert declared == polymat.__version__
