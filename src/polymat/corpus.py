@@ -4,8 +4,11 @@ Every non-empty subset of the degree-d monomials is a minimal generating
 set (equal-degree monomials never divide one another), so corpora are
 represented as bitmasks over the lex-descending list of degree-d
 monomials.  Exhaustive corpora run masks in ascending order; random
-corpora draw distinct m-subsets from a seeded generator.  Both are fully
-reproducible from the corpus parameters.
+corpora draw distinct m-subsets from a seeded random.Random.  The draw is
+CPython 3.11's Random.sample algorithm, written once here on getrandbits,
+so a random corpus depends on the seed alone and not on how a later
+Python implements sample.  Both are fully reproducible from the corpus
+parameters.
 
 A _CorpusLayer is the one codec between masks and monomials: it holds
 the layer's monomials by bit, with the tables the suites' mask verdicts
@@ -23,9 +26,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import reduce
-from math import comb
+from math import ceil, comb, log
 from operator import or_
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .core import MonomialIdeal, _instance, _integers, _substituted, all_variable_orders
 from .errors import BoundExceededError, InvalidArgumentError
@@ -156,17 +159,18 @@ class _CorpusLayer(_Layer):
         (b, z), above = key, self.colon["revlex"].above
         return ~reduce(or_, [above[t][a] for t, a in enumerate(self.exps[b]) if not z >> t & 1], 0)
 
-    def fields(self, index: int, mask: int) -> dict:
-        """The fields every corpus verdict starts with; reverify_witness reads mask and gens."""
-        return {"index": index, "mask": mask, "gens": [self.gens_rows[b] for b in _bits(mask)]}
+    def fields(self, index: int, mask: int, members: list[int]) -> dict:
+        """The fields every corpus verdict starts with, members being the
+        mask's bits; reverify_witness reads mask and gens."""
+        return {"index": index, "mask": mask, "gens": [self.gens_rows[b] for b in members]}
 
     def ideal(self, mask: int) -> MonomialIdeal:
         return MonomialIdeal(self.n, [self.monomials[b] for b in _bits(mask)])
 
-    def search(self, kind: str, mask: int) -> _Found | None:
-        """The first failing order of the n! for the ideal of mask, as
-        _ColonTables.first_failure gives it; or None."""
-        return self.colon[kind].first_failure(mask)
+    def search(self, kind: str, mask: int, members: list[int]) -> _Found | None:
+        """The first failing order of the n! for the ideal of mask, whose
+        bits are members, as _ColonTables.first_failure gives it; or None."""
+        return self.colon[kind].first_failure(mask, members)
 
 
 def ideal_from_mask(n: int, d: int, mask: int) -> MonomialIdeal:
@@ -178,20 +182,18 @@ def ideal_from_mask(n: int, d: int, mask: int) -> MonomialIdeal:
 
 def corpus_masks(spec: CorpusSpec) -> range | list[int]:
     """The corpus masks in order: the range itself for a plain exhaustive
-    corpus, so that no list of its masks is built, and a list otherwise."""
+    corpus, so that no list of its masks is built, and a list otherwise.
+
+    A random corpus keeps the first count distinct masks of the m-subsets
+    that CPython 3.11's Random(seed).sample(range(L), m) draws, L being
+    the layer's size; _random_masks writes that algorithm once, on
+    getrandbits.
+    """
     basis_size = comb(spec.n + spec.d - 1, spec.d)
     if spec.mode == "exhaustive":
         masks = range(spec.start_mask, 1 << basis_size)
     else:
-        rng = random.Random(spec.seed)
-        seen: set[int] = set()
-        masks = []
-        while len(masks) < spec.count:
-            # sample reads only the population's length, so no list of bits is built
-            mask = sum(1 << i for i in rng.sample(range(basis_size), spec.m))
-            if mask not in seen:
-                seen.add(mask)
-                masks.append(mask)
+        masks = _random_masks(random.Random(spec.seed).getrandbits, basis_size, spec.m, spec.count)
     if spec.dedupe_isomorphic:
         layer = _CorpusLayer(spec.n, spec.d)
         relabel = [
@@ -200,6 +202,44 @@ def corpus_masks(spec: CorpusSpec) -> range | list[int]:
         ]
         masks = [mask for mask in masks if _is_orbit_representative(relabel, mask)]
     return masks
+
+
+def _random_masks(getrandbits: Callable[[int], int], size: int, m: int, count: int) -> list[int]:
+    """The first count distinct masks of the m-subsets of range(size) that
+    Random.sample draws from the generator of getrandbits, reading the
+    same bits: below the set size that sample computes from m it picks
+    from a shrinking pool, above it it redraws an index already taken,
+    and an index below b comes from getrandbits(b.bit_length()), redrawn
+    until it is below b."""
+    setsize = 21  # sample's rule: a small set's size less an empty list's
+    if m > 5:
+        setsize += 4 ** ceil(log(m * 3, 4))
+    drawn: dict[int, None] = {}  # insertion-ordered, so the first draw of a mask keeps its place
+    if size <= setsize:
+        bits = [1 << i for i in range(size)]
+        # the pool shrinks by one a pick: an index below size - i, and its width in bits
+        below = [(size - i, (size - i).bit_length()) for i in range(m)]
+        while len(drawn) < count:
+            pool = bits.copy()
+            mask = 0
+            for b, width in below:
+                j = getrandbits(width)
+                while j >= b:
+                    j = getrandbits(width)
+                mask |= pool[j]
+                pool[j] = pool[b - 1]
+            drawn[mask] = None
+    else:
+        width = size.bit_length()
+        while len(drawn) < count:
+            taken: set[int] = set()
+            for _ in range(m):
+                j = getrandbits(width)
+                while j >= size or j in taken:
+                    j = getrandbits(width)
+                taken.add(j)
+            drawn[sum(1 << j for j in taken)] = None
+    return list(drawn)
 
 
 def _is_orbit_representative(relabel: list[list[int]], mask: int) -> bool:

@@ -121,11 +121,12 @@ class _Layer:
             for i in range(self.n) if a[i] > b[i]
         )
 
-    def exchange_failure(self, S: int, symmetric: bool = False) -> tuple[int, int, int] | None:
-        """The first (u, v, i) of bits u != v of S and 0-based giver i at
-        which exchange fails, pairs in bit order and i ascending; or None."""
+    def exchange_failure(self, S: int, members: Sequence[int],
+                         symmetric: bool = False) -> tuple[int, int, int] | None:
+        """The first (u, v, i) of bits u != v of S, members listing them
+        ascending, and 0-based giver i at which exchange fails, pairs in bit
+        order and i ascending; or None."""
         rows = self.rows
-        members = _bits(S)
         for u in members:
             for v in members:
                 if u != v:
@@ -138,7 +139,8 @@ class _Layer:
 def _exchange_witness(I: MonomialIdeal, symmetric: bool) -> ExchangeWitness | None:
     require_equigenerated(I)
     gens = I.gens
-    found = _Layer([g.exponents for g in gens]).exchange_failure((1 << len(gens)) - 1, symmetric)
+    layer = _Layer([g.exponents for g in gens])
+    found = layer.exchange_failure((1 << len(gens)) - 1, range(len(gens)), symmetric)
     if found is None:
         return None
     u, v, i = found

@@ -234,18 +234,18 @@ class _ColonTables:
                 covered |= cov
         return preds & ~covered
 
-    def failure_at(self, S: int, perm: tuple[int, ...]) -> tuple[int, int] | None:
+    def failure_at(self, members: Sequence[int], perm: tuple[int, ...]) -> tuple[int, int] | None:
         """Where the sequence that the 0-based permutation perm induces on
-        S first fails linear quotients: (1-based position, blocker bit), as
+        the generators members, bits of the layer listed ascending, first
+        fails linear quotients: (1-based position, blocker bit), as
         linear_quotients_failure reports them; or None.
 
         The layer is lex-descending, so the lowest uncovered bit is the
         uncovered generator greatest by canonical_key.
         """
-        members = _bits(S)
         rank = self.ranks[perm]
         if rank is not None:
-            members.sort(key=rank.__getitem__)
+            members = sorted(members, key=rank.__getitem__)
         preds = 1 << members[0]
         for position, g in enumerate(members[1:], 2):
             uncovered = self.uncovered(g, preds)
@@ -275,23 +275,24 @@ class _ColonTables:
                 before |= part
         return refined
 
-    def first_failure(self, S: int) -> _Found | None:
-        """The first of the n! orders whose sequence of S fails, as a 0-based
-        permutation with failure_at's position and blocker bit there; or
-        None if every order passes."""
+    def first_failure(self, S: int, members: Sequence[int]) -> _Found | None:
+        """The first of the n! orders whose sequence of S, members listing
+        its bits ascending, fails, as a 0-based permutation with
+        failure_at's position and blocker bit there; or None if every order
+        passes."""
         perm = self.identity
-        failure = self.failure_at(S, perm)
+        failure = self.failure_at(members, perm)
         if failure is None:
-            perm = _first_failing_perm(self, S)
+            perm = _first_failing_perm(self, S, members)
             if perm is None:
                 return None
-            failure = self.failure_at(S, perm)
+            failure = self.failure_at(members, perm)
         return (perm, *failure)
 
 
-def _twin_classes(layer: _Layer, S: int) -> list[int]:
+def _twin_classes(layer: _Layer, S: int, members: Sequence[int]) -> list[int]:
     """For each variable t, the least variable u such that swapping x_u and
-    x_t maps the generating set S onto itself.
+    x_t maps the generating set S, of bits members, onto itself.
 
     Being twins is an equivalence relation, as (a c) = (a b)(b c)(a b), so
     each variable is tested against the least member of each class found so
@@ -299,10 +300,10 @@ def _twin_classes(layer: _Layer, S: int) -> list[int]:
     S.
     """
     exps, index = layer.exps, layer.index
-    members = [exps[g] for g in _bits(S)]
+    gens = [exps[g] for g in members]
 
     def twins(u: int, t: int) -> bool:  # u < t
-        for e in members:
+        for e in gens:
             if e[u] != e[t]:
                 k = index.get(e[:u] + (e[t],) + e[u + 1:t] + (e[u],) + e[t + 1:])
                 if k is None or not S >> k & 1:
@@ -315,9 +316,11 @@ def _twin_classes(layer: _Layer, S: int) -> list[int]:
     return least
 
 
-def _first_failing_perm(tables: _ColonTables, S: int) -> tuple[int, ...] | None:
+def _first_failing_perm(tables: _ColonTables, S: int,
+                        members: Sequence[int]) -> tuple[int, ...] | None:
     """Least 0-based permutation, in lexicographic order, whose induced
-    sequence of the generating set S fails linear quotients.
+    sequence of the generating set S, of bits members, fails linear
+    quotients.
 
     Lex chooses variables from the greatest position on, so subtrees come
     in permutation order; revlex chooses from the least position back.
@@ -334,7 +337,7 @@ def _first_failing_perm(tables: _ColonTables, S: int) -> tuple[int, ...] | None:
       the subtree of t: so the least failing permutation is never skipped.
     """
     lex = tables.lex
-    twin = _twin_classes(tables.layer, S)
+    twin = _twin_classes(tables.layer, S, members)
     best: tuple[int, ...] | None = None
 
     def visit(partition, chosen: tuple[int, ...], remaining: tuple[int, ...]) -> None:
@@ -382,7 +385,7 @@ def lq_all_orders_failure(I: MonomialIdeal, kind: str) -> tuple[VariableOrder, L
     _check_kind(kind)
     gens = I.gens
     tables = _ColonTables(_Layer([g.exponents for g in gens]), kind)
-    found = tables.first_failure((1 << len(gens)) - 1)
+    found = tables.first_failure((1 << len(gens)) - 1, range(len(gens)))
     return None if found is None else _lq_witness(found, gens)
 
 

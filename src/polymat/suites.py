@@ -13,7 +13,8 @@ k getting masks[k::workers] with their corpus indices, so that each
 worker meets the cheap and the costly parts of an exhaustive corpus
 alike, and the parent puts the verdicts back in corpus order.
 A slice builds one corpus._CorpusLayer, the tables of the degree layer,
-and decides each verdict from its mask S: the exchange scan, the
+and decides each verdict from its mask S, whose bits it lists once and
+hands to every reader of the verdict: the exchange scan, the
 identity-order and all-orders linear-quotients tests, the two-variable
 linear-resolution test and the localizations of a polymatroidal mask
 are integer operations on S and the layer's tables, the last with each
@@ -190,10 +191,11 @@ def _run_suite(
 
 
 def _theorem_verdict(layer: _CorpusLayer, index: int, mask: int) -> dict:
-    polymatroidal = layer.exchange_failure(mask) is None
-    lex_all_orders = layer.search("lex", mask) is None
+    members = _bits(mask)
+    polymatroidal = layer.exchange_failure(mask, members) is None
+    lex_all_orders = layer.search("lex", mask, members) is None
     out = {
-        **layer.fields(index, mask),
+        **layer.fields(index, mask, members),
         "polymatroidal": polymatroidal,
         "lex_all_orders": lex_all_orders,
     }
@@ -230,11 +232,12 @@ def run_theorem_suite(spec: CorpusSpec, jobs: int = 1) -> CheckReport:
 
 
 def _conjecture_verdict(layer: _CorpusLayer, index: int, mask: int) -> dict:
-    out = layer.fields(index, mask)
-    if layer.exchange_failure(mask) is None:
+    members = _bits(mask)
+    out = layer.fields(index, mask, members)
+    if layer.exchange_failure(mask, members) is None:
         out["verdict"] = ConjectureOutcome.POLYMATROIDAL.value
         return out
-    found = layer.search("revlex", mask)
+    found = layer.search("revlex", mask, members)
     if found is not None:
         witness = _lq_witness(found, layer.monomials)
         out["verdict"] = ConjectureOutcome.REFUTED.value
@@ -296,7 +299,7 @@ def _linear_on_tables(layer: _CorpusLayer, z: int, members: list[int],
     if w == layer.d:
         return True
     tables = layer.colon["revlex"]
-    return tables.failure_at(lifted, tables.identity) is None
+    return tables.failure_at(_bits(lifted), tables.identity) is None
 
 
 def _localization_verdict(layer: _CorpusLayer, index: int, mask: int) -> dict:
@@ -305,14 +308,14 @@ def _localization_verdict(layer: _CorpusLayer, index: int, mask: int) -> dict:
     tables where they certify it linear; otherwise the homology of the
     ideal of the generators' core._substituted images at z decides it,
     which is the ideal MonomialIdeal.localize builds for z."""
-    out = layer.fields(index, mask)
-    if layer.exchange_failure(mask) is not None:
+    members = _bits(mask)
+    out = layer.fields(index, mask, members)
+    if layer.exchange_failure(mask, members) is not None:
         out["verdict"] = "not_polymatroidal"
         return out
     out["checked"] = proper = (1 << layer.n) - 1  # every substitution but the one of all variables
     out["violations"] = []
     out["verdict"] = "all_linear"
-    members = _bits(mask)
     images_of = [layer.images[b] for b in members]
     # a substitution acts through the variables of the ideal's support only, so
     # each restriction z of one to the support is decided once; z = support

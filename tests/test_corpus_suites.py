@@ -72,15 +72,13 @@ def tuple_orbit_representatives(n, d, masks):
         perms, position, [g for i, g in enumerate(layer) if mask >> i & 1], mask)]
 
 
-def drawn_bit_by_bit(spec):
-    """A random corpus drawn as it was before one-step draws: each mask built
-    bit by bit from an m-sample of the bit positions."""
+def drawn_by_sample(spec):
+    """A random corpus drawn with Random.sample itself: the first count
+    distinct masks of its m-subsets of the layer's bits."""
     rng = random.Random(spec.seed)
     seen, masks = set(), []
     while len(masks) < spec.count:
-        mask = 0
-        for i in rng.sample(range(comb(spec.n + spec.d - 1, spec.d)), spec.m):
-            mask |= 1 << i
+        mask = sum(1 << i for i in rng.sample(range(comb(spec.n + spec.d - 1, spec.d)), spec.m))
         if mask not in seen:
             seen.add(mask)
             masks.append(mask)
@@ -219,11 +217,36 @@ class TestCorpus:
     @pytest.mark.parametrize("n, d, m, count, seed", [
         (4, 3, 5, 500, 1061), (4, 3, 10, 500, 77), (4, 3, 15, 500, 0), (2, 1, 1, 2, 5),
         (4, 2, 10, 1, 3), (8, 5, 40, 50, 0), (8, 5, 792, 1, 9),
+        *[(4, 3, m, 1500, seed) for seed in (1, 41, 42) for m in (5, 10, 15)],
+        (2, 20, 5, 2000, 7), (2, 21, 5, 2000, 7), (2, 21, 6, 2000, 7),
+        (2, 84, 6, 500, 7), (2, 85, 6, 500, 7), (2, 84, 21, 200, 7), (2, 85, 21, 200, 7),
+        (4, 3, 1, 20, 7), (4, 60, 1, 50, 7), (2, 21, 22, 1, 7), (4, 60, 40, 20, 7),
     ])
     def test_random_masks_are_drawn_as_bit_by_bit(self, n, d, m, count, seed):
-        # (4,2) with m = 10 and (8,5) with m = 792 draw every monomial of the layer
+        # the sweep corpora at several seeds; (4,2) with m = 10, (8,5) with
+        # m = 792 and (2,21) with m = 22 draw every monomial of the layer.
+        # sample's set size is 21 up to m = 5 and 85 for m = 6..21: (2,20) has
+        # 21 monomials and (2,21) 22, (2,84) 85 and (2,85) 86, so each pair
+        # straddles the switch between the pool and the set of taken indices
         spec = pm.CorpusSpec(n=n, d=d, mode="random", m=m, count=count, seed=seed)
-        assert corpus_masks(spec) == drawn_bit_by_bit(spec)
+        assert corpus_masks(spec) == drawn_by_sample(spec)
+
+    @pytest.mark.parametrize("n, d, m", [(2, 21, 5), (2, 85, 21)])
+    def test_set_branch_redraws_as_sample_does(self, n, d, m):
+        # 22 and 86 monomials: getrandbits overshoots, and with m = 5 of 22 or
+        # m = 21 of 86 one pick in many lands on an index already taken
+        size, count = comb(n + d - 1, d), 200
+        calls = []
+
+        class Counting(random.Random):
+            def getrandbits(self, k):
+                calls.append(k)
+                return super().getrandbits(k)
+
+        masks = corpus._random_masks(Counting(3).getrandbits, size, m, count)
+        assert masks == drawn_by_sample(pm.CorpusSpec(n, d, "random", m, count, 3))
+        assert set(calls) == {size.bit_length()}
+        assert len(calls) > 1.2 * m * count
 
     def test_a_random_draw_builds_no_list_of_the_layer(self):
         # (4,60) has 39,711 monomials: a list of their bits would take about 107 MB
@@ -232,7 +255,7 @@ class TestCorpus:
         masks = corpus_masks(spec)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        assert masks == drawn_bit_by_bit(spec)
+        assert masks == drawn_by_sample(spec)
         assert peak < 1_000_000, peak
 
 
@@ -325,7 +348,7 @@ def forced_theorem_mismatch(monkeypatch, with_exchange: bool) -> dict:
     yields one (the theorem holds), so the suite's exchange kernel is forced
     to misreport a non-polymatroidal (3,2) ideal as polymatroidal."""
     mask = next(m for m in range(1, 64) if not pm.is_polymatroidal(pm.ideal_from_mask(3, 2, m)))
-    monkeypatch.setattr(suites._CorpusLayer, "exchange_failure", lambda layer, mask: None)
+    monkeypatch.setattr(suites._CorpusLayer, "exchange_failure", lambda layer, mask, members: None)
     if not with_exchange:
         monkeypatch.setattr(quotients, "exchange_failure", lambda ideal: None)
     return suites._theorem_verdict(suites._CorpusLayer(3, 2), 0, mask)
@@ -547,9 +570,10 @@ class TestLocalizationSuite:
         layer = suites._CorpusLayer(n, d)
         checked = 0
         for mask in range(1, 1 << len(layer.exps)):
-            if layer.exchange_failure(mask) is not None:
+            members = suites._bits(mask)
+            if layer.exchange_failure(mask, members) is not None:
                 continue
-            ideal, members = layer.ideal(mask), suites._bits(mask)
+            ideal = layer.ideal(mask)
             for sub in range((1 << n) - 1):
                 local = ideal.localize(substituted(n, sub))
                 images = images_at(layer, members, sub)
@@ -710,7 +734,7 @@ class TestLocalizationSuite:
         assert ideal.is_equigenerated() is not None and not certified(ideal)
         assert pm.has_linear_resolution(ideal) is linear
         layer = suites._CorpusLayer(3, 2)
-        layer.exchange_failure = lambda mask: None
+        layer.exchange_failure = lambda mask, members: None
         mask = sum(1 << layer.index[g.exponents] for g in ideal.gens)
         verdict = suites._localization_verdict(layer, 0, mask)
         localizations = [ideal.localize(substituted(3, z)) for z in restrictions(ideal)]
@@ -720,6 +744,41 @@ class TestLocalizationSuite:
             substituted(3, sub) for sub in range(7)
             if not pm.has_linear_resolution(ideal.localize(substituted(3, sub)))
         ]
+
+
+class TestMaskReads:
+    @pytest.mark.parametrize("verdict_fn", [suites._theorem_verdict, suites._conjecture_verdict])
+    def test_each_verdict_reads_its_masks_bits_once(self, monkeypatch, verdict_fn):
+        # the verdict lists the mask's bits once and hands the list to the
+        # exchange scan, the order search, its twin classes and the fields
+        reads, searched = [], []
+        bits, search = pm.polymatroid._bits, quotients._first_failing_perm
+        for module in (pm.polymatroid, quotients, corpus, suites):
+            monkeypatch.setattr(module, "_bits", lambda mask: reads.append(mask) or bits(mask))
+        monkeypatch.setattr(quotients, "_first_failing_perm",
+                            lambda *args: searched.append(args[1]) or search(*args))
+        layer = corpus._CorpusLayer(4, 3)
+        for m in (5, 10, 15):
+            spec = pm.CorpusSpec(n=4, d=3, mode="random", m=m, count=300, seed=5)
+            for index, mask in enumerate(corpus_masks(spec)):
+                reads.clear()
+                verdict = verdict_fn(layer, index, mask)
+                assert reads == [mask], (m, mask, verdict["verdict"])
+        # the search past the identity order, where the twin classes are read, ran
+        assert searched
+
+    def test_failure_at_keeps_the_callers_bits(self):
+        # a sort in place would hand the fields the generators in the order's sequence
+        layer = corpus._CorpusLayer(4, 3)
+        members = pm.polymatroid._bits(0b1011_0110_0101_1001_0011)
+        kept = list(members)
+        for kind in ("lex", "revlex"):
+            tables = layer.colon[kind]
+            for perm in ((3, 2, 1, 0), (1, 3, 0, 2), tables.identity):
+                tables.failure_at(members, perm)
+                assert members == kept, (kind, perm)
+        assert layer.fields(0, 0b1011_0110_0101_1001_0011, members)["gens"] == \
+            [layer.gens_rows[b] for b in kept]
 
 
 class TestWorkerPool:

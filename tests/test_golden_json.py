@@ -72,7 +72,7 @@ def remark_verdict(verdict_fn) -> dict:
 
 
 def test_theorem_mismatch_verdict_shape(monkeypatch):
-    monkeypatch.setattr(suites._CorpusLayer, "exchange_failure", lambda layer, mask: None)
+    monkeypatch.setattr(suites._CorpusLayer, "exchange_failure", lambda layer, mask, members: None)
     assert remark_verdict(suites._theorem_verdict) == {
         "exchange_witness": EXCHANGE,
         "gens": REMARK_GENS,
@@ -86,7 +86,7 @@ def test_theorem_mismatch_verdict_shape(monkeypatch):
 
 
 def test_conjecture_counterexample_verdict_shape(monkeypatch):
-    monkeypatch.setattr(suites._CorpusLayer, "search", lambda layer, kind, mask: None)
+    monkeypatch.setattr(suites._CorpusLayer, "search", lambda layer, kind, mask, members: None)
     assert remark_verdict(suites._conjecture_verdict) == {
         "exchange_witness": EXCHANGE,
         "gens": REMARK_GENS,
@@ -99,8 +99,9 @@ def test_conjecture_counterexample_verdict_shape(monkeypatch):
 
 def test_suite_prints_failing_verdicts(monkeypatch, capsys):
     # polymatroidal, yet some order is said to fail: no witness exists to record
-    monkeypatch.setattr(suites._CorpusLayer, "exchange_failure", lambda layer, mask: None)
-    monkeypatch.setattr(suites._CorpusLayer, "search", lambda layer, kind, mask: ((1, 0), None))
+    monkeypatch.setattr(suites._CorpusLayer, "exchange_failure", lambda layer, mask, members: None)
+    monkeypatch.setattr(suites._CorpusLayer, "search",
+                        lambda layer, kind, mask, members: ((1, 0), None))
     assert main(["suite", "theorem", "--n", "2", "--d", "1", "--jobs", "1"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("suite theorem: FAIL (MISMATCH=3)")
@@ -118,8 +119,9 @@ def forced_veronese_counterexample(monkeypatch):
     """The (3,2) Veronese, mask 63, taken for a COUNTEREXAMPLE: the exchange
     kernel misreports it as not polymatroidal and the revlex search finds no
     refuting order, while the public exchange check finds no witness."""
-    monkeypatch.setattr(suites._CorpusLayer, "exchange_failure", lambda layer, mask: (0, 1, 0))
-    monkeypatch.setattr(suites._CorpusLayer, "search", lambda layer, kind, mask: None)
+    monkeypatch.setattr(suites._CorpusLayer, "exchange_failure",
+                        lambda layer, mask, members: (0, 1, 0))
+    monkeypatch.setattr(suites._CorpusLayer, "search", lambda layer, kind, mask, members: None)
 
 
 def test_counterexample_without_a_public_witness(monkeypatch):

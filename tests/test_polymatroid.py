@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import polymat as pm
 from conftest import I, M, contains, veronese
-from polymat.polymatroid import _Layer
+from polymat.polymatroid import _bits, _Layer
 
 
 def _exchange_scan(I, symmetric):
@@ -49,7 +49,7 @@ def layer_of(n, d):
 
 def mask_witness(monomials, layer, mask, symmetric):
     """The mask kernel's answer as a witness over the layer's monomials."""
-    found = layer.exchange_failure(mask, symmetric)
+    found = layer.exchange_failure(mask, _bits(mask), symmetric)
     if found is None:
         return None
     u, v, i = found

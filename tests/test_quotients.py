@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import polymat as pm
 from conftest import I, M, random_ideal, small_ideals, squarefree_veronese, veronese
 from polymat import quotients
-from polymat.polymatroid import _Layer
+from polymat.polymatroid import _bits, _Layer
 
 O = pm.VariableOrder
 
@@ -295,7 +295,7 @@ def corpus_tables(n, d):
 
 def identity_failure(monomials, tables, mask):
     """The tables' test at the identity order as the LQFailure it stands for."""
-    found = tables.failure_at(mask, tables.identity)
+    found = tables.failure_at(_bits(mask), tables.identity)
     return None if found is None else pm.LQFailure(found[0], monomials[found[1]])
 
 
@@ -346,7 +346,7 @@ class TestMaskTables:
                 return pm.MonomialIdeal(n, gens) == ideal
 
             expected = [next(u for u in range(t + 1) if twins(u, t)) for t in range(n)]
-            assert quotients._twin_classes(layer, mask) == expected, mask
+            assert quotients._twin_classes(layer, mask, _bits(mask)) == expected, mask
 
     @pytest.mark.parametrize("n,d", [(3, 2), (4, 2), (3, 3)])
     def test_search_agrees_with_brute_force_on_corpora(self, n, d):
@@ -356,7 +356,7 @@ class TestMaskTables:
             ideal = pm.ideal_from_mask(n, d, mask)
             for kind, kind_tables in tables.items():
                 expected = first_failing_order_brute(ideal, kind)
-                found = kind_tables.first_failure(mask)
+                found = kind_tables.first_failure(mask, _bits(mask))
                 got = found and quotients._lq_witness(found, monomials)
                 assert got == expected, (mask, kind)
                 if found is not None and found[0] != kind_tables.identity:
@@ -370,7 +370,7 @@ class TestMaskTables:
         monomials, tables = corpus_tables(n, d)
         ideal = pm.ideal_from_mask(n, d, mask)
         for kind, kind_tables in tables.items():
-            found = kind_tables.first_failure(mask)
+            found = kind_tables.first_failure(mask, _bits(mask))
             got = found and quotients._lq_witness(found, monomials)
             assert got == first_failing_order_brute(ideal, kind), (mask, kind)
 
@@ -382,7 +382,7 @@ class TestMaskTables:
         past_identity = dict.fromkeys(tables, 0)
         for mask in windows:
             for kind, kind_tables in tables.items():
-                found = kind_tables.first_failure(mask)
+                found = kind_tables.first_failure(mask, _bits(mask))
                 if found is None or found[0] == kind_tables.identity:
                     continue
                 order, failure = quotients._lq_witness(found, monomials)

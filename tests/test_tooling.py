@@ -579,3 +579,25 @@ def test_package_version_matches_pyproject():
     (declared,) = re.findall(r'^version = "([^"]+)"$', project, re.M)
     assert declared == importlib.import_module("polymat.version").__version__
     assert declared == polymat.__version__
+
+
+def test_a_failing_hypothesis_test_does_not_stop_the_session(tmp_path):
+    # under filterwarnings = error, the warning that hypothesis's report of a
+    # failing example raises on import would end the session with INTERNALERROR
+    # before later tests run; the repository's config must let both report
+    pair = tmp_path / "test_pair.py"
+    pair.write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 0\n\n\n"
+        "def test_passes():\n"
+        "    assert True\n"
+    )
+    child = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(PYPROJECT), "--rootdir", str(tmp_path),
+         "-q", "-p", "no:cacheprovider", str(pair)],
+        capture_output=True, text=True, cwd=tmp_path, check=False)
+    output = child.stdout + child.stderr
+    assert "INTERNALERROR" not in output, output
+    assert "1 failed, 1 passed" in output, output
