@@ -5,8 +5,10 @@ the lcm lattice of the generators and, at each lattice multidegree a,
 takes reduced simplicial homology of the upper-Koszul complex K^a =
 {squarefree b on supp(a) : x^(a-b) in the ideal}; the rank of reduced
 homology in dimension i-1 there is the Betti number in homological index
-i at multidegree a (Miller-Sturmfels, Thm 1.34).  The lattice is walked
-one variable at a time, and each point comes with its divisor mask, the
+i at multidegree a (Miller-Sturmfels, Thm 1.34).  The layer works over
+the variables the generators use, as a variable no generator contains
+changes no Betti number.  The lattice is walked one variable at a time,
+every column by one rule, and each point comes with its divisor mask, the
 generators dividing x^a: a is a lattice point exactly when it is the lcm
 of its divisors (Gasharov-Peeva-Welker, The lcm-lattice in monomial
 resolutions, 1999).  The facets of K^a are the maximal slack masks {t :
@@ -206,22 +208,20 @@ def lcm_lattice(gens: list[int], guards: int, width: int) -> dict[int, int]:
     larger v has one with g_t = v, so the values stop there.  Every prefix
     kept extends to a lattice point of its own (each later a_t the largest
     exponent among its divisors), so no level holds more prefixes than the
-    lattice has points.  A column on which every generator agrees gives no
-    choice and removes no divisor: its exponent goes into every point.
+    lattice has points.  A column on which every generator agrees takes
+    the same rule: its one value keeps every divisor, so it is pushed once
+    and the values stop there, and a common factor costs one stack level.
     """
     field = (1 << width) - 1
-    base, columns = 0, []  # one list of (v << shift, below, exact) per column left
+    columns = []  # one list of (v << shift, below, exact) per variable
     for shift in range(0, guards.bit_length(), width):
         exps = [g >> shift & field for g in gens]
-        values = sorted(set(exps))
-        if len(values) == 1:
-            base |= values[0] << shift
-            continue
         columns.append([(v << shift,
                          sum(1 << j for j, e in enumerate(exps) if e <= v),
-                         sum(1 << j for j, e in enumerate(exps) if e == v)) for v in values])
+                         sum(1 << j for j, e in enumerate(exps) if e == v))
+                        for v in sorted(set(exps))])
     lattice: dict[int, int] = {}
-    stack = [(0, base, (1 << len(gens)) - 1, ())]  # (columns fixed, a, divisors, exact masks)
+    stack = [(0, 0, (1 << len(gens)) - 1, ())]  # (columns fixed, a, divisors, exact masks)
     while stack:
         depth, alpha, divisors, met = stack.pop()
         if depth == len(columns):
@@ -339,16 +339,20 @@ def _shape(masks, n: int, width: int) -> tuple[int, ...]:
 def graded_betti(I: MonomialIdeal) -> BettiTable:
     """Graded Betti numbers via homology of upper-Koszul complexes over the lcm lattice.
 
-    A cone is skipped; any other K^alpha is ranked through its shape, and
-    each distinct shape is ranked once per call, as the relative complex
-    (del v, lk v) at its busiest vertex v, which has the reduced homology
-    of the shape.  Only the shape (0,), K = {empty face}, has no vertex;
+    Only the variables some generator uses are packed, and their count
+    places the fields that the shapes and the degrees read.  A cone is
+    skipped; any other K^alpha is ranked through its shape, and each
+    distinct shape is ranked once per call, as the relative complex (del
+    v, lk v) at its busiest vertex v, which has the reduced homology of
+    the shape.  Only the shape (0,), K = {empty face}, has no vertex;
     there the link is empty and the walk ranks the whole complex.
     """
     if _instance(I, MonomialIdeal, "ideal").is_unit:
         raise UnitIdealError("the unit ideal has nothing to resolve")
-    gens, guards, width = _packed([g.exponents for g in I.gens])
-    field = (1 << width) - 1
+    # a variable no generator uses changes no Betti number
+    used = [column for column in zip(*(g.exponents for g in I.gens)) if any(column)]
+    gens, guards, width = _packed(list(zip(*used)))
+    n, field = len(used), (1 << width) - 1
     ranked: dict[tuple[int, ...], list[int]] = {}  # shape -> reduced ranks, this call only
     table: dict[tuple[int, int], int] = {}
     for alpha, divisors in lcm_lattice(gens, guards, width).items():
@@ -356,7 +360,7 @@ def graded_betti(I: MonomialIdeal) -> BettiTable:
         slack = _koszul_slack(gens, alpha, divisors, guards, width)
         if _is_cone(slack):
             continue  # a vertex in every facet: K^alpha is acyclic
-        shape = _shape(slack, I.n, width)
+        shape = _shape(slack, n, width)
         homology = ranked.get(shape)
         if homology is None:
             # the pair (deletion, link) at the vertex in the most masks, lowest on ties
@@ -364,7 +368,7 @@ def graded_betti(I: MonomialIdeal) -> BettiTable:
                          key=lambda b: sum(m >> b & 1 for m in shape))
             homology = ranked[shape] = _reduced_ranks(_closure(
                 [m for m in shape if not m & v], [m ^ v for m in shape if m & v]))
-        deg = sum(alpha >> s & field for s in range(0, I.n * width, width))
+        deg = sum(alpha >> s & field for s in range(0, n * width, width))
         for i, h in enumerate(homology):
             if h:
                 table[(i, deg)] = table.get((i, deg), 0) + h

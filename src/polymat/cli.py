@@ -10,11 +10,12 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import fields
+from math import comb
 from pathlib import Path
 
 from .betti import graded_betti
 from .core import _integer_text, _integers, all_variable_orders
-from .corpus import CorpusSpec
+from .corpus import CorpusSpec, corpus_masks
 from .errors import InvalidArgumentError, ParseError, PolymatError
 from .ioformats import (
     _dumps,
@@ -212,7 +213,14 @@ def _cmd_suite(args):
         _integers((args.jobs,), "jobs", 1)
         report = runner()
     else:
-        report = runner(CorpusSpec(**{"n": 3, "d": 2, **corpus}), jobs=args.jobs)
+        spec = CorpusSpec(**{"n": 3, "d": 2, **corpus})
+        limit = sys.get_int_max_str_digits()
+        # refuse a report that cannot be rendered before any verdict; the masks
+        # are drawn twice only where the layer's full mask has too many digits
+        if spec.mode == "random" and args.json_path and limit \
+                and 1 << comb(spec.n + spec.d - 1, spec.d) > 10 ** limit:
+            _dumps(max(corpus_masks(spec)))
+        report = runner(spec, jobs=args.jobs)
     lines = [report.summary()]
     lines += [f"  {_dumps(verdict, sort_keys=True)}" for verdict in report.failures]
     if args.json_path:

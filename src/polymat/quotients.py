@@ -53,19 +53,14 @@ searches the other orders:
   order found so far and prunes every subtree whose least order is not
   below it.
 - Twins.  Variables u and t are twins in S when swapping x_u and x_t
-  maps S onto itself, an equivalence relation: if (a b) and (b c) fix S,
-  so does (a c) = (a b)(b c)(a b).  Once the identity has passed, the
-  search reads the classes off the layer's exponents and index, and each
-  node visits only the first variable of each class among its remaining
-  ones, in its loop order, ascending for lex and descending for revlex.
-  For a remaining twin t' of a visited t, the transposition (t t') fixes
-  the chosen prefix (or suffix) and maps the subtree of t' onto that of
-  t.  It keeps each order's verdict, as S is invariant under it and
-  linear quotients do not change when the variables are renamed, and it
-  sends every permutation of the skipped subtree to a smaller one of the
-  kept subtree.  So the least failing permutation is never skipped, and
-  the order, position and blocker stay the same.  A Veronese ideal needs
-  n refinements per kind; an ideal without twins gets no pruning.
+  maps S onto itself.  Once the identity has passed, the search reads
+  their classes off the layer's exponents and index (_twin_classes shows
+  that the relation is an equivalence), and each node visits only the
+  first variable of each class among its remaining ones
+  (_first_failing_perm shows that the least failing permutation is never
+  skipped), so the order, position and blocker stay the same.
+  A Veronese ideal needs n refinements per kind; an ideal without twins
+  gets no pruning.
 """
 
 from __future__ import annotations

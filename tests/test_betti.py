@@ -268,6 +268,13 @@ def relabeled(slack, width: int) -> tuple[int, ...]:
     return tuple(sorted(sum(1 << k for k, t in enumerate(used) if m >> t & 1) for m in masks))
 
 
+def times(n: int, factor: tuple[int, ...], ideal: pm.MonomialIdeal) -> pm.MonomialIdeal:
+    """The ideal x^factor * J in n variables, J's variables coming after the
+    factor's; the variables past both stay unused."""
+    rest = (0,) * (n - len(factor) - ideal.n)
+    return pm.MonomialIdeal(n, [pm.Monomial(factor + g.exponents + rest) for g in ideal.gens])
+
+
 def non_cone_slacks(ideal: pm.MonomialIdeal) -> list[set[int]]:
     """The slack masks of K^alpha at every lattice point that is not a cone."""
     return [slack for slack in koszul_slacks(ideal) if not betti._is_cone(slack)]
@@ -566,6 +573,29 @@ class TestKoszulFaces:
         assert Counter(closed) == Counter(
             tuple(map(tuple, busiest_pair(shape))) for shape in expected)
         assert len(closed) == 17
+
+    @pytest.mark.parametrize("ideal, counts", [
+        (squarefree_veronese(10, 3), (968, 0, 8)),
+        (times(10, (1,), squarefree_veronese(9, 3)), (466, 0, 7)),
+        (times(6, (1, 1), veronese(4, 2)), (76, 33, 11)),
+        (times(40, (), squarefree_veronese(6, 3)), (42, 0, 4)),
+        (pm.remark_ideal(), (12, 3, 3)),
+    ], ids=["sqfree-veronese-10-3", "x1-sqfree-veronese-9-3", "x1x2-veronese-4-2",
+            "sqfree-veronese-6-3-in-40", "remark"])
+    def test_graded_betti_visits_pinned_counts(self, monkeypatch, ideal, counts):
+        # (lattice points, cones skipped, shapes closed) of one call: a common
+        # factor and unused variables add no point, and the walk no work
+        points, cones, closed = [], [], []
+        lattice, is_cone, closure = betti.lcm_lattice, betti._is_cone, betti._closure
+        monkeypatch.setattr(betti, "lcm_lattice", lambda *args: points.append(
+            lattice(*args)) or points[-1])
+        monkeypatch.setattr(betti, "_is_cone", lambda masks: cones.append(
+            is_cone(masks)) or cones[-1])
+        monkeypatch.setattr(betti, "_closure", lambda masks, link: closed.append(
+            None) or closure(masks, link))
+        betti.graded_betti(ideal)
+        assert (len(points[0]), sum(cones), len(closed)) == counts
+        assert len(points) == 1
 
     @given(exponent_pairs())
     @settings(max_examples=300, deadline=None)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import polymat as pm
-from polymat import cli
+from polymat import cli, suites
 from polymat.cli import main
 
 REMARK = "x1*x3^2 + x1^2*x3 + x1*x2*x3 + x2^2*x3"
@@ -323,9 +323,12 @@ def test_conjecture_guard_refuses_before_the_corpus(m, monkeypatch, capsys, tmp_
     assert not out.exists()
 
 
-def test_mask_too_long_to_render_exits_2(digit_limit, capsys, tmp_path):
+def test_mask_too_long_to_render_exits_2(digit_limit, monkeypatch, capsys, tmp_path):
     # the (4,60) layer has 39,711 monomials, so a drawn mask has more digits than
-    # the interpreter renders: the report is refused as a bound, not a crash
+    # the interpreter renders: the report is refused as a bound, not a crash,
+    # and before any verdict is decided
+    decided, chunk = [], suites._verdict_chunk
+    monkeypatch.setattr(suites, "_verdict_chunk", lambda task: decided.append(task) or chunk(task))
     out = tmp_path / "out.json"
     argv = ["suite", "theorem", "--n", "4", "--d", "60", "--mode", "random", "--m", "2",
             "--count", "1", "--jobs", "1", "--json", str(out)]
@@ -334,6 +337,17 @@ def test_mask_too_long_to_render_exits_2(digit_limit, capsys, tmp_path):
     assert captured.out == ""
     assert captured.err.startswith("error: cannot render the JSON: ")
     assert not out.exists()
+    assert decided == []
+
+
+def test_renderable_layer_is_drawn_once(digit_limit, monkeypatch, tmp_path):
+    # the (3,2) layer's full mask renders, so the command draws no masks of its own
+    drawn = []
+    monkeypatch.setattr(cli, "corpus_masks", lambda spec: drawn.append(spec) or [])
+    argv = ["suite", "theorem", "--n", "3", "--d", "2", "--mode", "random", "--m", "2",
+            "--count", "3", "--jobs", "1", "--json", str(tmp_path / "out.json")]
+    assert main(argv) == 0
+    assert drawn == []
 
 
 @pytest.mark.parametrize("mask, code, line", [

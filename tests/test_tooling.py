@@ -16,6 +16,7 @@ SOURCE = Path(polymat.__file__).parent
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 README = Path(__file__).resolve().parents[1] / "README.md"
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+CODE_LINES = Path(__file__).resolve().parents[1] / "tools" / "code_lines.py"
 
 
 def test_no_assert_statements_in_library():
@@ -601,3 +602,35 @@ def test_a_failing_hypothesis_test_does_not_stop_the_session(tmp_path):
     output = child.stdout + child.stderr
     assert "INTERNALERROR" not in output, output
     assert "1 failed, 1 passed" in output, output
+
+
+def test_code_lines_leave_out_docstrings_comments_and_blank_lines(tmp_path):
+    # 8 code lines: a string literal that is no docstring counts each of its
+    # non-blank lines, and a comment after code leaves that line code
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        '"""Module docstring,\n'
+        'over two lines."""\n'
+        "import os  # a comment after code\n"
+        "\n"
+        "# a comment line\n"
+        "\n\n"
+        "class A:\n"
+        '    """Class docstring."""\n'
+        "\n"
+        "    def f(self):\n"
+        '        """Function\n'
+        '        docstring."""\n'
+        "        # a comment\n"
+        '        text = """a string\n'
+        "\n"
+        '        that is no docstring"""\n'
+        "        return text\n"
+        "\n\n"
+        "async def g():\n"
+        "    '''Async docstring.'''\n"
+        "    return 1\n"
+    )
+    child = subprocess.run([sys.executable, str(CODE_LINES), str(sample)],
+                           capture_output=True, text=True, check=True)
+    assert child.stdout.split("\n") == ["     8  sample.py", "     8  total", ""]
